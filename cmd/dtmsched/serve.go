@@ -86,6 +86,10 @@ func runServeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The wall clock (printed as wall= and recorded as the ledger's
+	// TotalMS) covers everything the user waits for, chaos-plan
+	// generation included.
+	start := time.Now()
 	var inj faults.Injector
 	if spec.Rate > 0 {
 		chaosSeed := spec.Seed
@@ -146,7 +150,6 @@ func runServeCmd(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	start := time.Now()
 	res, err := stream.Serve(ctx, cfg)
 	if err != nil {
 		return err

@@ -5,7 +5,7 @@
 // commits); List is FIFO list scheduling that permits parallelism between
 // non-conflicting transactions but ignores topology structure; Random is
 // List over a random priority order, emulating randomized contention
-// management.
+// management. All three place transactions on a schedule.Chain.
 package baseline
 
 import (
@@ -14,53 +14,9 @@ import (
 	"sort"
 
 	"dtmsched/internal/core"
-	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 )
-
-// tracker carries the per-object release bookkeeping shared by the
-// baselines (the same invariants as the core composer, re-implemented here
-// so the baselines stay independent of the algorithms they benchmark).
-type tracker struct {
-	in      *tm.Instance
-	relTime []int64
-	relNode []graph.NodeID
-}
-
-func newTracker(in *tm.Instance) *tracker {
-	t := &tracker{
-		in:      in,
-		relTime: make([]int64, in.NumObjects),
-		relNode: make([]graph.NodeID, in.NumObjects),
-	}
-	copy(t.relNode, in.Home)
-	return t
-}
-
-// earliest returns the earliest feasible step for id given current release
-// points.
-func (t *tracker) earliest(id tm.TxnID) int64 {
-	txn := &t.in.Txns[id]
-	var step int64 = 1
-	for _, o := range txn.Objects {
-		if need := t.relTime[o] + t.in.Dist(t.relNode[o], txn.Node); need > step {
-			step = need
-		}
-	}
-	return step
-}
-
-// commit records id executing at step.
-func (t *tracker) commit(id tm.TxnID, step int64) {
-	txn := &t.in.Txns[id]
-	for _, o := range txn.Objects {
-		if step > t.relTime[o] {
-			t.relTime[o] = step
-			t.relNode[o] = txn.Node
-		}
-	}
-}
 
 // Sequential schedules transactions strictly one after another in ID
 // order, waiting out every object transfer in between — the behavior of a
@@ -72,17 +28,17 @@ func (Sequential) Name() string { return "baseline/sequential" }
 
 // Schedule implements core.Scheduler.
 func (Sequential) Schedule(in *tm.Instance) (*core.Result, error) {
-	t := newTracker(in)
+	c := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := schedule.New(in.NumTxns())
 	var clock int64
 	for i := range in.Txns {
-		id := tm.TxnID(i)
-		step := t.earliest(id)
+		txn := &in.Txns[i]
+		step := c.Earliest(txn.Node, txn.Objects)
 		if step <= clock {
 			step = clock + 1
 		}
-		s.Times[id] = step
-		t.commit(id, step)
+		s.Times[i] = step
+		c.Commit(txn.Node, txn.Objects, step)
 		clock = step
 	}
 	return finishResult("baseline/sequential", in, s)
@@ -112,12 +68,12 @@ func (l List) Schedule(in *tm.Instance) (*core.Result, error) {
 	if len(order) != in.NumTxns() {
 		return nil, fmt.Errorf("baseline: order has %d entries for %d transactions", len(order), in.NumTxns())
 	}
-	t := newTracker(in)
+	c := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := schedule.New(in.NumTxns())
 	for _, id := range order {
-		step := t.earliest(id)
-		s.Times[id] = step
-		t.commit(id, step)
+		txn := &in.Txns[id]
+		s.Times[id] = c.Earliest(txn.Node, txn.Objects)
+		c.Commit(txn.Node, txn.Objects, s.Times[id])
 	}
 	return finishResult("baseline/list", in, s)
 }

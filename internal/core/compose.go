@@ -3,59 +3,45 @@ package core
 import (
 	"fmt"
 
-	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 )
 
 // composer stitches locally-computed batch schedules (one subgrid, one
-// phase, one round, …) into a single globally feasible schedule. It tracks
-// where and when each object was last released, and shifts each batch by
-// the exact offset δ that satisfies every cross-batch object-movement
-// constraint — the constructive counterpart of the paper's "transition
-// periods".
+// phase, one round, …) into a single globally feasible schedule. Its
+// release chain tracks where and when each object was last released, and
+// each batch is shifted by the exact offset δ that satisfies every
+// cross-batch object-movement constraint — the constructive counterpart of
+// the paper's "transition periods".
 type composer struct {
 	in    *tm.Instance
 	sched *schedule.Schedule
+	chain *schedule.Chain
 	clock int64 // last step used by any scheduled transaction
 
-	relTime []int64        // release step of each object (0 = still at home)
-	relNode []graph.NodeID // node the object was last released at (home initially)
-	done    []bool         // per transaction
+	done    []bool // per transaction
 	pending int
 }
 
 func newComposer(in *tm.Instance) *composer {
-	c := &composer{
+	return &composer{
 		in:      in,
 		sched:   schedule.New(in.NumTxns()),
-		relTime: make([]int64, in.NumObjects),
-		relNode: make([]graph.NodeID, in.NumObjects),
+		chain:   schedule.NewChain(in.Metric, in.Home, in.G.NumNodes()),
 		done:    make([]bool, in.NumTxns()),
 		pending: in.NumTxns(),
 	}
-	copy(c.relNode, in.Home)
-	return c
 }
 
 // appendBatch schedules the given transactions at local times (each ≥ 1),
-// shifted by the smallest δ ≥ clock such that every object's first use in
-// the batch respects its release point. Local times must already satisfy
-// all intra-batch constraints (a valid dependency-graph coloring does).
-// It returns the batch's global completion step.
+// shifted by the smallest δ ≥ clock that respects every object's release
+// point. Local times must already satisfy all intra-batch constraints (a
+// valid dependency-graph coloring does). It returns the batch's global
+// completion step.
 func (c *composer) appendBatch(ids []tm.TxnID, local []int64) int64 {
 	if len(ids) != len(local) {
 		panic(fmt.Sprintf("core: batch of %d transactions with %d times", len(ids), len(local)))
 	}
-	if len(ids) == 0 {
-		return c.clock
-	}
-	// Determine, per object used in the batch, its earliest batch use.
-	type firstUse struct {
-		t    int64
-		node graph.NodeID
-	}
-	first := make(map[tm.ObjectID]firstUse)
 	for i, id := range ids {
 		if c.done[id] {
 			panic(fmt.Sprintf("core: transaction %d scheduled twice", id))
@@ -63,38 +49,10 @@ func (c *composer) appendBatch(ids []tm.TxnID, local []int64) int64 {
 		if local[i] < 1 {
 			panic(fmt.Sprintf("core: local time %d < 1 for transaction %d", local[i], id))
 		}
-		for _, o := range c.in.Txns[id].Objects {
-			fu, ok := first[o]
-			if !ok || local[i] < fu.t {
-				first[o] = firstUse{t: local[i], node: c.in.Txns[id].Node}
-			}
-		}
 	}
-	// δ: batches are serialized after the clock, and each object must
-	// have time to travel from its release point to its first batch use.
-	delta := c.clock
-	for o, fu := range first {
-		need := c.relTime[o] + c.in.Dist(c.relNode[o], fu.node) - fu.t
-		if need > delta {
-			delta = need
-		}
-	}
-	// Commit the batch and update per-object release points to each
-	// object's last use in the batch.
+	delta := c.chain.Offset(c.in, ids, local, c.clock)
 	for i, id := range ids {
-		t := local[i] + delta
-		c.sched.Times[id] = t
-		c.done[id] = true
-		c.pending--
-		if t > c.clock {
-			c.clock = t
-		}
-		for _, o := range c.in.Txns[id].Objects {
-			if t > c.relTime[o] {
-				c.relTime[o] = t
-				c.relNode[o] = c.in.Txns[id].Node
-			}
-		}
+		c.commit(id, local[i]+delta)
 	}
 	return c.clock
 }
@@ -108,39 +66,21 @@ func (c *composer) appendOne(id tm.TxnID) int64 {
 		panic(fmt.Sprintf("core: transaction %d scheduled twice", id))
 	}
 	txn := &c.in.Txns[id]
-	var t int64 = 1
-	for _, o := range txn.Objects {
-		// Distinct requesters sit at distinct nodes, so dist ≥ 1 for any
-		// previously-used object and the new holder necessarily runs
-		// strictly after the releaser.
-		if need := c.relTime[o] + c.in.Dist(c.relNode[o], txn.Node); need > t {
-			t = need
-		}
-	}
+	t := c.chain.Earliest(txn.Node, txn.Objects)
+	c.commit(id, t)
+	return t
+}
+
+// commit fixes transaction id at global step t.
+func (c *composer) commit(id tm.TxnID, t int64) {
+	txn := &c.in.Txns[id]
 	c.sched.Times[id] = t
 	c.done[id] = true
 	c.pending--
 	if t > c.clock {
 		c.clock = t
 	}
-	for _, o := range txn.Objects {
-		if t > c.relTime[o] {
-			c.relTime[o] = t
-			c.relNode[o] = txn.Node
-		}
-	}
-	return t
-}
-
-// remaining returns the not-yet-scheduled transactions in ID order.
-func (c *composer) remaining() []tm.TxnID {
-	out := make([]tm.TxnID, 0, c.pending)
-	for i, d := range c.done {
-		if !d {
-			out = append(out, tm.TxnID(i))
-		}
-	}
-	return out
+	c.chain.Commit(txn.Node, txn.Objects, t)
 }
 
 // finish asserts completeness and returns the composed schedule.

@@ -112,8 +112,8 @@ func TestComposerEmptyBatchNoop(t *testing.T) {
 	if got := c.appendBatch(nil, nil); got != 0 {
 		t.Fatalf("empty batch advanced clock to %d", got)
 	}
-	if len(c.remaining()) != 3 {
-		t.Fatalf("remaining = %v", c.remaining())
+	if c.pending != 3 {
+		t.Fatalf("pending = %d, want 3", c.pending)
 	}
 }
 

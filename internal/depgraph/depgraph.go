@@ -540,3 +540,20 @@ func (h *DepGraph) OrderByNode(in *tm.Instance) []int {
 	})
 	return order
 }
+
+// OrderByColor returns local indices sorted by (color[i], transaction ID)
+// — the deterministic list-scheduling order of the pipelined window and
+// streaming schedulers.
+func (h *DepGraph) OrderByColor(color []int64) []int {
+	order := make([]int, len(h.IDs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if color[order[a]] != color[order[b]] {
+			return color[order[a]] < color[order[b]]
+		}
+		return h.IDs[order[a]] < h.IDs[order[b]]
+	})
+	return order
+}

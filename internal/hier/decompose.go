@@ -11,9 +11,9 @@
 // conflicts climb the tree.
 //
 // Like every scheduler in the repo, the result is feasible by construction
-// (exact per-shard and merge offsets, not probabilistic accounting),
-// re-validated by schedule.Validate, and cross-checked by an independent
-// windows.ChainChecker pass plus the subtree-containment invariant. Results
+// (exact per-shard and merge offsets on one schedule.Chain, not
+// probabilistic accounting), re-validated by schedule.Validate, and its
+// decomposition cross-checked for subtree containment. Results
 // are byte-identical at every worker count: shards compute into private
 // slots and the composition never depends on completion order.
 package hier
@@ -148,4 +148,28 @@ func (d *Decomposition) MaxShardTxns() int {
 		}
 	}
 	return maxLen
+}
+
+// CrossCheck verifies the decomposition's containment invariant: a
+// shard-local object's home and every one of its users must lie inside
+// that shard's subtree, so no local schedule ever moves an object across a
+// tier boundary. (Schedule feasibility itself is schedule.Validate's job.)
+func CrossCheck(d *Decomposition, in *tm.Instance) error {
+	for o := 0; o < in.NumObjects; o++ {
+		so := d.ObjShard[o]
+		if so < 0 {
+			continue
+		}
+		if hs := d.NodeShard[in.Home[o]]; hs != so {
+			return fmt.Errorf("hier: object %d is local to shard %d but homed on node %d of shard %d",
+				o, so, in.Home[o], hs)
+		}
+		for _, id := range in.Users(tm.ObjectID(o)) {
+			if ns := d.NodeShard[in.Txns[id].Node]; ns != so {
+				return fmt.Errorf("hier: object %d is local to shard %d but used by transaction %d on node %d of shard %d",
+					o, so, id, in.Txns[id].Node, ns)
+			}
+		}
+	}
+	return nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"dtmsched/internal/core"
 	"dtmsched/internal/depgraph"
-	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -55,12 +54,6 @@ type shardOut struct {
 	span  int64 // completion step of the shard's sub-schedule
 }
 
-// firstUse tracks an object's earliest use inside one batch.
-type firstUse struct {
-	t    int64
-	node graph.NodeID
-}
-
 // Schedule implements core.Scheduler.
 func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 	if s.Topo == nil {
@@ -88,12 +81,10 @@ func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 	}
 
 	sched := schedule.New(in.NumTxns())
-	// Per-object release points after the local phase. Each object is
+	// Release points after the local phase. Each object and node is
 	// touched by at most one shard (locality invariant), so shard workers
-	// write disjoint entries.
-	relT := make([]int64, in.NumObjects)
-	relN := make([]graph.NodeID, in.NumObjects)
-	copy(relN, in.Home)
+	// write disjoint chain entries.
+	chain := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 
 	outs := make([]shardOut, d.Shards)
 	shardStart := time.Now()
@@ -108,7 +99,7 @@ func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 				if si >= d.Shards {
 					return
 				}
-				scheduleShard(in, d, pv, si, sched, &outs[si], relT, relN)
+				scheduleShard(in, d, pv, si, sched, &outs[si], chain)
 			}
 		}()
 	}
@@ -121,21 +112,7 @@ func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 	if len(d.Cross) > 0 {
 		h := depgraph.BuildOpts(in, d.Cross, depgraph.Options{Workers: workers, Index: pv.View(d.Shards)})
 		local := h.GreedyColor(h.OrderByNode(in))
-		first := make(map[tm.ObjectID]firstUse)
-		for i, id := range d.Cross {
-			node := in.Txns[id].Node
-			for _, o := range in.Txns[id].Objects {
-				if fu, ok := first[o]; !ok || local[i] < fu.t {
-					first[o] = firstUse{t: local[i], node: node}
-				}
-			}
-		}
-		var delta int64
-		for o, fu := range first {
-			if need := relT[o] + in.Dist(relN[o], fu.node) - fu.t; need > delta {
-				delta = need
-			}
-		}
+		delta := chain.Offset(in, d.Cross, local, 0)
 		for i, id := range d.Cross {
 			sched.Times[id] = local[i] + delta
 			if t := sched.Times[id]; t > mergeOut.span {
@@ -182,16 +159,16 @@ func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 	if err := sched.Validate(in); err != nil {
 		return nil, fmt.Errorf("hier: produced an infeasible schedule: %w", err)
 	}
-	if err := CrossCheck(d, in, sched); err != nil {
-		return nil, fmt.Errorf("hier: merged schedule fails the cross-check: %w", err)
+	if err := CrossCheck(d, in); err != nil {
+		return nil, fmt.Errorf("hier: decomposition fails the cross-check: %w", err)
 	}
 	return r, nil
 }
 
 // scheduleShard schedules shard si's local transactions into sched and
-// advances the release points of the shard's (private) local objects.
+// advances the chain entries of the shard's (private) objects and nodes.
 func scheduleShard(in *tm.Instance, d *Decomposition, pv *tm.PartitionedView, si int,
-	sched *schedule.Schedule, out *shardOut, relT []int64, relN []graph.NodeID) {
+	sched *schedule.Schedule, out *shardOut, chain *schedule.Chain) {
 	ids := d.Local[si]
 	if len(ids) == 0 {
 		return
@@ -203,33 +180,14 @@ func scheduleShard(in *tm.Instance, d *Decomposition, pv *tm.PartitionedView, si
 	// Exact home-travel offset: every local object must reach its first
 	// requester from its home. Local objects are shard-private, so shards
 	// shift independently and overlap in global time.
-	first := make(map[tm.ObjectID]firstUse)
-	for i, id := range ids {
-		node := in.Txns[id].Node
-		for _, o := range in.Txns[id].Objects {
-			if fu, ok := first[o]; !ok || local[i] < fu.t {
-				first[o] = firstUse{t: local[i], node: node}
-			}
-		}
-	}
-	var delta int64
-	for o, fu := range first {
-		if need := in.Dist(in.Home[o], fu.node) - fu.t; need > delta {
-			delta = need
-		}
-	}
+	delta := chain.Offset(in, ids, local, 0)
 	for i, id := range ids {
 		t := local[i] + delta
 		sched.Times[id] = t
 		if t > out.span {
 			out.span = t
 		}
-		for _, o := range in.Txns[id].Objects {
-			if t > relT[o] {
-				relT[o] = t
-				relN[o] = in.Txns[id].Node
-			}
-		}
+		chain.Commit(in.Txns[id].Node, in.Txns[id].Objects, t)
 	}
 	out.built = true
 	out.info = h.Info()

@@ -229,8 +229,8 @@ func TestHierConfigErrors(t *testing.T) {
 	}()
 }
 
-// TestCrossCheckRejectsTampering feeds CrossCheck corrupted inputs to make
-// sure the independent checker actually bites.
+// TestCrossCheckRejectsTampering feeds the verifiers a corrupted schedule
+// and CrossCheck a corrupted decomposition to make sure both actually bite.
 func TestCrossCheckRejectsTampering(t *testing.T) {
 	fc := topology.NewFogCloud([]int{4, 8}, []int64{8, 1})
 	in := genInstance(t, fc, 48, 3, 7)
@@ -254,8 +254,8 @@ func TestCrossCheckRejectsTampering(t *testing.T) {
 	if !tampered {
 		t.Skip("no shared object in fixture")
 	}
-	if err := CrossCheck(d, in, bad); err == nil {
-		t.Fatal("chain cross-check accepted a same-step shared-object schedule")
+	if err := bad.Validate(in); err == nil {
+		t.Fatal("Validate accepted a same-step shared-object schedule")
 	}
 
 	// Corrupt the decomposition: claim a cross object is shard-local.
@@ -265,7 +265,7 @@ func TestCrossCheckRejectsTampering(t *testing.T) {
 			break
 		}
 	}
-	if err := CrossCheck(d, in, r.Schedule); err == nil {
+	if err := CrossCheck(d, in); err == nil {
 		t.Fatal("containment check accepted a cross object marked local")
 	}
 }

@@ -131,24 +131,12 @@ func TestStarSigma(t *testing.T) {
 
 // listSchedule mirrors the baseline list scheduler for property input.
 func listSchedule(r *rand.Rand, in *tm.Instance) *schedule.Schedule {
-	order := r.Perm(in.NumTxns())
-	relT := make([]int64, in.NumObjects)
-	relN := make([]graph.NodeID, in.NumObjects)
-	copy(relN, in.Home)
+	c := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := schedule.New(in.NumTxns())
-	for _, i := range order {
+	for _, i := range r.Perm(in.NumTxns()) {
 		txn := &in.Txns[i]
-		var t int64 = 1
-		for _, o := range txn.Objects {
-			if need := relT[o] + in.Dist(relN[o], txn.Node); need > t {
-				t = need
-			}
-		}
-		s.Times[i] = t
-		for _, o := range txn.Objects {
-			relT[o] = t
-			relN[o] = txn.Node
-		}
+		s.Times[i] = c.Earliest(txn.Node, txn.Objects)
+		c.Commit(txn.Node, txn.Objects, s.Times[i])
 	}
 	return s
 }

@@ -1,0 +1,118 @@
+package schedule_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"dtmsched/internal/baseline"
+	"dtmsched/internal/core"
+	"dtmsched/internal/hier"
+	"dtmsched/internal/schedule"
+	"dtmsched/internal/sim"
+	"dtmsched/internal/tm"
+	"dtmsched/internal/topology"
+	"dtmsched/internal/windows"
+)
+
+// FuzzVerifiersAgree differentially tests the two independent Definition 1
+// verifiers, schedule.Validate (the ChainChecker) and the step-by-step
+// simulator sim.Run. Every scheduler family's output on a tiny seeded
+// instance must pass both; a mutated copy (one commit pulled a step
+// earlier, or the times of two conflicting transactions swapped) must get
+// the same verdict from both.
+func FuzzVerifiersAgree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, pick uint16, swap bool) {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + int(shape/3)%7
+		topo := []topology.Topology{topology.NewLine(n), topology.NewGrid(2, (n+1)/2), topology.NewClique(n)}[shape%3]
+		w := 1 + r.Intn(4)
+		wl := tm.UniformK(w, 1+r.Intn(min(w, 3)))
+		g := topo.Graph()
+		in := wl.Generate(r, g, topo, g.Nodes(), tm.PlaceAtRandomUser)
+		fc := topology.NewFogCloud([]int{2, 2}, []int64{1 + int64(pick%4), 1})
+		fin := wl.Generate(r, fc.Graph(), fc, fc.Graph().Nodes(), tm.PlaceAtRandomUser)
+		for _, sc := range []core.Scheduler{&core.Greedy{}, baseline.List{}, baseline.Sequential{}, &hier.Scheduler{Topo: fc}} {
+			at := in
+			if _, ok := sc.(*hier.Scheduler); ok {
+				at = fin
+			}
+			res, err := sc.Schedule(at)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name(), err)
+			}
+			agree(t, sc.Name(), at, res.Schedule, int(pick), swap)
+		}
+
+		seq, err := windows.Generate(r, g, topo, wl, 2, tm.PlaceAtRandomUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pipelined := range []bool{false, true} {
+			res, err := windows.Run(seq, pipelined)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replay(seq, res); err != nil {
+				t.Fatalf("%s: chained checker rejects: %v", res.Mode, err)
+			}
+			// Flattened, a node hosts one transaction per window.
+			var txns []tm.Txn
+			flat := &schedule.Schedule{}
+			for wi, win := range seq.Windows {
+				for _, txn := range win.Txns {
+					txns = append(txns, tm.Txn{Node: txn.Node, Objects: txn.Objects})
+				}
+				flat.Times = append(flat.Times, res.PerWindow[wi].Times...)
+			}
+			agree(t, res.Mode, tm.NewInstance(g, topo, w, txns, seq.Home), flat, int(pick), swap)
+		}
+	})
+}
+
+// agree asserts that both verifiers accept s, then that they reach the
+// same verdict on a mutated copy.
+func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pick int, swap bool) {
+	t.Helper()
+	if err := s.Validate(in); err != nil {
+		t.Fatalf("%s: Validate rejects: %v", name, err)
+	}
+	if _, err := sim.Run(in, s, sim.Options{}); err != nil {
+		t.Fatalf("%s: sim rejects: %v", name, err)
+	}
+	bad := s.Clone()
+	mutate(in, bad, pick, swap)
+	checkErr := bad.Validate(in)
+	_, simErr := sim.Run(in, bad, sim.Options{})
+	// Node exclusivity lies outside the simulator's model; it only bites
+	// on flattened windows, where a node hosts several transactions.
+	if (checkErr != nil) != (simErr != nil || nodeTie(in, bad)) {
+		t.Fatalf("%s: verifiers disagree on %v: Validate %v, sim %v", name, bad.Times, checkErr, simErr)
+	}
+}
+
+// mutate swaps the times of two users of a shared object (when swap is set
+// and one exists) or pulls one commit a step earlier.
+func mutate(in *tm.Instance, s *schedule.Schedule, pick int, swap bool) {
+	for o := 0; swap && o < in.NumObjects; o++ {
+		users := in.Users(tm.ObjectID((o + pick) % in.NumObjects))
+		if len(users) >= 2 {
+			a, b := users[pick%len(users)], users[(pick+1)%len(users)]
+			s.Times[a], s.Times[b] = s.Times[b], s.Times[a]
+			return
+		}
+	}
+	s.Times[pick%len(s.Times)]--
+}
+
+// nodeTie reports whether two transactions on one node share a step.
+func nodeTie(in *tm.Instance, s *schedule.Schedule) bool {
+	seen := map[[2]int64]bool{}
+	for i, txn := range in.Txns {
+		k := [2]int64{int64(txn.Node), s.Times[i]}
+		if seen[k] {
+			return true
+		}
+		seen[k] = true
+	}
+	return false
+}

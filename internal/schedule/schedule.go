@@ -11,7 +11,6 @@
 package schedule
 
 import (
-	"fmt"
 	"sort"
 
 	"dtmsched/internal/graph"
@@ -92,39 +91,14 @@ func (s *Schedule) CommCost(in *tm.Instance) int64 {
 //     object's distance from home;
 //   - each subsequent requester executes at least dist(prev, next) steps
 //     after the previous one (the object must physically travel between
-//     commits).
+//     commits);
+//   - transactions sharing a node commit at distinct steps.
 //
-// It returns nil for feasible schedules and a descriptive error otherwise.
+// It is a fresh ChainChecker run over the single window s, starting from
+// in.Home at time 0. It returns nil for feasible schedules and a
+// descriptive error otherwise.
 func (s *Schedule) Validate(in *tm.Instance) error {
-	if len(s.Times) != in.NumTxns() {
-		return fmt.Errorf("schedule: %d times for %d transactions", len(s.Times), in.NumTxns())
-	}
-	for i, t := range s.Times {
-		if t < 1 {
-			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
-		}
-	}
-	for o := 0; o < in.NumObjects; o++ {
-		oid := tm.ObjectID(o)
-		order := s.Order(in, oid)
-		if len(order) == 0 {
-			continue
-		}
-		first := order[0]
-		if d := in.Dist(in.Home[oid], in.Txns[first].Node); s.Times[first] < d {
-			return fmt.Errorf("schedule: object %d cannot reach transaction %d by step %d (home %d is %d away)",
-				o, first, s.Times[first], in.Home[oid], d)
-		}
-		for i := 0; i+1 < len(order); i++ {
-			a, b := order[i], order[i+1]
-			d := in.Dist(in.Txns[a].Node, in.Txns[b].Node)
-			if s.Times[b] < s.Times[a]+d {
-				return fmt.Errorf("schedule: object %d: transaction %d at step %d then %d at step %d, but they are %d apart",
-					o, a, s.Times[a], b, s.Times[b], d)
-			}
-		}
-	}
-	return nil
+	return NewChainChecker(in.Home).Check(in, s)
 }
 
 // Shift adds delta to every execution time; useful when composing phase

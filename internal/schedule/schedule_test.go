@@ -131,26 +131,14 @@ func TestCommCost(t *testing.T) {
 }
 
 // listSchedule builds a feasible schedule by list scheduling a random
-// order — the generator for property tests.
+// order onto a fresh chain — the generator for property tests.
 func listSchedule(r *rand.Rand, in *tm.Instance) *Schedule {
-	order := r.Perm(in.NumTxns())
-	relT := make([]int64, in.NumObjects)
-	relN := make([]graph.NodeID, in.NumObjects)
-	copy(relN, in.Home)
+	c := NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := New(in.NumTxns())
-	for _, i := range order {
+	for _, i := range r.Perm(in.NumTxns()) {
 		txn := &in.Txns[i]
-		var t int64 = 1
-		for _, o := range txn.Objects {
-			if need := relT[o] + in.Dist(relN[o], txn.Node); need > t {
-				t = need
-			}
-		}
-		s.Times[i] = t
-		for _, o := range txn.Objects {
-			relT[o] = t
-			relN[o] = txn.Node
-		}
+		s.Times[i] = c.Earliest(txn.Node, txn.Objects)
+		c.Commit(txn.Node, txn.Objects, s.Times[i])
 	}
 	return s
 }

@@ -240,26 +240,13 @@ func TestSimulatorCommCostMatchesSchedule(t *testing.T) {
 }
 
 func feasibleSchedule(r *rand.Rand, in *tm.Instance) *schedule.Schedule {
-	order := r.Perm(in.NumTxns())
-	relT := make([]int64, in.NumObjects)
-	relN := make([]graph.NodeID, in.NumObjects)
-	copy(relN, in.Home)
+	c := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := schedule.New(in.NumTxns())
-	for _, i := range order {
+	for _, i := range r.Perm(in.NumTxns()) {
 		txn := &in.Txns[i]
-		var t int64 = 1
-		for _, o := range txn.Objects {
-			if need := relT[o] + in.Dist(relN[o], txn.Node); need > t {
-				t = need
-			}
-		}
 		// Random extra slack keeps schedules diverse but feasible.
-		t += r.Int63n(3)
-		s.Times[i] = t
-		for _, o := range txn.Objects {
-			relT[o] = t
-			relN[o] = txn.Node
-		}
+		s.Times[i] = c.Earliest(txn.Node, txn.Objects) + r.Int63n(3)
+		c.Commit(txn.Node, txn.Objects, s.Times[i])
 	}
 	return s
 }

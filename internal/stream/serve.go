@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"dtmsched/internal/obs"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
-	"dtmsched/internal/windows"
 )
 
 // Config describes one streaming service run.
@@ -386,17 +384,14 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Chained scheduling state: object release steps/nodes and per-node
-	// last-commit steps span the whole stream, exactly as windows.Run
-	// chains homes across a finite sequence. The mutable conflict index
-	// is registered/deregistered per window so dependency graphs reuse
-	// its member-list capacity; the chain checker independently
-	// re-verifies every cut window's feasibility.
-	relT := make([]int64, cfg.NumObjects)
-	relN := append([]graph.NodeID(nil), cfg.Home...)
-	nodeBusy := make(map[graph.NodeID]int64)
+	// Chained scheduling state: the release chain spans the whole stream,
+	// exactly as windows.Run chains homes across a finite sequence. The
+	// mutable conflict index is registered/deregistered per window so
+	// dependency graphs reuse its member-list capacity; the chain checker
+	// independently re-verifies every cut window's feasibility.
+	chain := schedule.NewChain(metric, cfg.Home, cfg.G.NumNodes())
 	index := tm.NewConflictIndex(cfg.NumObjects)
-	checker := windows.NewChainChecker(metric, cfg.Home)
+	checker := schedule.NewChainChecker(cfg.Home)
 
 	var (
 		queue      []qitem
@@ -605,17 +600,18 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		// Shadow instance: this window's transactions with object homes
 		// frozen at the current release positions, so the engine's
 		// algebraic validation and simulator replay see exactly the
-		// handoff state the cutter scheduled against. relN is snapshotted
-		// because the loop keeps mutating it while the executor runs.
+		// handoff state the cutter scheduled against. The homes are a
+		// snapshot because the loop keeps advancing the chain while the
+		// executor runs.
 		txns := make([]tm.Txn, len(cut))
 		for i, it := range cut {
 			txns[i] = tm.Txn{Node: it.Node, Objects: it.Objects}
 		}
-		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, append([]graph.NodeID(nil), relN...))
+		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, chain.Homes())
 
 		// Dependency graph over the mutable index: register this
 		// window's members, build, deregister. Cross-window constraints
-		// ride on relT/relN, not on index edges, so the index only ever
+		// ride on the chain, not on index edges, so the index only ever
 		// holds the window being cut (and retains member-list capacity
 		// across windows).
 		for i := range in.Txns {
@@ -632,39 +628,15 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		// that its objects can reach it and its node is free. Arrivals
 		// need no explicit constraint: every member arrived ≤ clock, so
 		// t ≥ clock+1 > its arrival.
-		order := make([]int, len(h.IDs))
-		for i := range order {
-			order[i] = i
-		}
-		sortByColor(order, local, h.IDs)
 		s := schedule.New(in.NumTxns())
-		windowEnd := clock
-		for _, i := range order {
-			id := h.IDs[i]
-			txn := &in.Txns[id]
-			t := clock + 1
-			for _, o := range txn.Objects {
-				if need := relT[o] + metric.Dist(relN[o], txn.Node); need > t {
-					t = need
-				}
-			}
-			if busy := nodeBusy[txn.Node]; busy >= t {
-				t = busy + 1
-			}
-			s.Times[id] = t
-			nodeBusy[txn.Node] = t
-			for _, o := range txn.Objects {
-				if t > relT[o] {
-					relT[o] = t
-					relN[o] = txn.Node
-				}
-			}
-			if t > windowEnd {
-				windowEnd = t
-			}
+		for _, i := range h.OrderByColor(local) {
+			txn := &in.Txns[h.IDs[i]]
+			s.Times[txn.ID] = max(chain.Earliest(txn.Node, txn.Objects), clock+1)
+			chain.Commit(txn.Node, txn.Objects, s.Times[txn.ID])
 		}
+		windowEnd := s.Makespan()
 
-		// Independent feasibility cross-check (the windows.ChainChecker
+		// Independent feasibility cross-check (the schedule.ChainChecker
 		// the finite-sequence scheduler uses): handoff chains and
 		// per-node commit ordering across every window so far.
 		if err := checker.Check(in, s); err != nil {
@@ -724,15 +696,4 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Digest = digest.Sum64()
 	return res, nil
-}
-
-// sortByColor orders vertex indices by (color, transaction ID) — the
-// deterministic list-scheduling order shared with windows.Run.
-func sortByColor(order []int, color []int64, ids []tm.TxnID) {
-	sort.Slice(order, func(a, b int) bool {
-		if color[order[a]] != color[order[b]] {
-			return color[order[a]] < color[order[b]]
-		}
-		return ids[order[a]] < ids[order[b]]
-	})
 }

@@ -16,7 +16,6 @@ package windows
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dtmsched/internal/depgraph"
 	"dtmsched/internal/graph"
@@ -85,11 +84,7 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	}
 	res := &Result{Mode: mode}
 
-	relT := make([]int64, seq.NumObjects)
-	relN := make([]graph.NodeID, seq.NumObjects)
-	copy(relN, seq.Home)
-	nodeBusy := make(map[graph.NodeID]int64) // last commit step per node
-	var clock int64
+	chain := schedule.NewChain(seq.Metric, seq.Home, seq.G.NumNodes())
 
 	// One mutable conflict index is reused across the whole sequence:
 	// window i's members are deregistered and window i+1's registered in
@@ -102,11 +97,9 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	// An independent cross-check of the composed sequence: the checker
 	// re-derives the per-object handoff chains and per-node commit
 	// ordering from the schedules alone, so a bookkeeping bug in either
-	// mode's relT/relN/nodeBusy updates surfaces as an error instead of
-	// an infeasible (but silently accepted) sequence. Pipelined mode has
-	// no other validation; barrier mode keeps its shadow-instance check
-	// as well.
-	checker := NewChainChecker(seq.Metric, seq.Home)
+	// mode surfaces as an error instead of an infeasible (but silently
+	// accepted) sequence.
+	checker := schedule.NewChainChecker(seq.Home)
 
 	for wi, in := range seq.Windows {
 		if prev != nil {
@@ -122,103 +115,30 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 		local := h.GreedyColor(h.OrderByNode(in))
 
 		s := schedule.New(in.NumTxns())
-		var windowEnd int64
 		if pipelined {
 			// Cross-window list scheduling: process this window's
 			// transactions in coloring order; each takes the earliest
 			// step after its objects can arrive and its node is free.
-			order := make([]int, len(h.IDs))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				if local[order[a]] != local[order[b]] {
-					return local[order[a]] < local[order[b]]
-				}
-				return h.IDs[order[a]] < h.IDs[order[b]]
-			})
-			for _, i := range order {
-				id := h.IDs[i]
-				txn := &in.Txns[id]
-				var t int64 = 1
-				for _, o := range txn.Objects {
-					if need := relT[o] + seq.Metric.Dist(relN[o], txn.Node); need > t {
-						t = need
-					}
-				}
-				if busy := nodeBusy[txn.Node]; busy >= t {
-					t = busy + 1
-				}
-				s.Times[id] = t
-				nodeBusy[txn.Node] = t
-				for _, o := range txn.Objects {
-					if t > relT[o] {
-						relT[o] = t
-						relN[o] = txn.Node
-					}
-				}
-				if t > windowEnd {
-					windowEnd = t
-				}
-				if t > clock {
-					clock = t
-				}
+			for _, i := range h.OrderByColor(local) {
+				txn := &in.Txns[h.IDs[i]]
+				s.Times[txn.ID] = chain.Earliest(txn.Node, txn.Objects)
+				chain.Commit(txn.Node, txn.Objects, s.Times[txn.ID])
 			}
 		} else {
-			// Barrier: one shift past the clock plus the exact object
-			// and node constraints (the composer pattern).
-			delta := clock
+			// Barrier: one shift past every earlier window's last commit
+			// plus the exact object and node constraints (the composer
+			// pattern).
+			delta := chain.Offset(in, h.IDs, local, res.Makespan)
 			for i, id := range h.IDs {
 				txn := &in.Txns[id]
-				for _, o := range txn.Objects {
-					if need := relT[o] + seq.Metric.Dist(relN[o], txn.Node) - local[i]; need > delta {
-						delta = need
-					}
-				}
-				if busy := nodeBusy[txn.Node]; busy > 0 {
-					if need := busy + 1 - local[i]; need > delta {
-						delta = need
-					}
-				}
-			}
-			for i, id := range h.IDs {
-				t := local[i] + delta
-				s.Times[id] = t
-				if t > windowEnd {
-					windowEnd = t
-				}
-			}
-			// Validate against a shadow instance whose homes are the
-			// objects' current positions (sound: true release times are
-			// later than the shadow's time-0 homes).
-			shadow := tm.NewInstance(in.G, seq.Metric, in.NumObjects, in.Txns, relN)
-			if err := s.Validate(shadow); err != nil {
-				return nil, fmt.Errorf("windows: window %d infeasible: %w", wi, err)
-			}
-			for _, id := range h.IDs {
-				txn := &in.Txns[id]
-				if busy, ok := nodeBusy[txn.Node]; ok && s.Times[id] <= busy {
-					return nil, fmt.Errorf("windows: window %d node %d executes at %d, not after %d", wi, txn.Node, s.Times[id], busy)
-				}
-			}
-			for _, id := range h.IDs {
-				txn := &in.Txns[id]
-				t := s.Times[id]
-				nodeBusy[txn.Node] = t
-				for _, o := range txn.Objects {
-					if t > relT[o] {
-						relT[o] = t
-						relN[o] = txn.Node
-					}
-				}
-				if t > clock {
-					clock = t
-				}
+				s.Times[id] = local[i] + delta
+				chain.Commit(txn.Node, txn.Objects, s.Times[id])
 			}
 		}
 		if err := checker.Check(in, s); err != nil {
-			return nil, fmt.Errorf("windows: %s mode cross-check failed: %w", mode, err)
+			return nil, fmt.Errorf("windows: %s mode window %d fails the cross-check: %w", mode, wi, err)
 		}
+		windowEnd := s.Makespan()
 		res.PerWindow = append(res.PerWindow, s)
 		res.WindowEnd = append(res.WindowEnd, windowEnd)
 		if windowEnd > res.Makespan {

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"dtmsched/internal/graph"
+	"dtmsched/internal/schedule"
+	"dtmsched/internal/sim"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
 	"dtmsched/internal/xrand"
@@ -50,39 +52,42 @@ func TestBarrierAndPipelinedComplete(t *testing.T) {
 }
 
 func TestCrossWindowChainsRespected(t *testing.T) {
+	// Flatten the sequence into one instance (a node hosts one
+	// transaction per window) and replay it through the step-by-step
+	// simulator: every handoff, across window boundaries too, must be
+	// physically realizable, independent of the scheduler and checker.
 	seq := sequenceOn(t, 3, 2)
-	res, err := Run(seq, true)
-	if err != nil {
-		t.Fatal(err)
+	for _, pipelined := range []bool{false, true} {
+		res, err := Run(seq, pipelined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var txns []tm.Txn
+		flat := &schedule.Schedule{}
+		for wi, in := range seq.Windows {
+			for _, txn := range in.Txns {
+				txns = append(txns, tm.Txn{Node: txn.Node, Objects: txn.Objects})
+			}
+			flat.Times = append(flat.Times, res.PerWindow[wi].Times...)
+		}
+		in := tm.NewInstance(seq.G, seq.Metric, seq.NumObjects, txns, seq.Home)
+		if _, err := sim.Run(in, flat, sim.Options{}); err != nil {
+			t.Fatalf("pipelined=%v: %v", pipelined, err)
+		}
 	}
-	// Reconstruct per-object global chains and verify handoff gaps,
-	// independent of the scheduler's own bookkeeping.
-	relT := make([]int64, seq.NumObjects)
-	relN := make([]graph.NodeID, seq.NumObjects)
-	copy(relN, seq.Home)
-	nodeBusy := make(map[graph.NodeID]int64)
-	for wi, in := range seq.Windows {
-		s := res.PerWindow[wi]
-		for o := 0; o < in.NumObjects; o++ {
-			for _, id := range s.Order(in, tm.ObjectID(o)) {
-				txn := &in.Txns[id]
-				if s.Times[id] < relT[o]+seq.Metric.Dist(relN[o], txn.Node) {
-					t.Fatalf("window %d: object %d handoff violated at txn %d", wi, o, id)
-				}
-				relT[o] = s.Times[id]
-				relN[o] = txn.Node
-			}
+}
+
+func TestChainCheckerAcceptsBothModes(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		seq := sequenceOn(t, 5, 11)
+		res, err := Run(seq, pipelined)
+		if err != nil {
+			t.Fatalf("pipelined=%v: %v", pipelined, err)
 		}
-		for i := range in.Txns {
-			v := in.Txns[i].Node
-			if busy, ok := nodeBusy[v]; ok && s.Times[i] <= busy {
-				t.Fatalf("window %d: node %d reused at step %d ≤ %d", wi, v, s.Times[i], busy)
-			}
-		}
-		for i := range in.Txns {
-			v := in.Txns[i].Node
-			if s.Times[i] > nodeBusy[v] {
-				nodeBusy[v] = s.Times[i]
+		c := schedule.NewChainChecker(seq.Home)
+		for wi, in := range seq.Windows {
+			if err := c.Check(in, res.PerWindow[wi]); err != nil {
+				t.Fatalf("pipelined=%v: feasible window %d rejected: %v", pipelined, wi, err)
 			}
 		}
 	}

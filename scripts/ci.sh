@@ -89,10 +89,16 @@ go test ./internal/xrand -run 'TestGeometricGap' -count=1
 echo "== streaming service guards =="
 # Serving is deterministic per seed (digest-pinned, verify-mode
 # invariant), backpressure is exercised in both policies, the
-# cross-window chain checker accepts both windows.Run modes and rejects
-# corrupted schedules, and the cutter/executor overlap is race-clean.
-go test ./internal/windows -run 'TestChainChecker' -count=1
+# cross-window chain checker (schedule.ChainChecker) accepts both
+# windows.Run modes and rejects corrupted schedules, and the
+# cutter/executor overlap is race-clean.
+go test ./internal/schedule ./internal/windows -run 'TestChainChecker' -count=1
 go test -race ./internal/stream -count=1
+
+echo "== verifier differential fuzz smoke =="
+# schedule.Validate and the step-by-step simulator must agree on every
+# scheduler family's output and on mutated copies of it.
+go test ./internal/schedule -run '^$' -fuzz FuzzVerifiersAgree -fuzztime 10s
 
 echo "== serve-mode smoke =="
 # Drain a fixed seeded stream through the CLI twice: counts must be
@@ -173,6 +179,10 @@ if ! diff "$hier_tmp/w1.txt" "$hier_tmp/w8.txt"; then
 fi
 grep -q 'hier_shards:4' "$hier_tmp/w1.txt" || { echo "hier: expected 4 shards in CLI stats" >&2; exit 1; }
 rm -rf "$hier_tmp"
+
+echo "== benchmark module =="
+# bench/ is a nested module, so the root go test ./... never reaches it.
+(cd bench && go vet ./... && go test ./...)
 
 if [[ "${RACE:-0}" != "0" ]]; then
     echo "== go test -race =="
