@@ -347,7 +347,7 @@ func main() {
 			Header:   res.Table.Header(), Rows: res.Table.Rows(),
 			Summaries: columnSummaries(res.Table), Notes: res.Notes}
 		if ledger != nil {
-			ledger.Append(ledgerRecord(res.ID, cfg, *quick, je, prevSnap, curSnap))
+			ledger.Append(ledgerRecord(res.ID, cfg, *quick, je.WallMS, prevSnap, curSnap))
 		}
 		prevSnap, prevCounters = curSnap, curCounters
 		for _, c := range res.Checks {
@@ -425,17 +425,15 @@ func main() {
 	}
 }
 
-// ledgerRecord builds the obs/v2 run-ledger record for one finished
+// ledgerRecord builds the run-ledger record for one finished
 // experiment: identity from the sweep configuration (so reruns with the
-// same flags share a fingerprint), measurements from the counter deltas
-// already computed for -json, and the transaction-latency distribution
-// as the histogram delta between the surrounding registry snapshots.
-func ledgerRecord(id string, cfg experiments.Config, quick bool, je jsonExperiment, prevSnap, curSnap []obs.Sample) *obs.RunRecord {
+// same flags share a fingerprint), its wall time, and every registry
+// series the experiment moved between the surrounding snapshots.
+func ledgerRecord(id string, cfg experiments.Config, quick bool, wallMS float64, prevSnap, curSnap []obs.Sample) *obs.RunRecord {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := je.Pipeline
 	rec := &obs.RunRecord{
 		Experiment: id,
 		Config: map[string]string{
@@ -444,33 +442,11 @@ func ledgerRecord(id string, cfg experiments.Config, quick bool, je jsonExperime
 			"seed":    strconv.FormatInt(cfg.Seed, 10),
 			"workers": strconv.Itoa(workers),
 		},
-		Seed:              cfg.Seed,
-		StageMS:           p.StageMS,
-		TotalMS:           je.WallMS,
-		SimSteps:          p.SimSteps,
-		ObjectMoves:       p.ObjectMoves,
-		Executed:          p.Executed,
-		LowerMS:           p.LowerMS,
-		LowerComputations: p.LowerComputes,
-		LowerCacheHits:    p.LowerCacheHits,
+		Seed:    cfg.Seed,
+		TotalMS: wallMS,
 	}
-	if lat := obs.HistDelta(histSample(curSnap, "txn_latency_steps"), histSample(prevSnap, "txn_latency_steps")); lat != nil && lat.Count > 0 {
-		rec.Latency = lat
-		rec.LatencyP50 = lat.Quantile(0.50)
-		rec.LatencyP99 = lat.Quantile(0.99)
-	}
+	rec.SetDelta(prevSnap, curSnap)
 	return rec
-}
-
-// histSample finds a histogram sample by full name; a zero Sample when
-// the registry has not observed it yet.
-func histSample(samples []obs.Sample, name string) obs.Sample {
-	for _, s := range samples {
-		if s.Name == name && s.Kind == "histogram" {
-			return s
-		}
-	}
-	return obs.Sample{}
 }
 
 // parseFaultsSpec parses the -faults argument: fractional tokens in

@@ -28,45 +28,46 @@ func TestPublishPrefix(t *testing.T) {
 }
 
 // TestLedgerRecordFromPipeline covers the -ledger record builder: the
-// per-experiment pipeline delta and latency histogram delta land in the
-// record, and identical snapshots produce no latency.
+// series an experiment moved between its surrounding snapshots land in
+// the record, gauges stay out of a mid-run interval, and identical
+// snapshots record nothing.
 func TestLedgerRecordFromPipeline(t *testing.T) {
 	r := obs.NewRegistry()
 	h := r.Histogram("txn_latency_steps", nil)
+	steps := r.Counter("sim_steps_total")
+	steps.Add(7)
+	r.Gauge("makespan_steps_max").Max(9)
 	prev := r.Snapshot()
 	for _, v := range []int64{2, 4, 8} {
 		h.Observe(v)
 	}
+	steps.Add(40)
 	cur := r.Snapshot()
 
-	je := jsonExperiment{
-		WallMS: 12.5,
-		Pipeline: jsonPipeline{
-			StageMS:  map[string]float64{"schedule": 1.5},
-			SimSteps: 40, ObjectMoves: 90, Executed: 3,
-			LowerMS: 2.5, LowerComputes: 2, LowerCacheHits: 4,
-		},
-	}
 	cfg := experiments.DefaultConfig()
 	cfg.Trials = 2
-	rec := ledgerRecord("E5", cfg, true, je, prev, cur)
-	if rec.Experiment != "E5" || rec.TotalMS != 12.5 || rec.SimSteps != 40 {
-		t.Errorf("record = %+v, want the pipeline delta copied over", rec)
+	rec := ledgerRecord("E5", cfg, true, 12.5, prev, cur)
+	if rec.Experiment != "E5" || rec.TotalMS != 12.5 || rec.Counters["sim_steps_total"] != 40 {
+		t.Errorf("record = %+v, want the counter delta copied over", rec)
+	}
+	if _, ok := rec.Counters["makespan_steps_max"]; ok {
+		t.Error("gauge recorded for an interval that does not start at the registry's creation")
 	}
 	if rec.Config["quick"] != "true" || rec.Config["workers"] == "0" || rec.Config["workers"] == "" {
 		t.Errorf("config = %v, want quick=true and a resolved worker count", rec.Config)
 	}
-	if rec.Latency == nil || rec.Latency.Count != 3 {
-		t.Fatalf("latency = %+v, want the 3-observation delta", rec.Latency)
+	lat := rec.Hists["txn_latency_steps"]
+	if lat == nil || lat.Count != 3 {
+		t.Fatalf("latency = %+v, want the 3-observation delta", lat)
 	}
 	// rank = floor(0.5*3) clamped to 1 → the first bucket's bound.
-	if rec.LatencyP50 != 2 {
-		t.Errorf("latency p50 = %d, want 2", rec.LatencyP50)
+	if p50 := lat.Quantile(0.50); p50 != 2 {
+		t.Errorf("latency p50 = %d, want 2", p50)
 	}
 
-	// No histogram movement between snapshots → no latency on the record.
-	rec = ledgerRecord("E5", cfg, true, je, cur, cur)
-	if rec.Latency != nil {
-		t.Errorf("identical snapshots produced latency %+v, want none", rec.Latency)
+	// No movement between snapshots → no series on the record.
+	rec = ledgerRecord("E5", cfg, true, 12.5, cur, cur)
+	if len(rec.Counters) != 0 || len(rec.Hists) != 0 {
+		t.Errorf("identical snapshots recorded %v / %v, want nothing", rec.Counters, rec.Hists)
 	}
 }

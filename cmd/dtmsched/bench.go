@@ -148,10 +148,14 @@ func benchRecord(args []string) int {
 		},
 		Seed: rootSeed,
 	}
-	results, err := engine.RunBatch(context.Background(), jobs, engine.Options{
-		Workers: *workers,
-		Hook:    engine.LedgerHook(ledger, base),
-	})
+	// Each job gets its own collector, so its ledger record holds exactly
+	// the series that job moved.
+	for i := range jobs {
+		jobs[i].Collector = obs.NewMetricsCollector()
+		jobs[i].Hook = engine.LedgerHook(ledger, base, jobs[i].Collector)
+	}
+
+	results, err := engine.RunBatch(context.Background(), jobs, engine.Options{Workers: *workers})
 	if err == nil {
 		_, err = engine.Reports(results)
 	}

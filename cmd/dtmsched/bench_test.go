@@ -20,10 +20,13 @@ func writeTestLedger(t *testing.T, path string, stageMS float64) {
 	for trial := 0; trial < 3; trial++ {
 		rec := obs.RunRecord{
 			Experiment: "bench/x", Config: map[string]string{"suite": "t"}, Trial: trial,
-			StageMS:  map[string]float64{"measure": stageMS},
-			TotalMS:  stageMS + 2,
-			SimSteps: 100, ObjectMoves: 300, Executed: 10, Makespan: 100,
-			LatencyP50: 3, LatencyP99: 9,
+			TotalMS: stageMS + 2,
+			Counters: map[string]int64{
+				"engine_stage_wall_us{stage=measure}": int64(stageMS * 1000),
+				"sim_steps_total":                     100,
+				"object_moves_total":                  300,
+				"makespan_steps_max":                  100,
+			},
 		}
 		if err := l.Append(&rec); err != nil {
 			t.Fatal(err)
@@ -96,7 +99,8 @@ func TestBenchRecordSmoke(t *testing.T) {
 		if r.Config["suite"] != "smoke" || r.Config["job"] == "" {
 			t.Errorf("record config = %v, want suite and job", r.Config)
 		}
-		if r.Makespan <= 0 || r.SimSteps <= 0 {
+		if r.Counters["makespan_steps_max"] <= 0 || r.Counters["sim_steps_total"] <= 0 ||
+			r.Hists["txn_latency_steps"] == nil {
 			t.Errorf("record %s carries no measurements: %+v", r.Experiment, r)
 		}
 	}

@@ -238,7 +238,7 @@ func runTraceCmd(args []string) error {
 	fmt.Println()
 	fmt.Print(asciiviz.Timeline(in, rep.Schedule, *objects, *width))
 
-	sm, _, _ := obs.Derive(in, rep.Schedule)
+	sm, _, _ := analysis.Derive(in, rep.Schedule)
 	fmt.Printf("\ntxn latency (steps): p50=%d p90=%d p99=%d max=%d\n",
 		sm.TxnLatencyP50, sm.TxnLatencyP90, sm.TxnLatencyP99, sm.TxnLatencyMax)
 	fmt.Printf("object travel total=%d steps; critical path %d txns: %v\n",

@@ -188,7 +188,7 @@ func runServeCmd(args []string) error {
 		fmt.Printf("wrote %s\n", *prom)
 	}
 	if *ledger != "" {
-		if err := appendServeRecord(*ledger, tf.Name, wf.Name, fs, rootSeed, inj != nil, res, col, wall); err != nil {
+		if err := appendServeRecord(*ledger, tf.Name, wf.Name, fs, rootSeed, inj != nil, col, wall); err != nil {
 			return err
 		}
 		fmt.Printf("appended run record to %s\n", *ledger)
@@ -196,12 +196,12 @@ func runServeCmd(args []string) error {
 	return nil
 }
 
-// appendServeRecord writes the run's single ledger entry: the stream
-// counters, the response-time quantiles, and the window-latency
-// distribution, fingerprinted by the full serving configuration so
-// `bench compare` pools repeat runs of one setup.
+// appendServeRecord writes the run's single ledger entry: every series
+// the run published (stream admission and window series, the engine's
+// per-window series), fingerprinted by the full serving configuration
+// so `bench compare` pools repeat runs of one setup.
 func appendServeRecord(path, topoName, workload string, fs *flag.FlagSet, rootSeed int64,
-	faultsOn bool, res *stream.Result, col *obs.Collector, wall time.Duration) error {
+	faultsOn bool, col *obs.Collector, wall time.Duration) error {
 	config := map[string]string{"topo": topoName, "workload": workload}
 	names := []string{"n", "side", "dim", "alpha", "beta", "gamma",
 		"fanout", "linkw", "w", "k", "locality",
@@ -217,33 +217,15 @@ func appendServeRecord(path, topoName, workload string, fs *flag.FlagSet, rootSe
 	config["seed"] = fmt.Sprint(rootSeed)
 
 	rec := obs.RunRecord{
-		Experiment:       "serve/" + topoName,
-		Config:           config,
-		Seed:             rootSeed,
-		Algorithm:        "stream/window",
-		TotalMS:          float64(wall.Nanoseconds()) / 1e6,
-		Executed:         res.Committed,
-		StreamAdmitted:   res.Admitted,
-		StreamRejected:   res.Rejected,
-		StreamBlocked:    res.Blocked,
-		StreamWindows:    int64(res.Windows),
-		StreamQueuePeak:  int64(res.QueuePeak),
-		StreamRequeued:   res.Requeued,
-		StreamShed:       res.Shed,
-		StreamDegraded:   int64(res.DegradedWindows),
-		StreamInflation:  res.MeanInflation,
-		StreamTrips:      int64(res.BreakerTrips),
-		StreamRecoveries: int64(res.BreakerRecoveries),
+		Experiment: "serve/" + topoName,
+		Config:     config,
+		Seed:       rootSeed,
+		Algorithm:  "stream/window",
+		TotalMS:    float64(wall.Nanoseconds()) / 1e6,
 	}
-	for _, s := range col.Registry().Snapshot() {
-		switch s.Name {
-		case "stream_window_latency_steps":
-			rec.WindowLatency = obs.HistDelta(s, obs.Sample{})
-		case "stream_txn_response_steps":
-			rec.Latency = obs.HistDelta(s, obs.Sample{})
-			rec.LatencyP50, rec.LatencyP99 = s.P50, s.P99
-		}
-	}
+	// The registry was created for this run, so the whole snapshot is
+	// the run's delta, gauges (queue peaks) included.
+	rec.SetDelta(nil, col.Registry().Snapshot())
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -41,22 +41,26 @@ func TestServeSmoke(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Errorf("same flags, different fingerprints: %s vs %s", a.Fingerprint, b.Fingerprint)
 	}
-	if a.StreamAdmitted != b.StreamAdmitted || a.StreamRejected != b.StreamRejected ||
-		a.StreamWindows != b.StreamWindows || a.Executed != b.Executed {
-		t.Errorf("same seed, different stream counters:\n%+v\n%+v", a, b)
+	for _, name := range []string{"stream_admitted_total", "stream_rejected_total",
+		"stream_windows_total", "stream_committed_total"} {
+		if a.Counters[name] != b.Counters[name] {
+			t.Errorf("same seed, different %s: %d vs %d", name, a.Counters[name], b.Counters[name])
+		}
 	}
-	if a.StreamAdmitted == 0 || a.StreamAdmitted != a.Executed {
-		t.Errorf("admitted %d must be nonzero and equal committed %d", a.StreamAdmitted, a.Executed)
+	admitted, committed := a.Counters["stream_admitted_total"], a.Counters["stream_committed_total"]
+	if admitted == 0 || admitted != committed {
+		t.Errorf("admitted %d must be nonzero and equal committed %d", admitted, committed)
 	}
-	if a.StreamWindows < 2 || a.StreamQueuePeak < 1 || a.StreamQueuePeak > 6 {
-		t.Errorf("implausible stream shape: %+v", a)
+	windows, peak := a.Counters["stream_windows_total"], a.Counters["stream_queue_depth_peak"]
+	if windows < 2 || peak < 1 || peak > 6 {
+		t.Errorf("implausible stream shape: windows=%d queue peak=%d", windows, peak)
 	}
-	if a.WindowLatency == nil || a.WindowLatency.Count != a.StreamWindows {
-		t.Errorf("window latency distribution missing or mismatched: %+v", a.WindowLatency)
+	if wl := a.Hists["stream_window_latency_steps"]; wl == nil || wl.Count != windows {
+		t.Errorf("window latency distribution missing or mismatched: %+v", wl)
 	}
-	if a.Latency == nil || a.Latency.Count != a.Executed || a.LatencyP99 < a.LatencyP50 {
-		t.Errorf("response distribution missing or mismatched: %+v p50=%d p99=%d",
-			a.Latency, a.LatencyP50, a.LatencyP99)
+	if resp := a.Hists["stream_txn_response_steps"]; resp == nil || resp.Count != committed ||
+		resp.Quantile(0.99) < resp.Quantile(0.50) {
+		t.Errorf("response distribution missing or mismatched: %+v", resp)
 	}
 
 	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {
@@ -107,21 +111,34 @@ func TestServeChaosSmoke(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Errorf("same chaos flags, different fingerprints: %s vs %s", a.Fingerprint, b.Fingerprint)
 	}
-	if a.StreamRequeued != b.StreamRequeued || a.StreamShed != b.StreamShed ||
-		a.StreamAdmitted != b.StreamAdmitted || a.StreamInflation != b.StreamInflation {
-		t.Errorf("chaos run not deterministic:\n%+v\n%+v", a, b)
+	for _, name := range []string{"stream_requeue_total", "stream_shed_total",
+		"stream_admitted_total", "fault_retries_total"} {
+		if a.Counters[name] != b.Counters[name] {
+			t.Errorf("chaos run not deterministic: %s %d vs %d", name, a.Counters[name], b.Counters[name])
+		}
 	}
-	if a.StreamRequeued == 0 {
-		t.Errorf("25%% chaos never requeued a transaction: %+v", a)
+	if ia, ib := a.Hists["stream_fault_inflation_pct"], b.Hists["stream_fault_inflation_pct"]; ia == nil ||
+		ib == nil || ia.Count != ib.Count || ia.Sum != ib.Sum {
+		t.Errorf("chaos inflation not deterministic: %+v vs %+v", ia, ib)
 	}
-	if a.StreamAdmitted != a.Executed+a.StreamShed {
-		t.Errorf("admitted %d != committed %d + shed %d", a.StreamAdmitted, a.Executed, a.StreamShed)
+	if a.Counters["stream_requeue_total"] == 0 {
+		t.Errorf("25%% chaos never requeued a transaction: %v", a.Counters)
+	}
+	admitted, committed, shed := a.Counters["stream_admitted_total"], a.Counters["stream_committed_total"], a.Counters["stream_shed_total"]
+	if admitted != committed+shed {
+		t.Errorf("admitted %d != committed %d + shed %d", admitted, committed, shed)
 	}
 	if clean.Fingerprint == a.Fingerprint {
 		t.Error("chaos and fault-free runs share a ledger fingerprint")
 	}
-	if clean.StreamRequeued != 0 || clean.StreamShed != 0 || clean.StreamInflation != 0 {
-		t.Errorf("fault-free record carries fault counters: %+v", clean)
+	for name := range clean.Counters {
+		if strings.HasPrefix(name, "fault_") || strings.HasPrefix(name, "stream_requeue") ||
+			strings.HasPrefix(name, "stream_shed") {
+			t.Errorf("fault-free record carries fault series %s", name)
+		}
+	}
+	if clean.Hists["stream_fault_inflation_pct"] != nil {
+		t.Error("fault-free record carries a fault inflation distribution")
 	}
 	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {
 		t.Errorf("gating the chaos ledger against itself exited %d, want 0", code)

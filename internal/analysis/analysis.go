@@ -7,6 +7,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,24 +71,21 @@ func Analyze(in *tm.Instance, s *schedule.Schedule) *Report {
 		rep.MeanParallelism = float64(total) / float64(rep.BusySteps)
 	}
 
-	// Object decomposition.
+	// Object decomposition. An object's slack telescopes: the gaps
+	// between its consecutive uses, less the distance covered in each,
+	// sum to its last use minus its travel.
+	travel := s.Travel(in)
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
-		order := s.Order(in, oid)
-		if len(order) == 0 {
+		users := in.Users(oid)
+		if len(users) == 0 {
 			continue
 		}
-		st := ObjectStats{Object: oid, Users: len(order)}
-		prevNode := in.Home[oid]
-		prevTime := int64(0)
-		for _, id := range order {
-			d := in.Dist(prevNode, in.Txns[id].Node)
-			st.Travel += d
-			st.Wait += s.Times[id] - prevTime - d // slack in the handoff
-			prevNode = in.Txns[id].Node
-			prevTime = s.Times[id]
+		st := ObjectStats{Object: oid, Users: len(users), Travel: travel[o]}
+		for _, id := range users {
+			st.LastUse = max(st.LastUse, s.Times[id])
 		}
-		st.LastUse = prevTime
+		st.Wait = st.LastUse - st.Travel
 		rep.Objects = append(rep.Objects, st)
 	}
 	sort.Slice(rep.Objects, func(i, j int) bool {
@@ -105,7 +103,10 @@ func Analyze(in *tm.Instance, s *schedule.Schedule) *Report {
 // criticalChain finds the longest chain T_1 → T_2 → … where consecutive
 // transactions share an object and T_{i+1} executes exactly when the
 // object can first arrive from T_i (a tight handoff). Chains of tight
-// handoffs are what the composer and coloring lower bounds manifest as.
+// handoffs are what the composer and coloring lower bounds manifest as,
+// and their length is what pins the makespan from below. The result is
+// deterministic: transactions are visited in (time, ID) order, and among
+// equally long chains the one with the smaller tail ID wins.
 func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
 	m := in.NumTxns()
 	// preds[j] lists tight predecessors of j.
@@ -124,7 +125,13 @@ func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
 	for i := range order {
 		order[i] = tm.TxnID(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return s.Times[order[a]] < s.Times[order[b]] })
+	sort.Slice(order, func(a, b int) bool {
+		ta, tb := s.Times[order[a]], s.Times[order[b]]
+		if ta != tb {
+			return ta < tb
+		}
+		return order[a] < order[b]
+	})
 	bestLen := make([]int, m)
 	bestPrev := make([]tm.TxnID, m)
 	for i := range bestPrev {
@@ -140,9 +147,8 @@ func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
 				bestPrev[id] = p
 			}
 		}
-		if bestLen[id] > tailLen {
-			tailLen = bestLen[id]
-			tail = id
+		if bestLen[id] > tailLen || (bestLen[id] == tailLen && id < tail) {
+			tailLen, tail = bestLen[id], id
 		}
 	}
 	if tail < 0 {
@@ -152,9 +158,7 @@ func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
 	for id := tail; id >= 0; id = bestPrev[id] {
 		chain = append(chain, id)
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	return chain
 }
 

@@ -121,3 +121,35 @@ func TestAnalyzeEmptyObjects(t *testing.T) {
 		t.Fatalf("chain length %d", rep.CriticalLen)
 	}
 }
+
+// TestCriticalChainTieBreak: two equally long tight chains end at
+// different steps. The chain with the smaller tail ID wins even though
+// the other one completes first, and the analysis report and the trace
+// metrics agree on it.
+func TestCriticalChainTieBreak(t *testing.T) {
+	topo := topology.NewClique(4)
+	in := tm.NewInstance(topo.Graph(), graph.FuncMetric(topo.Dist), 2, []tm.Txn{
+		{Node: 1, Objects: []tm.ObjectID{0}},
+		{Node: 2, Objects: []tm.ObjectID{0}},
+		{Node: 3, Objects: []tm.ObjectID{1}},
+		{Node: 0, Objects: []tm.ObjectID{1}},
+	}, []graph.NodeID{0, 3})
+	// Object 0: T0@2 → T1@3 (tight). Object 1: T2@1 → T3@2 (tight).
+	s := &schedule.Schedule{Times: []int64{2, 3, 1, 2}}
+	if err := s.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	rep := Analyze(in, s)
+	if len(rep.CriticalChain) != 2 || rep.CriticalChain[0] != 0 || rep.CriticalChain[1] != 1 {
+		t.Fatalf("chain = %v, want [0 1] (smaller tail ID on a length tie)", rep.CriticalChain)
+	}
+	m, _, _ := Derive(in, s)
+	if len(m.CriticalPath) != len(rep.CriticalChain) {
+		t.Fatalf("Derive critical path %v != Analyze chain %v", m.CriticalPath, rep.CriticalChain)
+	}
+	for i, id := range rep.CriticalChain {
+		if m.CriticalPath[i] != int(id) {
+			t.Fatalf("Derive critical path %v != Analyze chain %v", m.CriticalPath, rep.CriticalChain)
+		}
+	}
+}

@@ -207,7 +207,7 @@ func runJob(ctx context.Context, i int, job Job, hook Hook, col *obs.Collector, 
 		if opt.Retry.Retryable != nil && !opt.Retry.Retryable(res.Err) {
 			return res
 		}
-		col.Retry()
+		col.Registry().Counter("engine_retries_total").Inc()
 		select {
 		case <-ctx.Done():
 			return res

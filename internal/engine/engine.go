@@ -321,26 +321,16 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 		return fail(StageSchedule, 0, fmt.Errorf("job %q has neither Scheduler nor Schedule", job.Name))
 	}
 	rep.Timing.Schedule = time.Since(t0)
-	if ns, ok := rep.Stats["depgraph_build_ns"]; ok {
-		// The build wall time is the one non-deterministic scheduler stat;
-		// move it into Timing (whose fields are documented as such) so
-		// Report.Stats stays byte-identical across runs and worker counts.
-		rep.Timing.DepGraphBuild = time.Duration(ns)
-		col.DepGraphBuild(rep.Stats)
-		delete(rep.Stats, "depgraph_build_ns")
-	}
-	if _, ok := rep.Stats["hier_shards"]; ok {
-		// Same treatment for the hierarchical scheduler's phase wall
-		// clocks: record them, then move them out of Stats into Timing.
-		col.Hier(rep.Stats)
-		if ns, ok := rep.Stats["hier_shard_wall_ns"]; ok {
-			rep.Timing.HierShard = time.Duration(ns)
-			delete(rep.Stats, "hier_shard_wall_ns")
-		}
-		if ns, ok := rep.Stats["hier_merge_wall_ns"]; ok {
-			rep.Timing.HierMerge = time.Duration(ns)
-			delete(rep.Stats, "hier_merge_wall_ns")
-		}
+	publishStats(col.Registry(), rep.Stats)
+	// Wall clocks are the only non-deterministic scheduler stats (the
+	// conflict-graph build time, the hierarchical scheduler's phases):
+	// move them into Timing, whose fields are documented as such, so
+	// Report.Stats stays byte-identical across runs and worker counts.
+	rep.Timing.DepGraphBuild = time.Duration(rep.Stats["depgraph_build_ns"])
+	rep.Timing.HierShard = time.Duration(rep.Stats["hier_shard_wall_ns"])
+	rep.Timing.HierMerge = time.Duration(rep.Stats["hier_merge_wall_ns"])
+	for _, key := range [...]string{"depgraph_build_ns", "hier_shard_wall_ns", "hier_merge_wall_ns"} {
+		delete(rep.Stats, key)
 	}
 	emit(StageSchedule, rep.Timing.Schedule, nil, nil)
 
@@ -374,7 +364,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 			return fail(StageVerify, time.Since(t0), fmt.Errorf("faulty replay of %s schedule: %w", rep.Algorithm, err))
 		}
 		rep.Fault = frep
-		col.Fault(frep)
+		publishFault(col.Registry(), frep)
 		if job.Verify == VerifyFull {
 			rep.CommCost = simRes.CommCost
 			rep.Counters = Counters{
@@ -416,13 +406,13 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 		if rep.Bound.Value > 0 {
 			rep.Ratio = float64(rep.Makespan) / float64(rep.Bound.Value)
 		}
-		col.LowerBound(hit, time.Since(t0), &rep.Bound)
+		publishLower(col.Registry(), hit, time.Since(t0), &rep.Bound)
 	}
 	rep.Timing.Measure = time.Since(t0)
 	emit(StageMeasure, rep.Timing.Measure, nil, nil)
 
 	rep.Timing.Total = time.Since(start)
-	col.RecordRun(idx, job.Name, rep.Algorithm, in, rep.Schedule, simRes)
+	recordRun(col, idx, job.Name, rep.Algorithm, in, rep.Schedule, simRes)
 	emit(StageDone, rep.Timing.Total, nil, rep)
 	return rep, nil
 }

@@ -8,25 +8,26 @@ package engine
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"dtmsched/internal/obs"
 )
 
 // LedgerHook returns a Hook that appends one obs.RunRecord to l for
-// every job that finishes successfully (StageDone with a report). base
-// seeds the record's identity: Experiment (the job name is appended to
-// an empty Experiment, so per-job records group by workload), Config
-// (cloned per record with the job name added under "job"), and Seed.
-// Job names may carry a "#N" suffix to mark trial N of one fingerprint:
-// the suffix is stripped from the grouping identity and recorded as
-// Trial, so repeated trials share a fingerprint and the regression
-// comparator can pool them.
+// every job that finishes successfully (StageDone with a report), with
+// the series the job moved in col — which must be that job's own
+// collector (Job.Collector), since the record takes col's whole registry
+// as the job's delta. base seeds the record's identity: Experiment (the
+// job name is appended to an empty Experiment, so per-job records group
+// by workload), Config (cloned per record with the job name added under
+// "job"), and Seed. Job names may carry a "#N" suffix to mark trial N of
+// one fingerprint: the suffix is stripped from the grouping identity and
+// recorded as Trial, so repeated trials share a fingerprint and the
+// regression comparator can pool them.
 //
 // Appends are serialized by the ledger itself, so the hook is safe under
 // RunBatch; append errors are sticky on the ledger (check Ledger.Err
 // after the run).
-func LedgerHook(l *obs.Ledger, base obs.RunRecord) Hook {
+func LedgerHook(l *obs.Ledger, base obs.RunRecord, col *obs.Collector) Hook {
 	env := obs.CaptureEnv()
 	return func(ev Event) {
 		if ev.Stage != StageDone || ev.Report == nil {
@@ -49,30 +50,13 @@ func LedgerHook(l *obs.Ledger, base obs.RunRecord) Hook {
 
 		r := ev.Report
 		rec.Algorithm = r.Algorithm
-		rec.StageMS = map[string]float64{
-			"generate": ms(r.Timing.Generate),
-			"schedule": ms(r.Timing.Schedule),
-			"verify":   ms(r.Timing.Verify),
-			"measure":  ms(r.Timing.Measure),
-		}
-		rec.TotalMS = ms(r.Timing.Total)
-		rec.SimSteps = r.Counters.SimSteps
-		rec.ObjectMoves = r.Counters.ObjectMoves
-		rec.Executed = r.Counters.Executed
-		rec.Makespan = r.Makespan
+		rec.TotalMS = float64(r.Timing.Total.Microseconds()) / 1000
 		rec.Bound = r.Bound.Value
 		rec.Ratio = r.Ratio
-		if r.Schedule != nil {
-			rec.Latency = obs.SnapshotValues(r.Schedule.Times)
-			q := obs.Quantiles(r.Schedule.Times, 0.50, 0.99)
-			rec.LatencyP50, rec.LatencyP99 = q[0], q[1]
-		}
+		rec.SetDelta(nil, col.Registry().Snapshot())
 		l.Append(&rec)
 	}
 }
-
-// ms converts a duration to float milliseconds.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // splitTrial splits a "name#N" job label into its grouping name and
 // trial number; names without a numeric suffix are trial 0.

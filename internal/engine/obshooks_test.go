@@ -29,7 +29,11 @@ func TestLedgerHook(t *testing.T) {
 		{Name: "lh/clique#0", Gen: cliqueGen(12, 4, 2, 11), Scheduler: &core.Greedy{}},
 		{Name: "lh/clique#1", Gen: cliqueGen(12, 4, 2, 12), Scheduler: &core.Greedy{}},
 	}
-	results, err := RunBatch(context.Background(), jobs, Options{Hook: LedgerHook(ledger, base)})
+	for i := range jobs {
+		jobs[i].Collector = obs.NewMetricsCollector()
+		jobs[i].Hook = LedgerHook(ledger, base, jobs[i].Collector)
+	}
+	results, err := RunBatch(context.Background(), jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +69,26 @@ func TestLedgerHook(t *testing.T) {
 			t.Error("algorithm not recorded")
 		}
 		for _, stage := range []string{"generate", "schedule", "verify", "measure"} {
-			if _, ok := r.StageMS[stage]; !ok {
-				t.Errorf("stage_ms missing %q", stage)
+			if r.Counters["engine_stage_total{stage="+stage+"}"] != 1 {
+				t.Errorf("stage %q not recorded: %v", stage, r.Counters)
 			}
 		}
-		if r.SimSteps <= 0 || r.Executed <= 0 || r.Makespan <= 0 {
-			t.Errorf("counters not recorded: %+v", r)
+		executed := r.Counters["txns_executed_total"]
+		if r.Counters["sim_steps_total"] <= 0 || executed <= 0 || r.Counters["makespan_steps_max"] <= 0 {
+			t.Errorf("counters not recorded: %v", r.Counters)
+		}
+		if r.Counters["engine_runs_total"] != 1 {
+			t.Errorf("engine_runs_total = %d, want 1: the record must hold this job's series alone",
+				r.Counters["engine_runs_total"])
 		}
 		if r.Bound <= 0 || r.Ratio <= 0 {
 			t.Errorf("bound/ratio not recorded: bound=%d ratio=%g", r.Bound, r.Ratio)
 		}
-		if r.Latency == nil || r.Latency.Count != r.Executed {
-			t.Errorf("latency snapshot missing or wrong size: %+v", r.Latency)
-		}
-		if r.LatencyP99 < r.LatencyP50 {
-			t.Errorf("p99 %d < p50 %d", r.LatencyP99, r.LatencyP50)
+		lat := r.Hists["txn_latency_steps"]
+		if lat == nil || lat.Count != executed {
+			t.Errorf("latency snapshot missing or wrong size: %+v", lat)
+		} else if lat.Quantile(0.99) < lat.Quantile(0.50) {
+			t.Errorf("p99 %d < p50 %d", lat.Quantile(0.99), lat.Quantile(0.50))
 		}
 		if r.Env == (obs.Env{}) {
 			t.Error("env not captured")
@@ -92,7 +101,7 @@ func TestLedgerHookSkipsFailures(t *testing.T) {
 	ledger := obs.NewLedger(&buf)
 	_, err := Run(context.Background(), Job{
 		Name: "bad", Gen: cliqueGen(12, 4, 2, 11), Scheduler: failingScheduler{},
-		Hook: LedgerHook(ledger, obs.RunRecord{}),
+		Hook: LedgerHook(ledger, obs.RunRecord{}, nil),
 	})
 	if err == nil {
 		t.Fatal("failing scheduler must error")

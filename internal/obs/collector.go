@@ -4,12 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"dtmsched/internal/faults"
-	"dtmsched/internal/lower"
-	"dtmsched/internal/schedule"
-	"dtmsched/internal/sim"
-	"dtmsched/internal/tm"
 )
 
 // Config tunes a Collector.
@@ -106,214 +100,6 @@ func (c *Collector) Stage(job int, name, stage string, wall time.Duration, err e
 	c.mu.Unlock()
 }
 
-// DepGraphBuild records conflict-graph build instrumentation from a
-// scheduler's stats map (the depgraph_* keys written by core schedulers):
-// build count, wall time, and edge totals as counters, plus per-run
-// distributions of edges, Γ, and h_max. A stats map without
-// depgraph_build_ns (baselines, precomputed schedules) is a no-op, as is
-// a nil collector.
-func (c *Collector) DepGraphBuild(stats map[string]int64) {
-	if c == nil {
-		return
-	}
-	ns, ok := stats["depgraph_build_ns"]
-	if !ok {
-		return
-	}
-	c.reg.Counter("depgraph_build_ns_total").Add(ns)
-	c.reg.Counter("depgraph_builds_total").Add(stats["depgraph_builds"])
-	c.reg.Counter("depgraph_edges_total").Add(stats["depgraph_edges"])
-	c.reg.Histogram("depgraph_build_us", nil).Observe(ns / 1000)
-	c.reg.Histogram("depgraph_edges", nil).Observe(stats["depgraph_edges"])
-	if gamma, ok := stats["gamma"]; ok {
-		c.reg.Histogram("depgraph_gamma", nil).Observe(gamma)
-	}
-	if hmax, ok := stats["hmax"]; ok {
-		c.reg.Histogram("depgraph_hmax", nil).Observe(hmax)
-	}
-}
-
-// Hier records one hierarchical-scheduler run from its stats map (the
-// hier_* keys written by internal/hier): phase wall times and local/cross
-// transaction totals as counters, plus per-run distributions of shard
-// count, largest shard, and the cross-tier conflict fraction (in integer
-// percent of transactions classified cross). A stats map without
-// hier_shards is a no-op, as is a nil collector.
-func (c *Collector) Hier(stats map[string]int64) {
-	if c == nil {
-		return
-	}
-	shards, ok := stats["hier_shards"]
-	if !ok {
-		return
-	}
-	local, cross := stats["hier_local_txns"], stats["hier_cross_txns"]
-	c.reg.Counter("hier_runs_total").Inc()
-	c.reg.Counter("hier_local_txns_total").Add(local)
-	c.reg.Counter("hier_cross_txns_total").Add(cross)
-	c.reg.Counter("hier_shard_wall_ns_total").Add(stats["hier_shard_wall_ns"])
-	c.reg.Counter("hier_merge_wall_ns_total").Add(stats["hier_merge_wall_ns"])
-	c.reg.Histogram("hier_shards", nil).Observe(shards)
-	c.reg.Histogram("hier_max_shard_txns", nil).Observe(stats["hier_max_shard_txns"])
-	c.reg.Histogram("hier_shard_wall_us", nil).Observe(stats["hier_shard_wall_ns"] / 1000)
-	c.reg.Histogram("hier_merge_wall_us", nil).Observe(stats["hier_merge_wall_ns"] / 1000)
-	if total := local + cross; total > 0 {
-		c.reg.Histogram("hier_cross_fraction_pct", nil).Observe(100 * cross / total)
-	}
-}
-
-// LowerBound records one Measure-stage certified-bound query: cache hits
-// versus fresh computations as counters, plus compute wall time and the
-// bound's exact-vs-MST per-object split as histograms (computations
-// only — a hit re-observes nothing, so distributions count each distinct
-// bound once per computation). Nil collector and nil bound are no-ops,
-// both allocation-free.
-func (c *Collector) LowerBound(hit bool, wall time.Duration, b *lower.Bound) {
-	if c == nil || b == nil {
-		return
-	}
-	if hit {
-		c.reg.Counter("lower_cache_hits_total").Inc()
-		return
-	}
-	c.reg.Counter("lower_computations_total").Inc()
-	c.reg.Counter("lower_compute_ns_total").Add(wall.Nanoseconds())
-	c.reg.Counter("lower_exact_objects_total").Add(int64(b.ExactObjects))
-	c.reg.Counter("lower_bounded_objects_total").Add(int64(b.BoundedObjects))
-	c.reg.Histogram("lower_compute_us", nil).Observe(wall.Microseconds())
-	c.reg.Histogram("lower_exact_objects", nil).Observe(int64(b.ExactObjects))
-	c.reg.Histogram("lower_mst_objects", nil).Observe(int64(b.BoundedObjects))
-}
-
-// Fault records one faulty run's recovery summary (sim.RunFaulty's
-// report): per-kind recovery counters plus a makespan-inflation histogram
-// in integer percent (100 = no loss). Nil collector and nil report are
-// no-ops, both allocation-free.
-func (c *Collector) Fault(fr *faults.Report) {
-	if c == nil || fr == nil {
-		return
-	}
-	c.reg.Counter("fault_runs_total").Inc()
-	c.reg.Counter("fault_retries_total").Add(fr.Retries)
-	c.reg.Counter("fault_reroutes_total").Add(fr.Reroutes)
-	c.reg.Counter("fault_blocked_waits_total").Add(fr.BlockedWaits)
-	c.reg.Counter("fault_deferred_moves_total").Add(fr.DeferredMoves)
-	c.reg.Counter("fault_deferred_commits_total").Add(fr.DeferredCommits)
-	c.reg.Counter("fault_wasted_comm_total").Add(fr.WastedComm)
-	c.reg.Histogram("fault_inflation_pct", nil).Observe(int64(fr.Inflation*100 + 0.5))
-}
-
-// StreamAdmit records one admission round of the streaming scheduler:
-// how many transactions were admitted into / rejected from / blocked at
-// the bounded queue since the last call, plus the queue depth after the
-// round (current-value gauge and all-time peak). Nil collectors are
-// allocation-free no-ops.
-func (c *Collector) StreamAdmit(admitted, rejected, blocked int64, queueDepth int) {
-	if c == nil {
-		return
-	}
-	if admitted > 0 {
-		c.reg.Counter("stream_admitted_total").Add(admitted)
-	}
-	if rejected > 0 {
-		c.reg.Counter("stream_rejected_total").Add(rejected)
-	}
-	if blocked > 0 {
-		c.reg.Counter("stream_blocked_total").Add(blocked)
-	}
-	c.reg.Gauge("stream_queue_depth").Set(int64(queueDepth))
-	c.reg.Gauge("stream_queue_depth_peak").Max(int64(queueDepth))
-}
-
-// StreamWindow records one cut scheduling window: its size, its latency
-// (cut step to last commit step), and each member's response time
-// (commit step − arrival step). Nil collectors are allocation-free
-// no-ops.
-func (c *Collector) StreamWindow(size int, latency int64, responses []int64) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter("stream_windows_total").Inc()
-	c.reg.Histogram("stream_window_size", nil).Observe(int64(size))
-	c.reg.Histogram("stream_window_latency_steps", nil).Observe(latency)
-	resp := c.reg.Histogram("stream_txn_response_steps", nil)
-	for _, r := range responses {
-		resp.Observe(r)
-	}
-}
-
-// StreamCommit records one window's successful execution: size
-// transactions committed. Nil collectors are allocation-free no-ops.
-func (c *Collector) StreamCommit(size int) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter("stream_committed_total").Add(int64(size))
-}
-
-// StreamRequeue records the health layer's decisions at one window cut:
-// count transactions pushed back because their node is down, plus the
-// requeue backlog depth after the cut (current-value gauge and all-time
-// peak). Nil collectors are allocation-free no-ops.
-func (c *Collector) StreamRequeue(count int64, depth int) {
-	if c == nil {
-		return
-	}
-	if count > 0 {
-		c.reg.Counter("stream_requeue_total").Add(count)
-	}
-	c.reg.Gauge("stream_requeue_depth").Set(int64(depth))
-	c.reg.Gauge("stream_requeue_depth_peak").Max(int64(depth))
-}
-
-// StreamShed records transactions dropped after exhausting their requeue
-// budget. Nil collectors are allocation-free no-ops.
-func (c *Collector) StreamShed(count int64) {
-	if c == nil || count <= 0 {
-		return
-	}
-	c.reg.Counter("stream_shed_total").Add(count)
-}
-
-// StreamBreaker records one admission circuit-breaker transition: a trip
-// into load shedding (open) or a recovery back to the configured policy.
-// Nil collectors are allocation-free no-ops.
-func (c *Collector) StreamBreaker(open bool) {
-	if c == nil {
-		return
-	}
-	if open {
-		c.reg.Counter("stream_breaker_trips_total").Inc()
-	} else {
-		c.reg.Counter("stream_breaker_recoveries_total").Inc()
-	}
-}
-
-// StreamFaultWindow records one executed window's fault outcome: the
-// window-relative makespan inflation in integer percent (100 = the
-// window finished on its planned end) and whether the window was
-// degraded (committed past its plan). Nil collectors are allocation-free
-// no-ops.
-func (c *Collector) StreamFaultWindow(inflation float64, degraded bool) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter("stream_fault_windows_total").Inc()
-	if degraded {
-		c.reg.Counter("stream_fault_degraded_total").Inc()
-	}
-	c.reg.Histogram("stream_fault_inflation_pct", nil).Observe(int64(inflation*100 + 0.5))
-}
-
-// Retry counts one engine-level job retry (RunBatch's transient-failure
-// retry policy). Nil-safe and allocation-free on the nil path.
-func (c *Collector) Retry() {
-	if c == nil {
-		return
-	}
-	c.reg.Counter("engine_retries_total").Inc()
-}
-
 // run returns (creating if needed) the trace for (job, name).
 func (c *Collector) run(job int, name string) *runTrace {
 	c.mu.Lock()
@@ -330,68 +116,18 @@ func (c *Collector) run(job int, name string) *runTrace {
 	return r
 }
 
-// RecordRun records one finished run: latency/travel histograms and engine
-// counters always; the full trace (move/exec spans, derived schedule
-// metrics) when tracing. simRes may be nil (VerifyFast / VerifyOff): the
-// collector then synthesizes the identical span stream from the schedule
-// under the same synchronous timing semantics the simulator enforces, so
-// traces do not depend on the verify policy. When simRes carries a
-// recorded event stream, the spans are built from those events instead.
-func (c *Collector) RecordRun(job int, name, algorithm string, in *tm.Instance, s *schedule.Schedule, simRes *sim.Result) {
-	if c == nil || in == nil || s == nil {
+// AddRun attaches one finished run's trace: its algorithm, makespan,
+// derived schedule metrics, and move/exec spans in canonical order (see
+// SortSpans). A no-op unless the collector traces.
+func (c *Collector) AddRun(job int, name, algorithm string, makespan int64, m *ScheduleMetrics, moves []Move, execs []Exec) {
+	if !c.Tracing() {
 		return
 	}
-	c.reg.Counter("engine_runs_total").Inc()
-	c.reg.Counter("engine_runs_total", "algorithm", algorithm).Inc()
-	latency := c.reg.Histogram("txn_latency_steps", nil)
-	for _, t := range s.Times {
-		latency.Observe(t)
-	}
-	c.reg.Gauge("makespan_steps_max").Max(s.Makespan())
-	if simRes != nil {
-		c.reg.Counter("sim_steps_total").Add(simRes.Makespan)
-		c.reg.Counter("object_moves_total").Add(simRes.Moves)
-		c.reg.Counter("txns_executed_total").Add(int64(simRes.Executed))
-		c.reg.Counter("comm_cost_total").Add(simRes.CommCost)
-	}
-
-	if !c.cfg.Traces {
-		// Metrics-only: observe per-object travel without building spans.
-		travel := c.reg.Histogram("object_travel_steps", nil)
-		if simRes != nil {
-			for _, d := range simRes.ObjectDistance {
-				travel.Observe(d)
-			}
-		} else {
-			for o := 0; o < in.NumObjects; o++ {
-				var sum int64
-				route := s.Route(in, tm.ObjectID(o))
-				for i := 0; i+1 < len(route); i++ {
-					sum += in.Dist(route[i], route[i+1])
-				}
-				travel.Observe(sum)
-			}
-		}
-		return
-	}
-
-	metrics, moves, execs := Derive(in, s)
-	if simRes != nil && len(simRes.Events) > 0 {
-		moves, execs = spansFromEvents(in, s, simRes.Events)
-	}
-	travel := c.reg.Histogram("object_travel_steps", nil)
-	for _, d := range metrics.ObjectTravel {
-		travel.Observe(d)
-	}
-	for _, nd := range metrics.PeakQueueDepth {
-		c.reg.Gauge("queue_depth_peak").Max(nd.Peak)
-	}
-
 	r := c.run(job, name)
 	c.mu.Lock()
 	r.Algorithm = algorithm
-	r.Makespan = s.Makespan()
-	r.Metrics = metrics
+	r.Makespan = makespan
+	r.Metrics = m
 	r.Moves = moves
 	r.Execs = execs
 	over := c.cfg.MaxTraceRuns > 0 && len(c.runs) > c.cfg.MaxTraceRuns
@@ -425,47 +161,5 @@ func sortRuns(runs []*runTrace) {
 			return runs[i].Job < runs[j].Job
 		}
 		return runs[i].Name < runs[j].Name
-	})
-}
-
-// spansFromEvents converts a simulator event stream into move/exec spans.
-// The result is identical to Derive's synthesis — the simulator emits one
-// depart/arrive pair per nonzero-distance relocation and one execute per
-// commit under the same timing model — but using the stream keeps the
-// trace a faithful subscription to what the simulator actually did.
-func spansFromEvents(in *tm.Instance, s *schedule.Schedule, events []sim.Event) ([]Move, []Exec) {
-	var moves []Move
-	var execs []Exec
-	for _, ev := range events {
-		switch ev.Kind {
-		case sim.EventDepart:
-			moves = append(moves, Move{
-				Object: int(ev.Object), Txn: int(ev.Txn), From: int(ev.From), To: int(ev.To),
-				Depart: ev.Step, Arrive: ev.Step + in.Dist(ev.From, ev.To), Used: s.Times[ev.Txn],
-			})
-		case sim.EventExecute:
-			execs = append(execs, Exec{Txn: int(ev.Txn), Node: int(ev.Node), Step: ev.Step})
-		}
-	}
-	sortMoves(moves)
-	sortExecs(execs)
-	return moves, execs
-}
-
-func sortMoves(moves []Move) {
-	sort.Slice(moves, func(i, j int) bool {
-		if moves[i].Object != moves[j].Object {
-			return moves[i].Object < moves[j].Object
-		}
-		return moves[i].Depart < moves[j].Depart
-	})
-}
-
-func sortExecs(execs []Exec) {
-	sort.Slice(execs, func(i, j int) bool {
-		if execs[i].Step != execs[j].Step {
-			return execs[i].Step < execs[j].Step
-		}
-		return execs[i].Txn < execs[j].Txn
 	})
 }

@@ -6,40 +6,26 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dtmsched/internal/faults"
-	"dtmsched/internal/lower"
 )
 
 func TestNilCollectorZeroAllocs(t *testing.T) {
 	var c *Collector
-	in, s := lineInstance()
 	err := errors.New("boom")
-	stats := map[string]int64{"depgraph_build_ns": 1, "depgraph_builds": 1}
-	fr := &faults.Report{Retries: 3, Inflation: 1.5}
-	lb := &lower.Bound{Value: 4, ExactObjects: 2}
+	m := &ScheduleMetrics{Makespan: 6}
+	moves := []Move{{Object: 0, Txn: 1, From: 0, To: 1, Depart: 0, Arrive: 1, Used: 1}}
+	execs := []Exec{{Txn: 1, Node: 1, Step: 1}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Stage(0, "job", "verify", time.Millisecond, nil)
 		c.Stage(0, "job", "verify", time.Millisecond, err)
-		c.RecordRun(0, "job", "alg", in, s, nil)
-		c.DepGraphBuild(stats)
-		c.Hier(stats)
-		c.Fault(fr)
-		c.LowerBound(false, time.Millisecond, lb)
-		c.LowerBound(true, 0, lb)
-		c.Retry()
-		c.StreamAdmit(1, 1, 1, 1)
-		c.StreamWindow(1, 1, nil)
-		c.StreamCommit(1)
-		c.StreamRequeue(1, 2)
-		c.StreamShed(1)
-		c.StreamBreaker(true)
-		c.StreamBreaker(false)
-		c.StreamFaultWindow(1.5, true)
+		c.AddRun(0, "job", "alg", 6, m, moves, execs)
 		if c.Tracing() {
 			t.Fatal("nil collector must not trace")
 		}
-		c.Registry().Counter("x").Inc()
+		reg := c.Registry()
+		reg.Counter("x").Inc()
+		reg.Counter("x", "k", "v").Add(2)
+		reg.Gauge("g").Max(3)
+		reg.Histogram("h", nil).Observe(4)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil collector path allocates %.1f allocs/op, want 0", allocs)
@@ -71,135 +57,24 @@ func TestCollectorStageMetrics(t *testing.T) {
 	}
 }
 
-func TestCollectorStreamFaultMetrics(t *testing.T) {
-	c := NewMetricsCollector()
-	c.StreamRequeue(2, 3)
-	c.StreamRequeue(1, 1)
-	c.StreamRequeue(0, 0) // depth gauge still tracks the drained queue
-	c.StreamShed(2)
-	c.StreamShed(0) // no-op
-	c.StreamBreaker(true)
-	c.StreamBreaker(false)
-	c.StreamFaultWindow(1.0, false)
-	c.StreamFaultWindow(2.5, true)
-	reg := c.Registry()
-	for name, want := range map[string]int64{
-		"stream_requeue_total":            3,
-		"stream_shed_total":               2,
-		"stream_breaker_trips_total":      1,
-		"stream_breaker_recoveries_total": 1,
-		"stream_fault_windows_total":      2,
-		"stream_fault_degraded_total":     1,
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
+// lineRun is a plain-data trace of one object passed down a 6-node line
+// (home node 0, users at nodes 1, 3, 5 committing at steps 1, 3, 6).
+func lineRun() (*ScheduleMetrics, []Move, []Exec) {
+	moves := []Move{
+		{Object: 0, Txn: 0, From: 0, To: 1, Depart: 0, Arrive: 1, Used: 1},
+		{Object: 0, Txn: 1, From: 1, To: 3, Depart: 1, Arrive: 3, Used: 3},
+		{Object: 0, Txn: 2, From: 3, To: 5, Depart: 3, Arrive: 5, Used: 6},
 	}
-	if got := reg.Gauge("stream_requeue_depth").Value(); got != 0 {
-		t.Errorf("requeue depth = %d, want 0 after drain", got)
-	}
-	if got := reg.Gauge("stream_requeue_depth_peak").Value(); got != 3 {
-		t.Errorf("requeue depth peak = %d, want 3", got)
-	}
-	h := reg.Histogram("stream_fault_inflation_pct", nil)
-	if h.Count() != 2 || h.Sum() != 100+250 {
-		t.Errorf("inflation histogram count=%d sum=%d, want 2/350", h.Count(), h.Sum())
-	}
-}
-
-func TestCollectorDepGraphBuild(t *testing.T) {
-	c := NewMetricsCollector()
-	// A stats map without depgraph_build_ns (baseline schedulers) is a no-op.
-	c.DepGraphBuild(map[string]int64{"makespan": 10})
-	c.DepGraphBuild(map[string]int64{
-		"depgraph_build_ns": 4_000_000, "depgraph_builds": 2, "depgraph_edges": 33,
-		"gamma": 12, "hmax": 3,
-	})
-	c.DepGraphBuild(map[string]int64{
-		"depgraph_build_ns": 1_000_000, "depgraph_builds": 1, "depgraph_edges": 7,
-	})
-	reg := c.Registry()
-	if got := reg.Counter("depgraph_build_ns_total").Value(); got != 5_000_000 {
-		t.Errorf("build ns total = %d, want 5000000", got)
-	}
-	if got := reg.Counter("depgraph_builds_total").Value(); got != 3 {
-		t.Errorf("builds total = %d, want 3", got)
-	}
-	if got := reg.Counter("depgraph_edges_total").Value(); got != 40 {
-		t.Errorf("edges total = %d, want 40", got)
-	}
-	if h := reg.Histogram("depgraph_build_us", nil); h.Count() != 2 || h.Sum() != 5000 {
-		t.Errorf("build_us histogram count=%d sum=%d, want 2/5000", h.Count(), h.Sum())
-	}
-	if h := reg.Histogram("depgraph_edges", nil); h.Count() != 2 || h.Sum() != 40 {
-		t.Errorf("edges histogram count=%d sum=%d, want 2/40", h.Count(), h.Sum())
-	}
-	// Γ and h_max distributions only observe when the scheduler reported them.
-	if h := reg.Histogram("depgraph_gamma", nil); h.Count() != 1 || h.Sum() != 12 {
-		t.Errorf("gamma histogram count=%d sum=%d, want 1/12", h.Count(), h.Sum())
-	}
-	if h := reg.Histogram("depgraph_hmax", nil); h.Count() != 1 || h.Sum() != 3 {
-		t.Errorf("hmax histogram count=%d sum=%d, want 1/3", h.Count(), h.Sum())
-	}
-}
-
-func TestCollectorRecordRun(t *testing.T) {
-	in, s := lineInstance()
-	c := NewCollector()
-	c.Stage(0, "line-run", "schedule", time.Millisecond, nil)
-	c.RecordRun(0, "line-run", "test-alg", in, s, nil)
-
-	reg := c.Registry()
-	if got := reg.Counter("engine_runs_total").Value(); got != 1 {
-		t.Errorf("runs = %d, want 1", got)
-	}
-	lat := reg.Histogram("txn_latency_steps", nil)
-	if lat.Count() != 3 || lat.Sum() != 10 {
-		t.Errorf("latency histogram count=%d sum=%d, want 3/10", lat.Count(), lat.Sum())
-	}
-	travel := reg.Histogram("object_travel_steps", nil)
-	if travel.Count() != 1 || travel.Sum() != 5 {
-		t.Errorf("travel histogram count=%d sum=%d, want 1/5", travel.Count(), travel.Sum())
-	}
-	if got := reg.Gauge("makespan_steps_max").Value(); got != 6 {
-		t.Errorf("makespan gauge = %d, want 6", got)
-	}
-
-	var jsonl, chrome, metrics bytes.Buffer
-	if err := c.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"ev":"run"`, `"ev":"stage"`, `"ev":"move"`, `"ev":"exec"`, `"ev":"metrics"`, `"algorithm":"test-alg"`} {
-		if !strings.Contains(jsonl.String(), want) {
-			t.Errorf("JSONL missing %s", want)
-		}
-	}
-	if strings.Contains(jsonl.String(), "wall_us") {
-		t.Error("JSONL leaked wall-clock times without WallClock opt-in")
-	}
-	if err := c.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"traceEvents"`, `"ph":"M"`, `"ph":"X"`, `"cat":"move"`, `"cat":"txn"`, `"cat":"wait"`} {
-		if !strings.Contains(chrome.String(), want) {
-			t.Errorf("Chrome trace missing %s", want)
-		}
-	}
-	if err := c.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"txn_latency_steps", "object_travel_steps", "queue_depth", "link_utilization", "critical_path"} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("metrics snapshot missing %s", want)
-		}
-	}
+	execs := []Exec{{Txn: 0, Node: 1, Step: 1}, {Txn: 1, Node: 3, Step: 3}, {Txn: 2, Node: 5, Step: 6}}
+	m := &ScheduleMetrics{Makespan: 6, ObjectTravel: []int64{5}, TotalTravel: 5, CriticalPath: []int{0, 1}}
+	return m, moves, execs
 }
 
 func TestWallClockOptIn(t *testing.T) {
-	in, s := lineInstance()
+	m, moves, execs := lineRun()
 	c := NewCollectorConfig(Config{Traces: true, WallClock: true})
 	c.Stage(0, "j", "schedule", 2*time.Millisecond, nil)
-	c.RecordRun(0, "j", "a", in, s, nil)
+	c.AddRun(0, "j", "a", m.Makespan, m, moves, execs)
 	var jsonl bytes.Buffer
 	if err := c.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
@@ -217,12 +92,12 @@ func TestWallClockOptIn(t *testing.T) {
 }
 
 func TestMaxTraceRuns(t *testing.T) {
-	in, s := lineInstance()
+	m, moves, execs := lineRun()
 	c := NewCollectorConfig(Config{Traces: true, MaxTraceRuns: 2})
 	// Record out of order: retention must keep the lowest (job, name)
 	// keys regardless of arrival order.
 	for _, job := range []int{3, 1, 2, 0} {
-		c.RecordRun(job, "j", "a", in, s, nil)
+		c.AddRun(job, "j", "a", m.Makespan, m, moves, execs)
 	}
 	runs := c.sortedRuns()
 	if len(runs) != 2 {
@@ -230,39 +105,5 @@ func TestMaxTraceRuns(t *testing.T) {
 	}
 	if runs[0].Job != 0 || runs[1].Job != 1 {
 		t.Errorf("retained jobs %d,%d — want 0,1", runs[0].Job, runs[1].Job)
-	}
-}
-
-func TestCollectorHier(t *testing.T) {
-	c := NewMetricsCollector()
-	// A stats map without hier_shards (every other scheduler) is a no-op.
-	c.Hier(map[string]int64{"makespan": 10})
-	c.Hier(map[string]int64{
-		"hier_shards": 4, "hier_local_txns": 30, "hier_cross_txns": 10,
-		"hier_max_shard_txns": 12, "hier_shard_wall_ns": 2_000_000, "hier_merge_wall_ns": 1_000_000,
-	})
-	c.Hier(map[string]int64{
-		"hier_shards": 8, "hier_local_txns": 50, "hier_cross_txns": 0,
-		"hier_max_shard_txns": 9, "hier_shard_wall_ns": 3_000_000,
-	})
-	reg := c.Registry()
-	if got := reg.Counter("hier_runs_total").Value(); got != 2 {
-		t.Errorf("hier_runs_total = %d, want 2", got)
-	}
-	if got := reg.Counter("hier_local_txns_total").Value(); got != 80 {
-		t.Errorf("hier_local_txns_total = %d, want 80", got)
-	}
-	if got := reg.Counter("hier_cross_txns_total").Value(); got != 10 {
-		t.Errorf("hier_cross_txns_total = %d, want 10", got)
-	}
-	if got := reg.Counter("hier_shard_wall_ns_total").Value(); got != 5_000_000 {
-		t.Errorf("hier_shard_wall_ns_total = %d, want 5000000", got)
-	}
-	if h := reg.Histogram("hier_shards", nil); h.Count() != 2 || h.Sum() != 12 {
-		t.Errorf("hier_shards histogram count=%d sum=%d, want 2/12", h.Count(), h.Sum())
-	}
-	// Cross fractions: 10/40 → 25%, 0/50 → 0%.
-	if h := reg.Histogram("hier_cross_fraction_pct", nil); h.Count() != 2 || h.Sum() != 25 {
-		t.Errorf("cross fraction histogram count=%d sum=%d, want 2/25", h.Count(), h.Sum())
 	}
 }

@@ -1,10 +1,12 @@
 // Regression engine over run ledgers: group RunRecords by configuration
 // fingerprint, reduce each metric to a robust location estimate (median
 // plus MAD across trials and repeated runs), and judge the old→new delta
-// per metric class. Wall-time metrics tolerate a configurable relative
-// slack above a noise floor; deterministic counters (simulator steps,
-// object moves, makespan, latency quantiles) are expected to reproduce
-// exactly and any drift is flagged.
+// per metric class. The class comes from the series name alone: a unit
+// suffix (_ns, _us, _ms) marks wall time, which tolerates a configurable
+// relative slack above a noise floor; every other series is a
+// deterministic count expected to reproduce exactly, and any drift is
+// flagged. A new series is therefore gated the moment a publisher writes
+// it, with no edit here.
 //
 // The comparator is the pass/fail core behind `dtmsched bench compare`
 // and `dtmsched bench gate`: Compare never errors on mismatched ledgers
@@ -79,7 +81,8 @@ const (
 // MetricDelta is one metric's old→new judgment within a fingerprint
 // group.
 type MetricDelta struct {
-	// Metric is the metric name ("stage_ms/measure", "simsteps", …).
+	// Metric is the metric name: a series name, "total_ms", or a pooled
+	// histogram quantile ("txn_latency_steps/p99").
 	Metric string `json:"metric"`
 	// Class is ClassTime or ClassCount.
 	Class string `json:"class"`
@@ -137,47 +140,39 @@ type metricVal struct {
 	value float64
 }
 
-// gateMetrics extracts the judged metrics of one record. Identity fields
-// (bound, ratio, seed) and the environment are deliberately excluded —
-// they contextualize a record but are not performance.
+// timeScale reports whether a series measures wall time and, if so, the
+// divisor converting its value to milliseconds. The unit is the suffix
+// of the base name: labels and a trailing _total dropped.
+func timeScale(series string) (float64, bool) {
+	base, _, _ := strings.Cut(series, "{")
+	base = strings.TrimSuffix(base, "_total")
+	switch {
+	case strings.HasSuffix(base, "_ns"):
+		return 1e6, true
+	case strings.HasSuffix(base, "_us"):
+		return 1e3, true
+	case strings.HasSuffix(base, "_ms"):
+		return 1, true
+	}
+	return 0, false
+}
+
+// gateMetrics extracts the judged scalar metrics of one record: its wall
+// time and every counter or gauge series, classified by unit suffix.
+// Identity fields (bound, ratio, seed) and the environment are
+// deliberately excluded — they contextualize a record but are not
+// performance.
 func gateMetrics(r *RunRecord) []metricVal {
 	var out []metricVal
-	for stage, ms := range r.StageMS {
-		out = append(out, metricVal{"stage_ms/" + stage, ClassTime, ms})
-	}
 	if r.TotalMS > 0 {
 		out = append(out, metricVal{"total_ms", ClassTime, r.TotalMS})
 	}
-	if r.LowerMS > 0 {
-		out = append(out, metricVal{"lower_ms", ClassTime, r.LowerMS})
-	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"simsteps", r.SimSteps},
-		{"objmoves", r.ObjectMoves},
-		{"executed", r.Executed},
-		{"makespan", r.Makespan},
-		{"latency_p50", r.LatencyP50},
-		{"latency_p99", r.LatencyP99},
-		{"stream_admitted", r.StreamAdmitted},
-		{"stream_rejected", r.StreamRejected},
-		{"stream_blocked", r.StreamBlocked},
-		{"stream_windows", r.StreamWindows},
-		{"stream_queue_peak", r.StreamQueuePeak},
-		{"stream_requeued", r.StreamRequeued},
-		{"stream_shed", r.StreamShed},
-		{"stream_degraded", r.StreamDegraded},
-		{"stream_breaker_trips", r.StreamTrips},
-		{"stream_breaker_recoveries", r.StreamRecoveries},
-	} {
-		if c.v != 0 {
-			out = append(out, metricVal{c.name, ClassCount, float64(c.v)})
+	for name, v := range r.Counters {
+		if scale, ok := timeScale(name); ok {
+			out = append(out, metricVal{name, ClassTime, float64(v) / scale})
+		} else {
+			out = append(out, metricVal{name, ClassCount, float64(v)})
 		}
-	}
-	if r.StreamInflation > 0 {
-		out = append(out, metricVal{"stream_inflation", ClassCount, r.StreamInflation})
 	}
 	return out
 }
@@ -188,8 +183,7 @@ type group struct {
 	config     map[string]string
 	values     map[string][]float64 // metric → observations
 	classes    map[string]string
-	latency    *HistSnapshot
-	hasLatency bool
+	hists      map[string]*HistSnapshot // series → pooled distribution
 }
 
 // accumulate folds records into fingerprint groups.
@@ -204,6 +198,7 @@ func accumulate(recs []RunRecord) map[string]*group {
 				config:     r.Config,
 				values:     map[string][]float64{},
 				classes:    map[string]string{},
+				hists:      map[string]*HistSnapshot{},
 			}
 			out[r.Fingerprint] = g
 		}
@@ -211,20 +206,22 @@ func accumulate(recs []RunRecord) map[string]*group {
 			g.values[mv.name] = append(g.values[mv.name], mv.value)
 			g.classes[mv.name] = mv.class
 		}
-		if r.Latency != nil {
-			g.latency = MergeHist(g.latency, r.Latency)
-			g.hasLatency = true
+		for name, h := range r.Hists {
+			g.hists[name] = MergeHist(g.hists[name], h)
 		}
 	}
-	// Pooled latency quantiles replace the per-record medians when every
-	// contributing record carried the full distribution: merging the
-	// histograms and taking one quantile is the MergeHist consumer the
-	// comparator exists for.
+	// Histograms pool across the group's records: merging the
+	// distributions and reading one quantile beats a median of per-trial
+	// quantiles. Time-unit histograms are not gated — their matching
+	// _ns_total counter already is.
 	for _, g := range out {
-		if g.hasLatency {
-			g.values["latency_p50"] = []float64{float64(g.latency.Quantile(0.50))}
-			g.values["latency_p99"] = []float64{float64(g.latency.Quantile(0.99))}
-			g.classes["latency_p50"], g.classes["latency_p99"] = ClassCount, ClassCount
+		for name, h := range g.hists {
+			if _, ok := timeScale(name); ok {
+				continue
+			}
+			g.values[name+"/p50"] = []float64{float64(h.Quantile(0.50))}
+			g.values[name+"/p99"] = []float64{float64(h.Quantile(0.99))}
+			g.classes[name+"/p50"], g.classes[name+"/p99"] = ClassCount, ClassCount
 		}
 	}
 	return out

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// stageSeries is the stage wall-time counter the gate tests judge: its
+// _us unit marks it as time.
+const stageSeries = "engine_stage_wall_us{stage=measure}"
+
 // benchRec builds a gate-ready record; trials of one experiment share a
 // fingerprint (Fingerprint ignores nothing in the config, so the caller
 // keeps it constant).
@@ -15,10 +19,13 @@ func benchRec(exp string, trial int, stageMS float64, simsteps int64) RunRecord 
 	return RunRecord{
 		Schema: LedgerSchemaVersion, Experiment: exp,
 		Fingerprint: Fingerprint(exp, cfg), Config: cfg, Trial: trial,
-		StageMS:  map[string]float64{"measure": stageMS},
-		TotalMS:  stageMS + 5,
-		SimSteps: simsteps, ObjectMoves: simsteps * 3, Executed: 10,
-		Makespan: simsteps, LatencyP50: 3, LatencyP99: 9,
+		TotalMS: stageMS + 5,
+		Counters: map[string]int64{
+			stageSeries:          int64(stageMS * 1000),
+			"sim_steps_total":    simsteps,
+			"object_moves_total": simsteps * 3,
+			"makespan_steps_max": simsteps,
+		},
 		Env: CaptureEnv(),
 	}
 }
@@ -54,10 +61,13 @@ func TestCompareGateSelfTest(t *testing.T) {
 		}
 		found := false
 		for _, m := range rep.Groups[0].Metrics {
-			if m.Metric == "stage_ms/measure" {
+			if m.Metric == stageSeries {
 				found = true
-				if m.Verdict != VerdictRegression {
-					t.Errorf("stage_ms/measure verdict = %s, want regression", m.Verdict)
+				if m.Class != ClassTime || m.Verdict != VerdictRegression {
+					t.Errorf("%s judged %s/%s, want time/regression", m.Metric, m.Class, m.Verdict)
+				}
+				if m.Old != 10 {
+					t.Errorf("old = %g, want 10 (µs converted to ms)", m.Old)
 				}
 				if m.Delta < 0.99 || m.Delta > 1.01 {
 					t.Errorf("delta = %g, want ~1.0 (+100%%)", m.Delta)
@@ -65,7 +75,7 @@ func TestCompareGateSelfTest(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatal("stage_ms/measure not judged")
+			t.Fatalf("%s not judged", stageSeries)
 		}
 	})
 
@@ -82,7 +92,7 @@ func TestCompareGateSelfTest(t *testing.T) {
 	t.Run("count drift regresses exactly", func(t *testing.T) {
 		rep := Compare(old, trials("E1", 10, 101, 3), Thresholds{})
 		if rep.Pass() {
-			t.Fatal("simsteps 100 -> 101 must regress: counters are deterministic")
+			t.Fatal("sim_steps_total 100 -> 101 must regress: counters are deterministic")
 		}
 	})
 }
@@ -98,7 +108,7 @@ func TestCompareTimeNoiseFloors(t *testing.T) {
 		new := []RunRecord{benchRec("E1", 0, 18, 100), benchRec("E1", 1, 28, 100), benchRec("E1", 2, 38, 100)}
 		rep := Compare(old, new, Thresholds{})
 		for _, m := range rep.Groups[0].Metrics {
-			if m.Metric == "stage_ms/measure" && m.Verdict != VerdictOK {
+			if m.Metric == stageSeries && m.Verdict != VerdictOK {
 				t.Errorf("noisy +40%% within 3xMAD judged %s, want ok", m.Verdict)
 			}
 		}
@@ -139,17 +149,22 @@ func TestCompareOneSidedAndEnv(t *testing.T) {
 	}
 }
 
-// TestCompareLatencyPooling verifies the MergeHist consumer: when every
-// record carries its latency distribution, the group's p50/p99 come from
-// the pooled histogram, not a median of per-trial quantiles.
+// TestCompareLatencyPooling verifies the MergeHist consumer: a
+// histogram series' p50/p99 come from the distribution pooled across
+// the group's records, not a median of per-trial quantiles.
 func TestCompareLatencyPooling(t *testing.T) {
-	// Each trial observes 49 fast transactions and one 1000-step straggler;
-	// pooled across two trials the p99 rank lands on the stragglers, which
-	// a median of per-trial p99s would have kept but naive averaging
-	// flattens.
-	trialValues := append(make([]int64, 0, 50), 1000)
-	for len(trialValues) < 50 {
-		trialValues = append(trialValues, 2)
+	// Each trial observes 49 fast transactions and one 1000-step
+	// straggler; pooled across two trials the p99 rank lands on the
+	// stragglers, which naive averaging would flatten.
+	reg := NewRegistry()
+	h := reg.Histogram("txn_latency_steps", nil)
+	h.Observe(1000)
+	for i := 0; i < 49; i++ {
+		h.Observe(2)
+	}
+	var lat *HistSnapshot
+	for _, s := range reg.Snapshot() {
+		lat = HistDelta(s, Sample{})
 	}
 	mk := func(n int) []RunRecord {
 		cfg := map[string]string{"suite": "test"}
@@ -158,8 +173,9 @@ func TestCompareLatencyPooling(t *testing.T) {
 			out[i] = RunRecord{
 				Schema: LedgerSchemaVersion, Experiment: "E1",
 				Fingerprint: Fingerprint("E1", cfg), Config: cfg, Trial: i,
-				SimSteps: 100, Latency: SnapshotValues(trialValues),
-				Env: CaptureEnv(),
+				Counters: map[string]int64{"sim_steps_total": 100},
+				Hists:    map[string]*HistSnapshot{"txn_latency_steps": lat},
+				Env:      CaptureEnv(),
 			}
 		}
 		return out
@@ -171,9 +187,9 @@ func TestCompareLatencyPooling(t *testing.T) {
 	var p50, p99 float64
 	for _, m := range rep.Groups[0].Metrics {
 		switch m.Metric {
-		case "latency_p50":
+		case "txn_latency_steps/p50":
 			p50 = m.New
-		case "latency_p99":
+		case "txn_latency_steps/p99":
 			p99 = m.New
 		}
 	}
@@ -191,7 +207,7 @@ func TestCompareReportRendering(t *testing.T) {
 	if err := rep.WriteText(&txt); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"FAIL", "REGRESSED", "stage_ms/measure", "simsteps"} {
+	for _, want := range []string{"FAIL", "REGRESSED", stageSeries, "sim_steps_total"} {
 		if !strings.Contains(txt.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, txt.String())
 		}
@@ -214,4 +230,59 @@ func textOf(rep *CompareReport) string {
 	var b bytes.Buffer
 	rep.WriteText(&b)
 	return b.String()
+}
+
+// TestGateNewSeries: series a publisher has just invented reach the
+// ledger and the gate through SetDelta with no edit to this package. A
+// doubled count (widget_total), time counter (widget_wall_ns_total),
+// and histogram (widget_size) are each flagged, judged by the class
+// their names imply.
+func TestGateNewSeries(t *testing.T) {
+	// record runs three trials publishing the widget series, scaled per
+	// series, and returns them as read back from a ledger.
+	record := func(count, wallNS, size int64) []RunRecord {
+		var buf bytes.Buffer
+		l := NewLedger(&buf)
+		for trial := 0; trial < 3; trial++ {
+			reg := NewRegistry()
+			reg.Counter("widget_total").Add(count)
+			reg.Counter("widget_wall_ns_total").Add(wallNS)
+			for i := 0; i < 10; i++ {
+				reg.Histogram("widget_size", nil).Observe(size)
+			}
+			rec := RunRecord{Experiment: "widgets", Trial: trial}
+			rec.SetDelta(nil, reg.Snapshot())
+			if err := l.Append(&rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := ReadLedger(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	base := record(7, 5_000_000, 8)
+	if rep := Compare(base, record(7, 5_000_000, 8), Thresholds{}); !rep.Pass() || rep.Improvements != 0 {
+		t.Fatalf("identical widget ledgers:\n%s", textOf(rep))
+	}
+	for _, tc := range []struct {
+		metric, class string
+		regressions   int // a histogram regresses at p50 and p99
+		recs          []RunRecord
+	}{
+		{"widget_total", ClassCount, 1, record(14, 5_000_000, 8)},
+		{"widget_wall_ns_total", ClassTime, 1, record(7, 10_000_000, 8)},
+		{"widget_size/p50", ClassCount, 2, record(7, 5_000_000, 16)},
+	} {
+		rep := Compare(base, tc.recs, Thresholds{})
+		if rep.Regressions != tc.regressions {
+			t.Errorf("doubling %s: %d regressions, want %d:\n%s", tc.metric, rep.Regressions, tc.regressions, textOf(rep))
+		}
+		for _, m := range rep.Groups[0].Metrics {
+			if m.Metric == tc.metric && (m.Class != tc.class || m.Verdict != VerdictRegression) {
+				t.Errorf("doubled %s judged %s/%s, want %s/regression", m.Metric, m.Class, m.Verdict, tc.class)
+			}
+		}
+	}
 }

@@ -14,20 +14,23 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// LedgerSchemaVersion is the RunRecord schema this package writes.
-// Readers accept any version ≤ the current one; unknown newer versions
-// are a hard error rather than a silent misparse.
-const LedgerSchemaVersion = 1
+// LedgerSchemaVersion is the RunRecord schema this package writes and
+// the only one it reads: older and newer versions are a hard error
+// rather than a silent misparse. Schema 2 replaced schema 1's
+// per-feature fields with generic series maps.
+const LedgerSchemaVersion = 2
 
 // Env captures the execution environment of a record. Environment fields
 // never enter the fingerprint — records from different machines share a
@@ -54,7 +57,7 @@ func CaptureEnv() Env {
 
 // HistSnapshot is a frozen histogram: per-bucket counts with the same
 // bounds convention as Registry histograms (Bucket.LE = -1 is the
-// overflow bucket). Records carry one for transaction latency so the
+// overflow bucket). Records carry one per histogram series so the
 // comparator can pool distributions across trials instead of taking a
 // median of per-trial quantiles.
 type HistSnapshot struct {
@@ -95,26 +98,17 @@ func (h *HistSnapshot) Quantile(q float64) int64 {
 // merge(a,b) and merge(b,a) are byte-identical
 // (TestMergeHistDeterminism).
 func MergeHist(a, b *HistSnapshot) *HistSnapshot {
-	if a == nil && b == nil {
+	if a == nil {
+		a, b = b, a
+	}
+	if a == nil {
 		return nil
 	}
-	out := &HistSnapshot{}
-	byLE := map[int64]int64{}
-	for _, h := range []*HistSnapshot{a, b} {
-		if h == nil {
-			continue
-		}
-		out.Count += h.Count
-		out.Sum += h.Sum
-		if h.Max > out.Max {
-			out.Max = h.Max
-		}
-		for _, bk := range h.Buckets {
-			byLE[bk.LE] += bk.N
-		}
+	if b == nil {
+		b = &HistSnapshot{}
 	}
-	out.Buckets = sortedBuckets(byLE)
-	return out
+	return &HistSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum, Max: max(a.Max, b.Max),
+		Buckets: addBuckets(a.Buckets, b.Buckets, 1)}
 }
 
 // HistDelta returns the histogram accumulated between two registry
@@ -124,71 +118,37 @@ func MergeHist(a, b *HistSnapshot) *HistSnapshot {
 // cumulative cur.Max, which is exact whenever the interval contains the
 // run that set it.
 func HistDelta(cur, prev Sample) *HistSnapshot {
-	out := &HistSnapshot{
-		Count: cur.Count - prev.Count,
-		Sum:   cur.Sum - prev.Sum,
-		Max:   cur.Max,
-	}
-	byLE := map[int64]int64{}
-	for _, b := range cur.Buckets {
-		byLE[b.LE] += b.N
-	}
-	for _, b := range prev.Buckets {
-		byLE[b.LE] -= b.N
-	}
-	out.Buckets = sortedBuckets(byLE)
-	return out
+	return &HistSnapshot{Count: cur.Count - prev.Count, Sum: cur.Sum - prev.Sum, Max: cur.Max,
+		Buckets: addBuckets(cur.Buckets, prev.Buckets, -1)}
 }
 
-// sortedBuckets renders a LE→count map as a bucket list sorted by bound
-// with the overflow bucket (LE -1) last; empty buckets are dropped.
-func sortedBuckets(byLE map[int64]int64) []Bucket {
+// addBuckets returns the bucket-wise a + sign·b, matched by upper bound,
+// sorted by bound with the overflow bucket (LE -1) last; empty buckets
+// are dropped.
+func addBuckets(a, b []Bucket, sign int64) []Bucket {
+	byLE := map[int64]int64{}
+	for _, bk := range a {
+		byLE[bk.LE] += bk.N
+	}
+	for _, bk := range b {
+		byLE[bk.LE] += sign * bk.N
+	}
 	var out []Bucket
 	for le, n := range byLE {
 		if n != 0 {
 			out = append(out, Bucket{LE: le, N: n})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := out[i].LE, out[j].LE
-		if li < 0 {
-			return false // overflow sorts last
-		}
-		if lj < 0 {
-			return true
-		}
-		return li < lj
-	})
-	return out
-}
-
-// SnapshotValues builds a HistSnapshot by observing every value into a
-// fresh DefaultBuckets histogram — the path engine hooks use to freeze a
-// schedule's per-transaction latencies into a record.
-func SnapshotValues(values []int64) *HistSnapshot {
-	h := newHistogram(nil)
-	for _, v := range values {
-		h.Observe(v)
-	}
-	out := &HistSnapshot{Count: h.Count(), Sum: h.Sum(), Max: h.max.Value()}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			le := int64(-1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
-			}
-			out.Buckets = append(out.Buckets, Bucket{LE: le, N: n})
-		}
-	}
+	// As unsigned, the overflow bound -1 is the largest.
+	slices.SortFunc(out, func(x, y Bucket) int { return cmp.Compare(uint64(x.LE), uint64(y.LE)) })
 	return out
 }
 
 // RunRecord is one canonical ledger entry: the identity of what ran
-// (experiment, fingerprint, config, seed), what it measured (per-stage
-// wall times, simulator counters, lower-bound oracle stats, latency),
-// and where it ran (Env). Wall-time fields are the only
-// non-deterministic ones; everything else is reproducible from the
-// fingerprint and seed.
+// (experiment, fingerprint, config, seed), what it measured (the
+// registry series it moved, keyed by full series name), and where it ran
+// (Env). Time-unit series and TotalMS are the only non-deterministic
+// values; everything else is reproducible from the fingerprint and seed.
 type RunRecord struct {
 	// Schema is the record's LedgerSchemaVersion (filled by Append).
 	Schema int `json:"schema"`
@@ -210,56 +170,48 @@ type RunRecord struct {
 	// Algorithm names the schedule producer for per-job records.
 	Algorithm string `json:"algorithm,omitempty"`
 
-	// StageMS maps pipeline stage name → wall milliseconds.
-	StageMS map[string]float64 `json:"stage_ms,omitempty"`
 	// TotalMS is the whole run's wall time in milliseconds.
 	TotalMS float64 `json:"total_ms,omitempty"`
+	// Bound / Ratio contextualize schedule quality (per-job records).
+	Bound int64   `json:"bound,omitempty"`
+	Ratio float64 `json:"ratio,omitempty"`
 
-	// SimSteps / ObjectMoves / Executed are the simulator counters.
-	SimSteps    int64 `json:"simsteps,omitempty"`
-	ObjectMoves int64 `json:"objmoves,omitempty"`
-	Executed    int64 `json:"executed,omitempty"`
-	// Makespan / Bound / Ratio measure schedule quality (per-job records).
-	Makespan int64   `json:"makespan,omitempty"`
-	Bound    int64   `json:"bound,omitempty"`
-	Ratio    float64 `json:"ratio,omitempty"`
-
-	// Lower* are the certified-bound oracle stats.
-	LowerMS           float64 `json:"lower_ms,omitempty"`
-	LowerComputations int64   `json:"lower_computations,omitempty"`
-	LowerCacheHits    int64   `json:"lower_cache_hits,omitempty"`
-
-	// LatencyP50 / LatencyP99 are per-transaction commit-step quantiles;
-	// Latency is the full distribution they were read from, kept so the
-	// comparator can pool trials.
-	LatencyP50 int64         `json:"latency_p50,omitempty"`
-	LatencyP99 int64         `json:"latency_p99,omitempty"`
-	Latency    *HistSnapshot `json:"latency,omitempty"`
-
-	// Stream* summarize a streaming-service run (dtmsched serve):
-	// admission-control outcomes, window count, queue peak, and the
-	// cut-to-last-commit window-latency distribution. All zero/nil for
-	// batch records, so pre-existing ledgers compare unchanged.
-	StreamAdmitted  int64         `json:"stream_admitted,omitempty"`
-	StreamRejected  int64         `json:"stream_rejected,omitempty"`
-	StreamBlocked   int64         `json:"stream_blocked,omitempty"`
-	StreamWindows   int64         `json:"stream_windows,omitempty"`
-	StreamQueuePeak int64         `json:"stream_queue_peak,omitempty"`
-	WindowLatency   *HistSnapshot `json:"window_latency,omitempty"`
-
-	// StreamFault* summarize the fault-tolerance layer of a chaos serving
-	// run: requeues and sheds from the health tracker, degraded windows
-	// and their mean makespan inflation, and breaker transitions. All zero
-	// for fault-free runs, so zero-fault records stay byte-identical.
-	StreamRequeued   int64   `json:"stream_requeued,omitempty"`
-	StreamShed       int64   `json:"stream_shed,omitempty"`
-	StreamDegraded   int64   `json:"stream_degraded,omitempty"`
-	StreamInflation  float64 `json:"stream_inflation,omitempty"`
-	StreamTrips      int64   `json:"stream_breaker_trips,omitempty"`
-	StreamRecoveries int64   `json:"stream_breaker_recoveries,omitempty"`
+	// Counters maps each counter and gauge series the run moved to its
+	// value (see SetDelta); Hists holds each histogram series it moved.
+	Counters map[string]int64         `json:"counters,omitempty"`
+	Hists    map[string]*HistSnapshot `json:"hists,omitempty"`
 
 	// Env is the execution environment.
 	Env Env `json:"env"`
+}
+
+// SetDelta fills the record's series maps with what the registry
+// accumulated between two snapshots: counter values and histogram
+// buckets as differences, zero differences left out. Gauges are levels,
+// not totals, so they only enter when the interval starts at the
+// registry's creation — an empty prev.
+func (r *RunRecord) SetDelta(prev, cur []Sample) {
+	before := make(map[string]Sample, len(prev))
+	for _, s := range prev {
+		before[s.Name] = s
+	}
+	r.Counters, r.Hists = map[string]int64{}, map[string]*HistSnapshot{}
+	for _, s := range cur {
+		switch s.Kind {
+		case "counter":
+			if d := s.Value - before[s.Name].Value; d != 0 {
+				r.Counters[s.Name] = d
+			}
+		case "gauge":
+			if len(prev) == 0 && s.Value != 0 {
+				r.Counters[s.Name] = s.Value
+			}
+		case "histogram":
+			if h := HistDelta(s, before[s.Name]); h.Count != 0 {
+				r.Hists[s.Name] = h
+			}
+		}
+	}
 }
 
 // Fingerprint hashes an experiment name and its configuration map into
@@ -337,7 +289,7 @@ func (l *Ledger) Err() error {
 }
 
 // ReadLedger parses a JSONL ledger stream. Blank lines are skipped;
-// malformed lines and records from a newer schema version are errors
+// malformed lines and records of any other schema version are errors
 // that name the offending line.
 func ReadLedger(r io.Reader) ([]RunRecord, error) {
 	var out []RunRecord
@@ -354,8 +306,8 @@ func ReadLedger(r io.Reader) ([]RunRecord, error) {
 		if err := json.Unmarshal(text, &rec); err != nil {
 			return nil, fmt.Errorf("ledger line %d: %w", line, err)
 		}
-		if rec.Schema < 1 || rec.Schema > LedgerSchemaVersion {
-			return nil, fmt.Errorf("ledger line %d: schema %d not supported (this build reads ≤ %d)",
+		if rec.Schema != LedgerSchemaVersion {
+			return nil, fmt.Errorf("ledger line %d: schema %d not supported (this build reads only schema %d; regenerate the ledger)",
 				line, rec.Schema, LedgerSchemaVersion)
 		}
 		out = append(out, rec)

@@ -13,10 +13,10 @@ func TestLedgerRoundTrip(t *testing.T) {
 	l := NewLedger(&buf)
 	recs := []*RunRecord{
 		{Experiment: "E1", Config: map[string]string{"quick": "true"}, Seed: 7,
-			StageMS: map[string]float64{"schedule": 1.5}, TotalMS: 10,
-			SimSteps: 42, ObjectMoves: 9, Executed: 5, Makespan: 12, Bound: 10, Ratio: 1.2,
-			LatencyP50: 3, LatencyP99: 8,
-			Latency: &HistSnapshot{Count: 5, Sum: 20, Max: 8, Buckets: []Bucket{{LE: 4, N: 3}, {LE: 8, N: 2}}}},
+			TotalMS: 10, Bound: 10, Ratio: 1.2,
+			Counters: map[string]int64{"engine_stage_wall_us{stage=schedule}": 1500, "sim_steps_total": 42},
+			Hists: map[string]*HistSnapshot{"txn_latency_steps": {Count: 5, Sum: 20, Max: 8,
+				Buckets: []Bucket{{LE: 4, N: 3}, {LE: 8, N: 2}}}}},
 		{Experiment: "E2", Trial: 2},
 	}
 	for _, r := range recs {
@@ -45,11 +45,11 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if r.Env == (Env{}) {
 		t.Error("Append must fill Env")
 	}
-	if r.SimSteps != 42 || r.Makespan != 12 || r.StageMS["schedule"] != 1.5 {
+	if r.Counters["sim_steps_total"] != 42 || r.Counters["engine_stage_wall_us{stage=schedule}"] != 1500 || r.Ratio != 1.2 {
 		t.Errorf("measurement fields did not round-trip: %+v", r)
 	}
-	if r.Latency == nil || r.Latency.Count != 5 || len(r.Latency.Buckets) != 2 {
-		t.Errorf("latency snapshot did not round-trip: %+v", r.Latency)
+	if lat := r.Hists["txn_latency_steps"]; lat == nil || lat.Count != 5 || len(lat.Buckets) != 2 {
+		t.Errorf("latency snapshot did not round-trip: %+v", lat)
 	}
 	if got[1].Trial != 2 {
 		t.Errorf("trial = %d, want 2", got[1].Trial)
@@ -59,6 +59,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 func TestReadLedgerRejectsBadInput(t *testing.T) {
 	for name, in := range map[string]string{
 		"newer schema": fmt.Sprintf(`{"schema":%d,"experiment":"x"}`, LedgerSchemaVersion+1),
+		"schema 1":     `{"schema":1,"experiment":"x","simsteps":4}`,
 		"zero schema":  `{"experiment":"x"}`,
 		"not json":     `{"experiment":`,
 	} {
@@ -67,6 +68,10 @@ func TestReadLedgerRejectsBadInput(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("%s: error %q does not name the line", name, err)
 		}
+	}
+	if _, err := ReadLedger(strings.NewReader(`{"schema":1,"experiment":"x"}`)); err == nil ||
+		!strings.Contains(err.Error(), "regenerate") {
+		t.Errorf("schema 1 error %v does not say to regenerate the ledger", err)
 	}
 	// Blank lines are not errors.
 	if recs, err := ReadLedger(strings.NewReader("\n\n")); err != nil || len(recs) != 0 {
@@ -174,8 +179,14 @@ func TestHistDelta(t *testing.T) {
 	}
 }
 
+// TestSnapshotValues: a registry histogram frozen through Snapshot and
+// HistDelta keeps its totals, bucket bounds, and overflow maximum.
 func TestSnapshotValues(t *testing.T) {
-	s := SnapshotValues([]int64{1, 3, 5, 100000})
+	reg := NewRegistry()
+	for _, v := range []int64{1, 3, 5, 100000} {
+		reg.Histogram("h", nil).Observe(v)
+	}
+	s := HistDelta(reg.Snapshot()[0], Sample{})
 	if s.Count != 4 || s.Sum != 100009 || s.Max != 100000 {
 		t.Errorf("snapshot totals = %+v", s)
 	}

@@ -1,17 +1,18 @@
-// Package obs is the observability layer of the reproduction: a lock-free
-// metrics registry (counters, gauges, fixed-bucket histograms backed by
-// sync/atomic), a trace recorder that turns engine pipeline events and
-// simulator event streams into structured JSONL and Chrome trace-event
-// files (loadable in Perfetto / chrome://tracing), and derived schedule
-// metrics — per-transaction latency, per-object travel, queue depth and
-// link utilization over simulated steps, critical-path extraction.
+// Package obs is the observability layer of the reproduction, and it
+// knows no domain: a lock-free metrics registry (counters, gauges,
+// fixed-bucket histograms backed by sync/atomic) with Prometheus and
+// expvar exposition, a trace store exporting plain-data run traces as
+// JSONL and Chrome trace-event files (loadable in Perfetto /
+// chrome://tracing), a run ledger recording registry deltas, the
+// regression gate over ledgers, and a per-stage profiler.
 //
-// The paper's theorems are statements about schedule *shape* (makespan vs.
-// object travel, congestion at hot nodes, per-window latency); this package
-// makes that shape measurable per run instead of reducing every run to
-// three scalars. Everything is nil-safe: a nil *Collector is a no-op that
-// adds zero allocations to the engine hot path, so observability is free
-// when not requested.
+// Publishers — the engine, the streaming service — write their own
+// series into the registry they are handed; obs never names them. The
+// ledger and gate read whatever series a run moved, so a new metric is
+// recorded and gated with no edit here. Everything is nil-safe: a nil
+// *Collector hands out a nil *Registry, whose nil handles are no-ops, so
+// observability adds zero allocations to the hot path when not
+// requested.
 package obs
 
 import (
@@ -151,25 +152,23 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(n))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
+	return h.freeze().Quantile(q)
+}
+
+// freeze returns the histogram's current state with its non-empty
+// buckets.
+func (h *Histogram) freeze() *HistSnapshot {
+	out := &HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Value()}
 	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
+		if n := h.buckets[i].Load(); n > 0 {
+			le := int64(-1)
 			if i < len(h.bounds) {
-				return h.bounds[i]
+				le = h.bounds[i]
 			}
-			return h.max.Value()
+			out.Buckets = append(out.Buckets, Bucket{LE: le, N: n})
 		}
 	}
-	return h.max.Value()
+	return out
 }
 
 // metric is the union stored in a Registry.
@@ -310,18 +309,9 @@ func (r *Registry) Snapshot() []Sample {
 		case "gauge":
 			s.Value = m.g.Value()
 		case "histogram":
-			h := m.h
-			s.Count, s.Sum, s.Max = h.Count(), h.Sum(), h.max.Value()
+			h := m.h.freeze()
+			s.Count, s.Sum, s.Max, s.Buckets = h.Count, h.Sum, h.Max, h.Buckets
 			s.P50, s.P90, s.P99 = h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)
-			for i := range h.buckets {
-				if n := h.buckets[i].Load(); n > 0 {
-					le := int64(-1)
-					if i < len(h.bounds) {
-						le = h.bounds[i]
-					}
-					s.Buckets = append(s.Buckets, Bucket{LE: le, N: n})
-				}
-			}
 		}
 		out = append(out, s)
 		return true

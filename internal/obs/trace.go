@@ -17,6 +17,88 @@ import (
 	"sort"
 )
 
+// Move is one object relocation: the object departs From after the step
+// Depart (its previous holder's commit, or step 0 from its home) and
+// arrives at To at step Arrive = Depart + distance. Used is the step at
+// which the receiving transaction executes, so Used − Arrive is the
+// object's queueing delay at the destination.
+type Move struct {
+	Object int   `json:"object"`
+	Txn    int   `json:"txn"`
+	From   int   `json:"from"`
+	To     int   `json:"to"`
+	Depart int64 `json:"depart"`
+	Arrive int64 `json:"arrive"`
+	Used   int64 `json:"used"`
+}
+
+// Exec is one transaction commit.
+type Exec struct {
+	Txn  int   `json:"txn"`
+	Node int   `json:"node"`
+	Step int64 `json:"step"`
+}
+
+// Series is a per-step time series, possibly downsampled: Values[i] covers
+// steps [i·Stride, (i+1)·Stride) and holds the maximum over the window.
+type Series struct {
+	Stride int64   `json:"stride"`
+	Values []int64 `json:"values"`
+}
+
+// NodeDepth is the peak number of objects queued (arrived but not yet
+// consumed) at one node.
+type NodeDepth struct {
+	Node int   `json:"node"`
+	Peak int64 `json:"peak"`
+}
+
+// ScheduleMetrics is the time-resolved shape of one run's schedule.
+type ScheduleMetrics struct {
+	Makespan int64 `json:"makespan"`
+	// TxnLatencyP50/P90/P99/Max summarize per-transaction latency: the
+	// step at which each transaction commits, counted from batch
+	// activation at step 0.
+	TxnLatencyP50 int64 `json:"txn_latency_p50"`
+	TxnLatencyP90 int64 `json:"txn_latency_p90"`
+	TxnLatencyP99 int64 `json:"txn_latency_p99"`
+	TxnLatencyMax int64 `json:"txn_latency_max"`
+	// ObjectTravel[o] is the total distance object o travels.
+	ObjectTravel []int64 `json:"object_travel"`
+	// TotalTravel is the summed travel (= the simulator's CommCost).
+	TotalTravel int64 `json:"total_travel"`
+	// QueueDepth is the total number of objects sitting at some
+	// requester's node waiting to be used, per step.
+	QueueDepth Series `json:"queue_depth"`
+	// PeakQueueDepth lists nodes by their peak local queue depth
+	// (descending; ties by node ID), capped at the 16 hottest nodes.
+	PeakQueueDepth []NodeDepth `json:"peak_queue_depth"`
+	// LinkUtilization is the number of objects in transit (occupying
+	// links) per step — the network-load profile of the schedule.
+	LinkUtilization Series `json:"link_utilization"`
+	// CriticalPath is the longest chain of tight object handoffs
+	// (T_{i+1} executes exactly when T_i's object can first arrive);
+	// its length is what pins the makespan from below.
+	CriticalPath []int `json:"critical_path"`
+}
+
+// SortSpans puts span lists in their canonical export order: moves by
+// (object, depart), execs by (step, txn).
+func SortSpans(moves []Move, execs []Exec) {
+	sort.Slice(moves, func(i, j int) bool {
+		if moves[i].Object != moves[j].Object {
+			return moves[i].Object < moves[j].Object
+		}
+		return moves[i].Depart < moves[j].Depart
+	})
+	sort.Slice(execs, func(i, j int) bool {
+		if execs[i].Step != execs[j].Step {
+			return execs[i].Step < execs[j].Step
+		}
+		return execs[i].Txn < execs[j].Txn
+	})
+}
+
 // stageRec is one pipeline stage completion within a run.
 type stageRec struct {
 	Stage  string
@@ -42,12 +124,7 @@ func (c *Collector) sortedRuns() []*runTrace {
 	runs := make([]*runTrace, len(c.runs))
 	copy(runs, c.runs)
 	c.mu.Unlock()
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].Job != runs[j].Job {
-			return runs[i].Job < runs[j].Job
-		}
-		return runs[i].Name < runs[j].Name
-	})
+	sortRuns(runs)
 	return runs
 }
 

@@ -17,7 +17,8 @@ import (
 // FuzzVerifiersAgree differentially tests the two independent Definition 1
 // verifiers, schedule.Validate (the ChainChecker) and the step-by-step
 // simulator sim.Run. Every scheduler family's output on a tiny seeded
-// instance must pass both; a mutated copy (one commit pulled a step
+// instance must pass both, with CommCost equal to the simulator's
+// measured communication cost; a mutated copy (one commit pulled a step
 // earlier, or the times of two conflicting transactions swapped) must get
 // the same verdict from both.
 func FuzzVerifiersAgree(f *testing.F) {
@@ -76,8 +77,12 @@ func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pic
 	if err := s.Validate(in); err != nil {
 		t.Fatalf("%s: Validate rejects: %v", name, err)
 	}
-	if _, err := sim.Run(in, s, sim.Options{}); err != nil {
+	res, err := sim.Run(in, s, sim.Options{})
+	if err != nil {
 		t.Fatalf("%s: sim rejects: %v", name, err)
+	}
+	if c := s.CommCost(in); c != res.CommCost {
+		t.Fatalf("%s: CommCost %d, sim measured %d", name, c, res.CommCost)
 	}
 	bad := s.Clone()
 	mutate(in, bad, pick, swap)

@@ -11,9 +11,9 @@
 package schedule
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
 )
 
@@ -44,42 +44,45 @@ func (s *Schedule) Makespan() int64 {
 // time (ties broken by transaction ID; a feasible schedule has no ties
 // among users of a shared object).
 func (s *Schedule) Order(in *tm.Instance, o tm.ObjectID) []tm.TxnID {
-	users := in.Users(o)
-	out := make([]tm.TxnID, len(users))
-	copy(out, users)
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := s.Times[out[i]], s.Times[out[j]]
-		if ti != tj {
-			return ti < tj
+	return s.orderInto(nil, in, o)
+}
+
+// orderInto is Order writing into buf's storage.
+func (s *Schedule) orderInto(buf []tm.TxnID, in *tm.Instance, o tm.ObjectID) []tm.TxnID {
+	out := append(buf[:0], in.Users(o)...)
+	slices.SortFunc(out, func(a, b tm.TxnID) int {
+		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
 	return out
 }
 
-// Route returns the nodes object o visits under s: its home followed by
-// its requesters' nodes in execution order. Consecutive duplicates are
-// collapsed (an object already at the right node does not move).
-func (s *Schedule) Route(in *tm.Instance, o tm.ObjectID) []graph.NodeID {
-	route := []graph.NodeID{in.Home[o]}
-	for _, id := range s.Order(in, o) {
-		v := in.Txns[id].Node
-		if route[len(route)-1] != v {
-			route = append(route, v)
+// Travel returns each object's travel under s: the summed distance from
+// its home through its requesters' nodes in execution order. It is the
+// one per-object walk behind CommCost, the collector's travel histogram,
+// and the analysis reports.
+func (s *Schedule) Travel(in *tm.Instance) []int64 {
+	travel := make([]int64, in.NumObjects)
+	var order []tm.TxnID
+	for o := range travel {
+		order = s.orderInto(order, in, tm.ObjectID(o))
+		at := in.Home[o]
+		for _, id := range order {
+			travel[o] += in.Dist(at, in.Txns[id].Node)
+			at = in.Txns[id].Node
 		}
 	}
-	return route
+	return travel
 }
 
 // CommCost returns the total communication cost: the summed shortest-path
 // distance traversed by all objects along their routes.
 func (s *Schedule) CommCost(in *tm.Instance) int64 {
 	var total int64
-	for o := 0; o < in.NumObjects; o++ {
-		r := s.Route(in, tm.ObjectID(o))
-		for i := 0; i+1 < len(r); i++ {
-			total += in.Dist(r[i], r[i+1])
-		}
+	for _, d := range s.Travel(in) {
+		total += d
 	}
 	return total
 }

@@ -101,10 +101,12 @@ func TestOrderAndRoute(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
 		t.Fatalf("Order = %v", order)
 	}
-	route := s.Route(in, 0) // home node0 → txn1@node1 → txn0@node0
-	want := []graph.NodeID{0, 1, 0}
-	if len(route) != 3 || route[0] != want[0] || route[1] != want[1] || route[2] != want[2] {
-		t.Fatalf("Route = %v, want %v", route, want)
+	// obj0 routes home node0 → txn1@node1 → txn0@node0 (1+1); obj1
+	// routes home node3 → txn1@node1 → txn2@node3 (2+2).
+	travel := s.Travel(in)
+	want := []int64{2, 4}
+	if len(travel) != 2 || travel[0] != want[0] || travel[1] != want[1] {
+		t.Fatalf("Travel = %v, want %v", travel, want)
 	}
 }
 
@@ -113,8 +115,8 @@ func TestRouteCollapsesStationaryObject(t *testing.T) {
 	g.AddUnitEdge(0, 1)
 	in := tm.NewInstance(g, nil, 1, []tm.Txn{{Node: 0, Objects: []tm.ObjectID{0}}}, []graph.NodeID{0})
 	s := &Schedule{Times: []int64{1}}
-	if r := s.Route(in, 0); len(r) != 1 {
-		t.Fatalf("Route = %v, want just the home", r)
+	if tr := s.Travel(in); len(tr) != 1 || tr[0] != 0 {
+		t.Fatalf("Travel = %v, want the object to stay home", tr)
 	}
 	if c := s.CommCost(in); c != 0 {
 		t.Fatalf("CommCost = %d, want 0", c)

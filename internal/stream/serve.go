@@ -204,6 +204,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		depth = 1
 	}
 	col := cfg.Collector
+	m := newServeMetrics(col.Registry())
 
 	// Fault-tolerant serving state. Everything in this block is inert
 	// when the injector is nil or empty: no requeue checks, no breaker,
@@ -302,7 +303,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				continue
 			}
 			committed += int64(wj.size)
-			col.StreamCommit(wj.size)
+			m.committed().Add(int64(wj.size))
 			if resCh != nil {
 				oc := windowOutcome{index: wj.index, inflation: 1}
 				if fr := results[0].Report.Fault; fr != nil && wj.plannedEnd > wj.cutClock {
@@ -357,10 +358,12 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		reported++
 		outcomes++
 		sumInfl += oc.inflation
+		m.faultWindows().Inc()
 		if oc.degraded {
 			res.DegradedWindows++
+			m.faultDegraded().Inc()
 		}
-		col.StreamFaultWindow(oc.inflation, oc.degraded)
+		m.inflation().Observe(int64(oc.inflation*100 + 0.5))
 		inflHist = append(inflHist, oc.inflation)
 		if len(inflHist) > breakerWin {
 			inflHist = inflHist[1:]
@@ -374,12 +377,12 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		case !breakerOpen && mean >= trip:
 			breakerOpen = true
 			res.BreakerTrips++
-			col.StreamBreaker(true)
+			m.trips().Inc()
 			hash64(digestBreaker, int64(oc.index), 1)
 		case breakerOpen && mean <= reset:
 			breakerOpen = false
 			res.BreakerRecoveries++
-			col.StreamBreaker(false)
+			m.recoveries().Inc()
 			hash64(digestBreaker, int64(oc.index), 0)
 		}
 	}
@@ -464,7 +467,11 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		res.Admitted += admitted
 		res.Rejected += rejected
 		res.Blocked += blocked
-		col.StreamAdmit(admitted, rejected, blocked, len(queue))
+		addCount(m.admitted, admitted)
+		addCount(m.rejected, rejected)
+		addCount(m.blocked, blocked)
+		m.queueDepth().Set(int64(len(queue)))
+		m.queuePeak().Max(int64(len(queue)))
 		return nil
 	}
 
@@ -568,8 +575,10 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				res.RequeuePeak = backlog
 			}
 			if requeuedNow > 0 || shedNow > 0 {
-				col.StreamRequeue(requeuedNow, backlog)
-				col.StreamShed(shedNow)
+				addCount(m.requeued, requeuedNow)
+				addCount(m.shed, shedNow)
+				m.requeueDepth().Set(int64(backlog))
+				m.requeuePeak().Max(int64(backlog))
 			}
 			if len(cut) == 0 {
 				// Everything eligible was requeued or shed: advance the
@@ -646,10 +655,9 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		// Window accounting: latency (cut → last commit), per-member
 		// response times, communication cost, and the determinism
 		// digest over (seq, commit) pairs.
-		responses := make([]int64, len(cut))
 		for i, it := range cut {
 			r := s.Times[in.Txns[i].ID] - it.Arrive
-			responses[i] = r
+			m.response().Observe(r)
 			totalResp += float64(r)
 			if r > res.MaxResponse {
 				res.MaxResponse = r
@@ -657,7 +665,9 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 			hash64(int64(it.Seq), s.Times[in.Txns[i].ID])
 		}
 		res.CommCost += s.CommCost(in)
-		col.StreamWindow(len(cut), windowEnd-clock, responses)
+		m.windows().Inc()
+		m.windowSize().Observe(int64(len(cut)))
+		m.windowLatency().Observe(windowEnd - clock)
 		res.WindowSizes = append(res.WindowSizes, len(cut))
 
 		cancelC := ctx.Done()
@@ -696,4 +706,57 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Digest = digest.Sum64()
 	return res, nil
+}
+
+// serveMetrics holds one Serve call's registry handles: admission
+// outcomes, window shape and latency, per-transaction response times,
+// and the fault layer's requeue, shed, breaker, and inflation series.
+// Each handle resolves on its first call, so a series the run never
+// touches stays out of the exposition; a nil registry resolves nil
+// handles, whose methods do nothing.
+type serveMetrics struct {
+	admitted, rejected, blocked, windows, committed  func() *obs.Counter
+	requeued, shed, trips, recoveries                func() *obs.Counter
+	faultWindows, faultDegraded                      func() *obs.Counter
+	queueDepth, queuePeak, requeueDepth, requeuePeak func() *obs.Gauge
+	windowSize, windowLatency, response, inflation   func() *obs.Histogram
+}
+
+func newServeMetrics(reg *obs.Registry) *serveMetrics {
+	c := func(name string) func() *obs.Counter { return once(func() *obs.Counter { return reg.Counter(name) }) }
+	g := func(name string) func() *obs.Gauge { return once(func() *obs.Gauge { return reg.Gauge(name) }) }
+	h := func(name string) func() *obs.Histogram {
+		return once(func() *obs.Histogram { return reg.Histogram(name, nil) })
+	}
+	return &serveMetrics{
+		admitted: c("stream_admitted_total"), rejected: c("stream_rejected_total"),
+		blocked: c("stream_blocked_total"), windows: c("stream_windows_total"),
+		committed: c("stream_committed_total"), requeued: c("stream_requeue_total"),
+		shed: c("stream_shed_total"), trips: c("stream_breaker_trips_total"),
+		recoveries:   c("stream_breaker_recoveries_total"),
+		faultWindows: c("stream_fault_windows_total"), faultDegraded: c("stream_fault_degraded_total"),
+		queueDepth: g("stream_queue_depth"), queuePeak: g("stream_queue_depth_peak"),
+		requeueDepth: g("stream_requeue_depth"), requeuePeak: g("stream_requeue_depth_peak"),
+		windowSize: h("stream_window_size"), windowLatency: h("stream_window_latency_steps"),
+		response: h("stream_txn_response_steps"), inflation: h("stream_fault_inflation_pct"),
+	}
+}
+
+// addCount adds a nonzero delta to c, so a zero never creates the series.
+func addCount(c func() *obs.Counter, d int64) {
+	if d != 0 {
+		c().Add(d)
+	}
+}
+
+// once memoizes resolve: the first call resolves, later calls reuse it.
+func once[H any](resolve func() H) func() H {
+	var h H
+	done := false
+	return func() H {
+		if !done {
+			h, done = resolve(), true
+		}
+		return h
+	}
 }

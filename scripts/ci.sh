@@ -25,9 +25,19 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== obs import guard =="
+# obs is domain-agnostic: publishers write their own series, so its
+# non-test code imports no package of this module.
+if go list -f '{{join .Imports "\n"}}' ./internal/obs | grep -q '^dtmsched/'; then
+    echo "internal/obs imports a dtmsched package:" >&2
+    go list -f '{{join .Imports "\n"}}' ./internal/obs | grep '^dtmsched/' >&2
+    exit 1
+fi
+
 echo "== obs no-op overhead guard =="
 # A nil *obs.Collector must cost the engine pipeline nothing: the guard
-# test asserts 0 allocs/op across every nil-receiver method.
+# test asserts 0 allocs/op across every nil-receiver method and the nil
+# registry handles publishers write through.
 go test ./internal/obs -run 'TestNilCollectorZeroAllocs|TestNilRegistry' -count=1
 
 echo "== distance oracle guards =="
@@ -71,13 +81,26 @@ echo "== obs/v2 ledger + exposition guards =="
 # The Prometheus exposition must stay byte-deterministic (golden file),
 # registry updates must stay zero-alloc while a scrape is in flight, the
 # regression gate must flag a synthetic 2× slowdown and pass identical
-# ledgers (self-test at both the library and CLI layers), and nil
-# ledger/profiler hooks must keep the engine hot path allocation-free.
+# ledgers (self-test at both the library and CLI layers), a never-seen
+# count, time counter, and histogram must reach the ledger and the gate
+# with no obs edit, and nil ledger/profiler hooks must keep the engine
+# hot path allocation-free.
 go test ./internal/obs -run 'TestPromGolden|TestPromDeterministic|TestPromParseable|TestRegistryUpdateZeroAllocDuringScrape' -count=1
-go test ./internal/obs -run 'TestCompareGateSelfTest|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerProfilerZeroAllocs' -count=1
+go test ./internal/obs -run 'TestCompareGateSelfTest|TestGateNewSeries|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerProfilerZeroAllocs' -count=1
 go test ./internal/engine -run 'TestLedgerHook|TestProfilerHook' -count=1
 go test ./cmd/dtmsched -run 'TestBenchGate|TestBenchRecordSmoke' -count=1
 go test ./cmd/dtmbench -run 'TestPublishPrefix' -count=1
+
+echo "== ledger count determinism =="
+# Count series are exact at every worker count: two parallel runs of the
+# same experiment must gate clean on counts alone (the time threshold is
+# opened wide so only count series can fail).
+det_tmp=$(mktemp -d)
+for run in a b; do
+    go run ./cmd/dtmbench -quick -only E10 -parallel 2 -ledger "$det_tmp/$run.jsonl" >/dev/null
+done
+go run ./cmd/dtmsched bench gate -time-threshold 10 "$det_tmp/a.jsonl" "$det_tmp/b.jsonl" >/dev/null
+rm -rf "$det_tmp"
 
 echo "== online loop guards =="
 # The online executor's steady-state tick must not allocate per step
