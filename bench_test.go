@@ -235,9 +235,10 @@ func BenchmarkLowerBound(b *testing.B) {
 }
 
 // BenchmarkLowerCompute compares the certified-bound cost tiers on one
-// instance: the serial witness computation, the worker-pooled variant,
-// and a warm oracle hit (the steady state of batch sweeps, where jobs
-// sharing an instance pay a pointer load).
+// instance: the witness computation (every walk and tour), the value
+// path (closed forms, brackets, pruned Held–Karp), and a warm oracle hit
+// (the steady state of batch sweeps, where jobs sharing an instance pay a
+// pointer load).
 func BenchmarkLowerCompute(b *testing.B) {
 	in := cliqueInstance(256, 64, 2)
 	b.Run("serial", func(b *testing.B) {
@@ -246,10 +247,10 @@ func BenchmarkLowerCompute(b *testing.B) {
 			lower.ComputeOpts(in, lower.Options{Witness: true})
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("value", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			lower.ComputeOpts(in, lower.Options{Workers: 4, Witness: true})
+			lower.ComputeOpts(in, lower.Options{})
 		}
 	})
 	b.Run("oracle-warm", func(b *testing.B) {

@@ -182,7 +182,6 @@ func main() {
 		md        = flag.Bool("md", false, "emit Markdown headings (for EXPERIMENTS.md)")
 		csv       = flag.Bool("csv", false, "emit tables as CSV (one block per experiment) for plotting")
 		parallel  = flag.Int("parallel", 0, "engine workers per experiment sweep (0 = GOMAXPROCS)")
-		lowerw    = flag.Int("lowerworkers", 0, "workers per certified lower-bound computation (0/1 = serial); bounds are identical at every count")
 		shardw    = flag.Int("shardworkers", 0, "hierarchical shard workers for E22 (0 = GOMAXPROCS); schedules are identical at every count")
 		precomp   = flag.String("precompute", "auto", "all-pairs distance matrix for graph-backed metrics: auto (small graphs only), on, off")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
@@ -209,7 +208,6 @@ func main() {
 	cfg.Quick = *quick
 	cfg.Trials = *trials
 	cfg.Workers = *parallel
-	cfg.LowerWorkers = *lowerw
 	cfg.HierWorkers = *shardw
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -319,7 +317,7 @@ func main() {
 		// bound query of the experiment shares it (k algorithms × t trials
 		// on one instance compute the bound once), while its instances
 		// stay collectable after the experiment ends.
-		cfg.LowerOracle = lower.NewOracle(lower.Options{Workers: cfg.LowerWorkers, Witness: true})
+		cfg.LowerOracle = lower.NewOracle(lower.Options{})
 		res, err := e.Run(cfg)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	dtm "dtmsched"
 	"dtmsched/internal/analysis"
@@ -320,7 +319,7 @@ func runLoaded(path, alg string, analyze, trace bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	lb := lower.ComputeOpts(in, lower.Options{Workers: runtime.GOMAXPROCS(0)})
+	lb := lower.ComputeOpts(in, lower.Options{})
 	ratio := 0.0
 	if lb.Value > 0 {
 		ratio = float64(res.Makespan) / float64(lb.Value)

@@ -56,14 +56,11 @@ type Options struct {
 	Retry RetryPolicy
 	// LowerOracle serves every job's Measure-stage certified bound from
 	// a shared per-instance cache (jobs with their own Job.LowerOracle
-	// keep it). Nil gets a fresh oracle scoped to this batch, so sweeps
-	// running k algorithms × t trials against one instance compute its
-	// bound once; the batch scope keeps retired instances collectable.
+	// keep it). Nil gets a fresh value-path oracle scoped to this batch
+	// when some job computes a bound, so sweeps running k algorithms × t
+	// trials against one instance compute its bound once; the batch
+	// scope keeps retired instances collectable.
 	LowerOracle *lower.Oracle
-	// LowerWorkers is the worker count for bound computations the batch
-	// oracle performs on a miss (≤ 1 = serial). Only consulted when
-	// LowerOracle is nil.
-	LowerWorkers int
 }
 
 // JobResult pairs one job with its outcome. Err is nil on success. On
@@ -147,8 +144,10 @@ func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error)
 		workers = len(jobs)
 	}
 	oracle := opt.LowerOracle
-	if oracle == nil {
-		oracle = lower.NewOracle(lower.Options{Workers: opt.LowerWorkers, Witness: true})
+	for i := 0; oracle == nil && i < len(jobs); i++ {
+		if !jobs[i].SkipLowerBound && jobs[i].LowerOracle == nil {
+			oracle = lower.NewOracle(lower.Options{})
+		}
 	}
 	results := make([]JobResult, len(jobs))
 	var next atomic.Int64

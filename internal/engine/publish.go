@@ -59,9 +59,10 @@ func publishStats(reg *obs.Registry, stats map[string]int64) {
 }
 
 // publishLower records one Measure-stage certified-bound query: cache
-// hits versus fresh computations as counters, plus compute wall time and
-// the bound's exact-vs-MST per-object split as histograms (computations
-// only, so distributions count each distinct bound once).
+// hits versus fresh computations as counters, the bound's per-object
+// layer split (exact, closed-form, pruned, MST-bounded) as counters, plus
+// compute wall time and the exact-vs-MST split as histograms
+// (computations only, so distributions count each distinct bound once).
 func publishLower(reg *obs.Registry, hit bool, wall time.Duration, b *lower.Bound) {
 	if reg == nil {
 		return
@@ -73,6 +74,8 @@ func publishLower(reg *obs.Registry, hit bool, wall time.Duration, b *lower.Boun
 	reg.Counter("lower_computations_total").Inc()
 	reg.Counter("lower_compute_ns_total").Add(wall.Nanoseconds())
 	reg.Counter("lower_exact_objects_total").Add(int64(b.ExactObjects))
+	reg.Counter("lower_closed_form_objects_total").Add(int64(b.ClosedFormObjects))
+	reg.Counter("lower_pruned_objects_total").Add(int64(b.PrunedObjects))
 	reg.Counter("lower_bounded_objects_total").Add(int64(b.BoundedObjects))
 	reg.Histogram("lower_compute_us", nil).Observe(wall.Microseconds())
 	reg.Histogram("lower_exact_objects", nil).Observe(int64(b.ExactObjects))

@@ -7,6 +7,7 @@ import (
 	"dtmsched/internal/baseline"
 	"dtmsched/internal/core"
 	"dtmsched/internal/engine"
+	"dtmsched/internal/lower"
 	"dtmsched/internal/stats"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -55,7 +56,9 @@ func runLB(cfg Config, id, title, ref string, build func(s int) tm.Blocked) (*Re
 		if err := li.Validate(); err != nil {
 			return nil, fmt.Errorf("%s: invalid instance: %w", id, err)
 		}
-		lb := cfg.bound(li.Instance)
+		// The gap column reads the objects' tours, which only the
+		// witness path solves.
+		lb := lower.Compute(li.Instance)
 		cap10 := int64(10 * s * s)
 		if lb.MaxWalkUB > cap10 {
 			walkOK = false

@@ -77,10 +77,6 @@ type Config struct {
 	// Empty keeps the experiment's default ladder; a 0 entry is the
 	// fault-free baseline column.
 	FaultRates []float64
-	// LowerWorkers is the worker count for certified-bound computations
-	// (≤ 1 = serial). Purely a performance knob: bounds are byte-identical
-	// at every worker count.
-	LowerWorkers int
 	// LowerOracle, when set, caches certified bounds per instance across
 	// everything this config runs — engine sweeps and the experiments'
 	// direct bound queries alike. Nil scopes a fresh oracle to each
@@ -93,14 +89,14 @@ type Config struct {
 }
 
 // bound returns the certified lower bound for in, through the shared
-// oracle when one is configured, else a direct witness-free computation
+// oracle when one is configured, else a direct value-path computation
 // (the experiments' own queries only read the scalar fields).
 func (c Config) bound(in *tm.Instance) lower.Bound {
 	if c.LowerOracle != nil {
 		b, _ := c.LowerOracle.Get(in)
 		return *b
 	}
-	return lower.ComputeOpts(in, lower.Options{Workers: c.LowerWorkers})
+	return lower.ComputeOpts(in, lower.Options{})
 }
 
 // prepare applies the precompute policy to a freshly built instance. It
@@ -295,11 +291,10 @@ func (s *sweep) run() ([][]cell, error) {
 		s.endCell()
 	}
 	results, err := engine.RunBatch(s.cfg.context(), s.jobs, engine.Options{
-		Workers:      s.cfg.Workers,
-		Collector:    s.cfg.Collector,
-		Hook:         s.cfg.Hook,
-		LowerOracle:  s.cfg.LowerOracle,
-		LowerWorkers: s.cfg.LowerWorkers,
+		Workers:     s.cfg.Workers,
+		Collector:   s.cfg.Collector,
+		Hook:        s.cfg.Hook,
+		LowerOracle: s.cfg.LowerOracle,
 	})
 	if err != nil {
 		return nil, err

@@ -14,21 +14,17 @@
 // (makespan / bound) can only overstate an algorithm's distance from
 // optimal, never understate it.
 //
-// The bound depends only on the instance, so the package provides three
-// cost tiers: Compute (serial, full witnesses — the original API),
-// ComputeOpts (worker-pooled per-object solves with a canonical-site-set
-// memo and an optional witness-free fast path), and Oracle (per-instance
-// one-shot publication so repeated queries for the same instance cost a
-// pointer load). All three produce byte-identical Bound values for a
-// given instance at every worker count.
+// The bound depends only on the instance, so the package provides two
+// computations and a cache: ComputeOpts(in, Options{}) is the value path
+// (closed-form tree walks, MST/heuristic brackets, and Held–Karp only for
+// objects that could still raise the maximum; no tours), Compute — equal
+// to ComputeOpts with Options{Witness: true} — solves every object's walk
+// and tour and keeps them as witnesses, and Oracle publishes one bound
+// per instance so repeated queries cost a pointer load. Both paths agree
+// on Value, MaxUse, MaxWalkLB/UB and ExactObjects/BoundedObjects.
 package lower
 
 import (
-	"encoding/binary"
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -67,69 +63,58 @@ type Bound struct {
 	// MaxWalkLB / MaxWalkUB bracket the longest shortest object walk.
 	MaxWalkLB, MaxWalkUB int64
 	// MaxTourLB / MaxTourUB bracket the longest optimal object TSP tour.
+	// Zero on the value path, which solves no tours.
 	MaxTourLB, MaxTourUB int64
-	// ExactObjects counts requested objects whose walk was solved
-	// exactly (≤ tsp.ExactLimit requesters); BoundedObjects counts those
+	// ExactObjects counts requested objects whose walk has at most
+	// tsp.ExactLimit distinct sites and is therefore known exactly (or
+	// proven unable to raise the maximum); BoundedObjects counts those
 	// that got MST/heuristic bounds instead.
 	ExactObjects, BoundedObjects int
+	// ClosedFormObjects and PrunedObjects split ExactObjects on the
+	// value path: walks settled without Held–Karp (at most one site, the
+	// tree closed form, or a bracket whose ends meet), and walks whose
+	// bracket showed they cannot raise MaxWalkLB, so they were never
+	// solved. The rest went through Held–Karp. Both are zero on the
+	// witness path, which solves every object.
+	ClosedFormObjects, PrunedObjects int
 	// PerObject has one entry per object that is requested at all.
-	// Empty when the bound was computed witness-free (Options.Witness
-	// false); the scalar fields above are always populated.
+	// Empty on the value path (Options.Witness false); the scalar fields
+	// above are always populated.
 	PerObject []ObjectDetail
 }
 
-// Options controls how ComputeOpts runs. The zero value reproduces the
-// historical Compute behavior minus witnesses.
+// Options controls how ComputeOpts runs. The zero value is the value
+// path.
 type Options struct {
-	// Workers is the number of goroutines solving per-object TSP work;
-	// values ≤ 1 solve serially. The resulting Bound is byte-identical
-	// at every worker count.
-	Workers int
-	// Witness populates Bound.PerObject. Callers that only need the
-	// scalar bound (engines computing ratios) leave it false and skip
-	// the per-object allocation.
+	// Witness solves every object's walk and tour and populates
+	// Bound.PerObject and MaxTour*. Callers that only need the scalar
+	// bound (engines computing ratios) leave it false.
 	Witness bool
 }
 
 // Compute derives the certified bound for an instance with full
-// witnesses, serially. Equivalent to ComputeOpts(in, Options{Witness:
-// true}); kept as the stable original API.
+// witnesses. Equivalent to ComputeOpts(in, Options{Witness: true}); kept
+// as the stable original API.
 func Compute(in *tm.Instance) Bound {
 	return ComputeOpts(in, Options{Witness: true})
 }
 
-// solveItem is one unit of TSP work: a home-rooted walk or a closed tour
-// over a site list. Objects with identical canonical site sets share one
-// item (the exact Held–Karp result depends only on the set), so
-// clique/star sweeps where many objects see the same requester sites
-// solve each distinct set once.
-type solveItem struct {
-	walk  bool
-	home  graph.NodeID
-	sites []graph.NodeID
-	res   tsp.Bounds
-}
-
-// objRef ties a requested object to its walk and tour items.
-type objRef struct {
-	obj          tm.ObjectID
-	users        int
-	walkI, tourI int
-}
-
-// ComputeOpts derives the certified bound for an instance. Per-object
-// walk/tour solves fan over opt.Workers goroutines (each with its own
-// reusable tsp.Solver) and merge deterministically in object order, so
-// the result is byte-identical to the serial computation at every worker
-// count.
+// ComputeOpts derives the certified bound for an instance: the value path
+// by default, the full per-object walk and tour solve with opt.Witness.
 func ComputeOpts(in *tm.Instance, opt Options) Bound {
+	if !opt.Witness {
+		return computeValue(in)
+	}
+	return computeWitness(in)
+}
+
+// computeWitness solves every requested object's walk and tour on one
+// reusable solver, in object order.
+func computeWitness(in *tm.Instance) Bound {
 	var (
-		items    []solveItem
-		refs     []objRef
-		walkMemo = make(map[string]int)
-		tourMemo = make(map[string]int)
-		keyBuf   []byte
-		canon    []graph.NodeID
+		b     Bound
+		s     tsp.Solver
+		sites []graph.NodeID
 	)
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
@@ -137,170 +122,30 @@ func ComputeOpts(in *tm.Instance, opt Options) Bound {
 		if len(users) == 0 {
 			continue
 		}
-		sites := make([]graph.NodeID, len(users))
-		for i, id := range users {
-			sites[i] = in.Txns[id].Node
-		}
-		home := in.Home[oid]
-
-		// Canonical sorted site set. Exact solves (unique count ≤
-		// tsp.ExactLimit) depend only on the set, so they memoize; the
-		// heuristic path beyond the limit is order-dependent and must
-		// see the original sequence to keep bounds byte-identical.
-		canon = append(canon[:0], sites...)
-		sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-		uniq := canon[:0]
-		for i, v := range canon {
-			if i > 0 && v == canon[i-1] {
-				continue
-			}
-			uniq = append(uniq, v)
-		}
-
-		// Walk: home is removed by the solver, so the canonical walk
-		// set excludes it.
-		walkUniq := 0
-		for _, v := range uniq {
-			if v != home {
-				walkUniq++
-			}
-		}
-		walkI := -1
-		if walkUniq <= tsp.ExactLimit {
-			keyBuf = keyBuf[:0]
-			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(home))
-			for _, v := range uniq {
-				if v != home {
-					keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(v))
-				}
-			}
-			if i, ok := walkMemo[string(keyBuf)]; ok {
-				walkI = i
-			} else {
-				set := make([]graph.NodeID, 0, walkUniq)
-				for _, v := range uniq {
-					if v != home {
-						set = append(set, v)
-					}
-				}
-				walkI = len(items)
-				items = append(items, solveItem{walk: true, home: home, sites: set})
-				walkMemo[string(keyBuf)] = walkI
-			}
-		} else {
-			walkI = len(items)
-			items = append(items, solveItem{walk: true, home: home, sites: sites})
-		}
-
-		// Tour: no fixed root; the canonical set is the whole site set.
-		tourI := -1
-		if len(uniq) <= tsp.ExactLimit {
-			keyBuf = keyBuf[:0]
-			for _, v := range uniq {
-				keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(v))
-			}
-			if i, ok := tourMemo[string(keyBuf)]; ok {
-				tourI = i
-			} else {
-				tourI = len(items)
-				items = append(items, solveItem{sites: append([]graph.NodeID(nil), uniq...)})
-				tourMemo[string(keyBuf)] = tourI
-			}
-		} else {
-			tourI = len(items)
-			items = append(items, solveItem{sites: sites})
-		}
-
-		refs = append(refs, objRef{obj: oid, users: len(users), walkI: walkI, tourI: tourI})
-	}
-
-	solveAll(in.Metric, items, opt.Workers)
-
-	b := Bound{}
-	if opt.Witness {
-		b.PerObject = make([]ObjectDetail, 0, len(refs))
-	}
-	for _, r := range refs {
+		sites = objectSites(in, users, sites[:0])
 		d := ObjectDetail{
-			Object: r.obj,
-			Users:  r.users,
-			Walk:   items[r.walkI].res,
-			Tour:   items[r.tourI].res,
+			Object: oid,
+			Users:  len(users),
+			Walk:   s.Walk(in.Metric, in.Home[oid], sites),
+			Tour:   s.Tour(in.Metric, sites),
 		}
-		if opt.Witness {
-			b.PerObject = append(b.PerObject, d)
-		}
+		b.PerObject = append(b.PerObject, d)
 		if d.Walk.Exact {
 			b.ExactObjects++
 		} else {
 			b.BoundedObjects++
 		}
-		if d.Users > b.MaxUse {
-			b.MaxUse = d.Users
-		}
-		if d.Walk.LB > b.MaxWalkLB {
-			b.MaxWalkLB = d.Walk.LB
-		}
-		if d.Walk.UB > b.MaxWalkUB {
-			b.MaxWalkUB = d.Walk.UB
-		}
-		if d.Tour.LB > b.MaxTourLB {
-			b.MaxTourLB = d.Tour.LB
-		}
-		if d.Tour.UB > b.MaxTourUB {
-			b.MaxTourUB = d.Tour.UB
-		}
-		if lb := d.LB(); lb > b.Value {
-			b.Value = lb
-		}
+		b.MaxUse = max(b.MaxUse, d.Users)
+		b.MaxWalkLB = max(b.MaxWalkLB, d.Walk.LB)
+		b.MaxWalkUB = max(b.MaxWalkUB, d.Walk.UB)
+		b.MaxTourLB = max(b.MaxTourLB, d.Tour.LB)
+		b.MaxTourUB = max(b.MaxTourUB, d.Tour.UB)
+		b.Value = max(b.Value, d.LB())
 	}
 	if b.Value < 1 && in.NumTxns() > 0 {
 		b.Value = 1
 	}
 	return b
-}
-
-// solveAll fills every item's res, fanning over workers goroutines (each
-// with a private reusable solver) when workers > 1. Item results are
-// independent of scheduling, so any interleaving yields the same Bound.
-func solveAll(m graph.Metric, items []solveItem, workers int) {
-	if workers <= 1 || len(items) < 2 {
-		s := tsp.NewSolver()
-		for i := range items {
-			it := &items[i]
-			if it.walk {
-				it.res = s.Walk(m, it.home, it.sites)
-			} else {
-				it.res = s.Tour(m, it.sites)
-			}
-		}
-		return
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := tsp.NewSolver()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				it := &items[i]
-				if it.walk {
-					it.res = s.Walk(m, it.home, it.sites)
-				} else {
-					it.res = s.Tour(m, it.sites)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ClusterSigma returns σ: the maximum, over objects, of the number of

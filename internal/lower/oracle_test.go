@@ -38,35 +38,20 @@ func zooInstances(t testing.TB) []*tm.Instance {
 	return out
 }
 
-// TestComputeOptsMatchesCompute pins the refactored path to the original
-// serial API: same witnesses, same scalars, on every topology family.
+// TestComputeOptsMatchesCompute pins the witness option to the original
+// API: same witnesses, same scalars, on every topology family.
 func TestComputeOptsMatchesCompute(t *testing.T) {
 	for i, in := range zooInstances(t) {
 		want := Compute(in)
-		got := ComputeOpts(in, Options{Workers: 4, Witness: true})
+		got := ComputeOpts(in, Options{Witness: true})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("instance %d: parallel ComputeOpts diverged\n want %+v\n  got %+v", i, want, got)
+			t.Errorf("instance %d: ComputeOpts diverged\n want %+v\n  got %+v", i, want, got)
 		}
 	}
 }
 
-// TestComputeOptsWorkerDeterminism: the Bound must be byte-identical at
-// every worker count (1, 2, 8), witnesses included.
-func TestComputeOptsWorkerDeterminism(t *testing.T) {
-	for i, in := range zooInstances(t) {
-		base := ComputeOpts(in, Options{Workers: 1, Witness: true})
-		for _, workers := range []int{2, 8} {
-			got := ComputeOpts(in, Options{Workers: workers, Witness: true})
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("instance %d: workers=%d diverged from serial\n want %+v\n  got %+v",
-					i, workers, base, got)
-			}
-		}
-	}
-}
-
-// TestComputeOptsWitnessFree: the fast path must skip PerObject but keep
-// every scalar field identical.
+// TestComputeOptsWitnessFree: the value path must skip PerObject and the
+// tours but keep every other scalar identical.
 func TestComputeOptsWitnessFree(t *testing.T) {
 	for i, in := range zooInstances(t) {
 		full := ComputeOpts(in, Options{Witness: true})
@@ -74,9 +59,11 @@ func TestComputeOptsWitnessFree(t *testing.T) {
 		if fast.PerObject != nil {
 			t.Errorf("instance %d: witness-free bound has PerObject", i)
 		}
-		full.PerObject = nil
-		if !reflect.DeepEqual(full, fast) {
-			t.Errorf("instance %d: witness-free scalars diverged\n want %+v\n  got %+v", i, full, fast)
+		if fast.MaxTourLB != 0 || fast.MaxTourUB != 0 {
+			t.Errorf("instance %d: value path solved tours: [%d,%d]", i, fast.MaxTourLB, fast.MaxTourUB)
+		}
+		if got, want := scalarsOf(fast), scalarsOf(full); got != want {
+			t.Errorf("instance %d: witness-free scalars diverged\n want %+v\n  got %+v", i, want, got)
 		}
 	}
 }

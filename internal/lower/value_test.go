@@ -1,0 +1,210 @@
+package lower
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dtmsched/internal/core"
+	"dtmsched/internal/exact"
+	"dtmsched/internal/graph"
+	"dtmsched/internal/tm"
+	"dtmsched/internal/topology"
+	"dtmsched/internal/tsp"
+)
+
+// scalars is the part of a Bound on which the value and witness paths
+// must agree.
+type scalars struct {
+	Value                        int64
+	MaxUse                       int
+	MaxWalkLB, MaxWalkUB         int64
+	ExactObjects, BoundedObjects int
+}
+
+func scalarsOf(b Bound) scalars {
+	return scalars{b.Value, b.MaxUse, b.MaxWalkLB, b.MaxWalkUB, b.ExactObjects, b.BoundedObjects}
+}
+
+// metricTopology is a graph with a closed-form metric over it.
+type metricTopology interface {
+	Graph() *graph.Graph
+	Dist(u, v graph.NodeID) int64
+}
+
+// randomTree returns a random tree on n nodes with edge weights in [1, maxW].
+func randomTree(r *rand.Rand, n int, maxW int64) *graph.Graph {
+	g := graph.New(n)
+	perm := r.Perm(n)
+	for i := 1; i < n; i++ {
+		g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[r.Intn(i)]), 1+r.Int63n(maxW))
+	}
+	return g
+}
+
+// TestTreeWalkMatchesHeldKarp pins the tree closed form to Held–Karp on
+// every tree family, for every walk-set size up to tsp.ExactLimit.
+func TestTreeWalkMatchesHeldKarp(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	type tree struct {
+		name string
+		g    *graph.Graph
+		m    graph.Metric
+	}
+	var trees []tree
+	for _, tp := range []struct {
+		name string
+		t    metricTopology
+	}{
+		{"line", topology.NewLine(30)},
+		{"star", topology.NewStar(4, 6)},
+		{"btree", topology.NewBTree(2, 4)},
+		{"lbtree", topology.NewLBTree(4)},
+		{"fogcloud", topology.NewFogCloud([]int{3, 5}, []int64{7, 2})},
+	} {
+		trees = append(trees, tree{tp.name, tp.t.Graph(), graph.FuncMetric(tp.t.Dist)})
+	}
+	for i := 0; i < 3; i++ {
+		g := randomTree(r, 20+r.Intn(15), 9)
+		trees = append(trees, tree{"random", g, g})
+	}
+	var s tsp.Solver
+	for _, tr := range trees {
+		rank := treeRank(tr.g)
+		if rank == nil {
+			t.Fatalf("%s: not recognised as a tree", tr.name)
+		}
+		n := tr.g.NumNodes()
+		for q := 0; q <= tsp.ExactLimit && q < n; q++ {
+			for trial := 0; trial < 2; trial++ {
+				perm := r.Perm(n)
+				home := graph.NodeID(perm[0])
+				terms := make([]graph.NodeID, q+1)
+				for i := range terms {
+					terms[i] = graph.NodeID(perm[i])
+				}
+				want := s.Walk(tr.m, home, terms[1:])
+				if got := treeWalk(tr.m, rank, terms); got != want.LB || !want.Exact {
+					t.Fatalf("%s q=%d: closed form %d, Held–Karp %+v", tr.name, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTreeRankRejectsNonTrees: cycles, extra edges and disconnected
+// graphs with n − 1 edges are not trees.
+func TestTreeRankRejectsNonTrees(t *testing.T) {
+	cycle := graph.New(4) // a triangle plus an isolated node: 3 edges, 4 nodes
+	cycle.AddUnitEdge(0, 1)
+	cycle.AddUnitEdge(1, 2)
+	cycle.AddUnitEdge(2, 0)
+	for name, g := range map[string]*graph.Graph{
+		"grid":         topology.NewSquareGrid(4).Graph(),
+		"clique":       topology.NewClique(5).Graph(),
+		"disconnected": cycle,
+	} {
+		if treeRank(g) != nil {
+			t.Errorf("%s: accepted as a tree", name)
+		}
+	}
+}
+
+// certifyCells mirrors the six cell shapes of the offline-certify
+// benchmark workload: topology, object count w and objects per
+// transaction k.
+var certifyCells = []struct {
+	name string
+	mk   func() metricTopology
+	w, k int
+}{
+	{"clique64", func() metricTopology { return topology.NewClique(64) }, 8, 2},
+	{"grid12", func() metricTopology { return topology.NewSquareGrid(12) }, 20, 2},
+	{"line64", func() metricTopology { return topology.NewLine(64) }, 8, 2},
+	{"star4x8", func() metricTopology { return topology.NewStar(4, 8) }, 4, 2},
+	{"cluster4x8", func() metricTopology { return topology.NewCluster(4, 8, 16) }, 4, 2},
+	{"fogcloud4x8", func() metricTopology { return topology.NewFogCloud([]int{4, 8}, []int64{8, 1}) }, 5, 2},
+}
+
+// TestValueMatchesWitness: the value path must report the witness path's
+// scalars (all but the tours) on the zoo and on 20 seeds of every
+// offline-certify cell shape, and must account for every exact object.
+func TestValueMatchesWitness(t *testing.T) {
+	check := func(name string, in *tm.Instance) {
+		t.Helper()
+		value, witness := ComputeOpts(in, Options{}), Compute(in)
+		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
+			t.Fatalf("%s: value path %+v, witness path %+v", name, got, want)
+		}
+		if value.ClosedFormObjects+value.PrunedObjects > value.ExactObjects {
+			t.Fatalf("%s: %d closed-form + %d pruned > %d exact objects",
+				name, value.ClosedFormObjects, value.PrunedObjects, value.ExactObjects)
+		}
+	}
+	for i, in := range zooInstances(t) {
+		check(fmt.Sprintf("zoo%d", i), in)
+	}
+	for _, c := range certifyCells {
+		tp := c.mk()
+		g := tp.Graph()
+		m := graph.FuncMetric(tp.Dist)
+		for seed := int64(1); seed <= 20; seed++ {
+			in := tm.UniformK(c.w, c.k).Generate(rand.New(rand.NewSource(seed)), g, m, g.Nodes(), tm.PlaceAtRandomUser)
+			check(c.name, in)
+		}
+	}
+}
+
+// TestValuePathLayers: on a tree every small walk is closed-form, and on
+// a clique (a uniform metric) every bracket closes, so neither runs
+// Held–Karp.
+func TestValuePathLayers(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, tp := range []metricTopology{topology.NewLine(64), topology.NewClique(64)} {
+		g := tp.Graph()
+		in := tm.UniformK(8, 2).Generate(r, g, graph.FuncMetric(tp.Dist), g.Nodes(), tm.PlaceAtRandomUser)
+		b := ComputeOpts(in, Options{})
+		if b.ClosedFormObjects != b.ExactObjects || b.ExactObjects == 0 {
+			t.Errorf("%s: %d of %d exact objects closed-form", g.Name(), b.ClosedFormObjects, b.ExactObjects)
+		}
+	}
+}
+
+// FuzzBoundSound checks the certified bound against ground truth on tiny
+// instances over random trees and random connected weighted graphs: the
+// value path must equal the witness path's scalars, and the bound must
+// not exceed the exact optimum, which must not exceed the greedy
+// makespan.
+func FuzzBoundSound(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + int(shape/2)%7
+		g := randomTree(r, n, 5)
+		if shape%2 == 1 {
+			for e := 1 + r.Intn(n); e > 0; e-- {
+				if u, v := r.Intn(n), r.Intn(n); u != v {
+					g.AddEdge(graph.NodeID(u), graph.NodeID(v), 1+r.Int63n(5))
+				}
+			}
+		}
+		w := 1 + r.Intn(4)
+		in := tm.UniformK(w, 1+r.Intn(min(w, 2))).Generate(r, g, nil, g.Nodes(), tm.PlaceAtRandomUser)
+
+		value, witness := ComputeOpts(in, Options{}), Compute(in)
+		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
+			t.Fatalf("value path %+v, witness path %+v", got, want)
+		}
+		greedy, err := (&core.Greedy{}).Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := exact.Optimal(in, exact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if value.Value > opt.Makespan || opt.Makespan > greedy.Makespan {
+			t.Fatalf("bound %d, exact optimum %d, greedy %d: want bound ≤ optimum ≤ greedy",
+				value.Value, opt.Makespan, greedy.Makespan)
+		}
+	})
+}

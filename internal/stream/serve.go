@@ -11,7 +11,6 @@ import (
 	"dtmsched/internal/engine"
 	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
-	"dtmsched/internal/lower"
 	"dtmsched/internal/obs"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
@@ -254,7 +253,6 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		execErr   error
 		committed int64
 	)
-	oracle := lower.NewOracle(lower.Options{})
 	execWG.Add(1)
 	go func() {
 		defer execWG.Done()
@@ -280,12 +278,11 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				job.Faults = cfg.Faults
 			}
 			results, err := engine.RunBatch(execCtx, []engine.Job{job}, engine.Options{
-				Workers:     1,
-				Hook:        cfg.Hook,
-				Collector:   col,
-				Deadline:    cfg.Deadline,
-				Retry:       cfg.Retry,
-				LowerOracle: oracle,
+				Workers:   1,
+				Hook:      cfg.Hook,
+				Collector: col,
+				Deadline:  cfg.Deadline,
+				Retry:     cfg.Retry,
 			})
 			if err == nil {
 				for _, r := range results {

@@ -37,9 +37,9 @@ type Bounds struct {
 	Exact bool
 }
 
-// Solver computes Walk and Tour bounds with reusable scratch: the DP
-// table, the flat pairwise-distance matrix, and an epoch-stamped dedupe
-// buffer all persist across calls, so solving many site sets (one per
+// Solver computes Walk, Bracket and Tour bounds with reusable scratch:
+// the DP table, the flat pairwise-distance matrix, the bracket buffers
+// and an epoch-stamped dedupe buffer all persist across calls, so solving many site sets (one per
 // object of an instance) allocates only on high-water-mark growth. A
 // Solver is not safe for concurrent use; parallel callers keep one per
 // worker. The zero value is ready to use.
@@ -49,6 +49,14 @@ type Solver struct {
 	uniq  []graph.NodeID // dedupe output buffer
 	stamp []int64        // per-node visit stamps for O(q) dedupe
 	epoch int64
+
+	// Bracket scratch: Prim keys and tree membership, the MST node
+	// list, and the nearest-neighbour pool and path.
+	key  []int64
+	done []bool
+	all  []graph.NodeID
+	pool []graph.NodeID
+	path []graph.NodeID
 }
 
 // NewSolver returns an empty solver; scratch grows on first use.
@@ -59,7 +67,7 @@ func NewSolver() *Solver { return &Solver{} }
 // start). Duplicate sites and sites equal to home are harmless. Results
 // are identical to the package-level Walk.
 func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
-	sites = s.dedupe(sites, home)
+	sites = s.Distinct(sites, home)
 	q := len(sites)
 	switch {
 	case q == 0:
@@ -71,22 +79,46 @@ func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) B
 		opt := s.heldKarpPath(m, home, sites)
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
-	all := append([]graph.NodeID{home}, sites...)
-	mst := MSTWeight(m, all)
-	path := nearestNeighborPath(m, home, sites)
-	path = twoOptPath(m, home, path)
-	ub := pathLen(m, home, path)
-	if double := 2 * mst; double < ub {
+	lb, ub := s.bracket(m, home, sites)
+	return Bounds{LB: lb, UB: ub}
+}
+
+// Bracket bounds the shortest walk from home through sites without
+// Held–Karp, in O(q²) metric queries on the solver's scratch: LB is the
+// MST weight over home ∪ sites, UB the shorter of a nearest-neighbour +
+// 2-opt path and the doubled MST. Exact reports LB == UB. It is the same
+// bracket Walk returns for sets above ExactLimit.
+func (s *Solver) Bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
+	sites = s.Distinct(sites, home)
+	if len(sites) == 0 {
+		return Bounds{Exact: true}
+	}
+	lb, ub := s.bracket(m, home, sites)
+	return Bounds{LB: lb, UB: ub, Exact: lb == ub}
+}
+
+// bracket computes Bracket's bounds over distinct sites ≠ home.
+func (s *Solver) bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) (lb, ub int64) {
+	s.all = append(append(s.all[:0], home), sites...)
+	s.key = growI64(s.key, len(s.all))
+	if cap(s.done) < len(s.all) {
+		s.done = make([]bool, len(s.all))
+	}
+	lb = primWeight(m, s.all, s.key, s.done[:len(s.all)])
+	s.pool = append(s.pool[:0], sites...)
+	s.path = nearestNeighborPath(m, home, s.pool, s.path[:0])
+	ub = pathLen(m, home, twoOptPath(m, home, s.path))
+	if double := 2 * lb; double < ub {
 		ub = double
 	}
-	return Bounds{LB: mst, UB: ub}
+	return lb, ub
 }
 
 // Tour bounds the optimal closed TSP tour through all sites (no fixed
 // start). The paper's Theorem 6 measures objects' TSP tour lengths.
 // Results are identical to the package-level Tour.
 func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
-	sites = s.dedupe(sites, -1)
+	sites = s.Distinct(sites, -1)
 	q := len(sites)
 	switch {
 	case q <= 1:
@@ -99,7 +131,7 @@ func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
 	mst := MSTWeight(m, sites)
-	path := nearestNeighborPath(m, sites[0], sites[1:])
+	path := nearestNeighborPath(m, sites[0], append([]graph.NodeID(nil), sites[1:]...), nil)
 	path = twoOptPath(m, sites[0], path)
 	var ub int64 = m.Dist(sites[0], path[len(path)-1])
 	ub += pathLen(m, sites[0], path)
@@ -126,13 +158,20 @@ func Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 // MSTWeight returns the minimum spanning tree weight over sites under
 // metric m, via Prim's algorithm in O(q²) time and O(q) space.
 func MSTWeight(m graph.Metric, sites []graph.NodeID) int64 {
+	return primWeight(m, sites, make([]int64, len(sites)), make([]bool, len(sites)))
+}
+
+// primWeight is MSTWeight over caller-provided scratch: best and inTree
+// have len(sites) cells, overwritten.
+func primWeight(m graph.Metric, sites []graph.NodeID, best []int64, inTree []bool) int64 {
 	q := len(sites)
 	if q <= 1 {
 		return 0
 	}
 	const inf = int64(math.MaxInt64)
-	inTree := make([]bool, q)
-	best := make([]int64, q)
+	for i := range inTree {
+		inTree[i] = false
+	}
 	for i := range best {
 		best[i] = inf
 	}
@@ -158,11 +197,11 @@ func MSTWeight(m graph.Metric, sites []graph.NodeID) int64 {
 	return total
 }
 
-// dedupe removes duplicates (and, when skip ≥ 0, sites equal to skip)
+// Distinct removes duplicates (and, when skip ≥ 0, sites equal to skip)
 // preserving first-occurrence order, via per-node epoch stamps: O(q) with
-// no per-call map. The returned slice is the solver's buffer, valid until
-// the next call.
-func (s *Solver) dedupe(sites []graph.NodeID, skip graph.NodeID) []graph.NodeID {
+// no per-call map. This is the set Walk solves. The returned slice is the
+// solver's buffer, valid until the next call.
+func (s *Solver) Distinct(sites []graph.NodeID, skip graph.NodeID) []graph.NodeID {
 	s.epoch++
 	out := s.uniq[:0]
 	for _, v := range sites {
@@ -317,11 +356,9 @@ func (s *Solver) heldKarpTour(m graph.Metric, sites []graph.NodeID) int64 {
 }
 
 // nearestNeighborPath orders sites by repeatedly hopping to the closest
-// unvisited site, starting from home.
-func nearestNeighborPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID) []graph.NodeID {
-	rest := make([]graph.NodeID, len(sites))
-	copy(rest, sites)
-	out := make([]graph.NodeID, 0, len(sites))
+// unvisited site, starting from home, and appends the order to out. It
+// consumes rest, a caller-owned copy of the sites.
+func nearestNeighborPath(m graph.Metric, home graph.NodeID, rest, out []graph.NodeID) []graph.NodeID {
 	cur := home
 	for len(rest) > 0 {
 		bi, bd := 0, m.Dist(cur, rest[0])

@@ -59,12 +59,12 @@ go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev
 
 echo "== lower-bound oracle guards =="
 # Warm oracle lookups must stay zero-alloc (a published bound is a
-# pointer load), ComputeOpts must produce byte-identical bounds at every
-# worker count and match the serial Compute path, concurrent first
+# pointer load), the value path must report the witness path's scalars
+# and its tree closed form must match Held–Karp, concurrent first
 # queries must race benignly under the race detector, and the cost-tier
 # benchmark must at least compile and run (1 iteration smoke — the
 # Measure-stage speedup is checked via BENCH_RESULTS.json).
-go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsWorkerDeterminism|TestComputeOptsMatchesCompute' -count=1
+go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsMatchesCompute|TestValueMatchesWitness|TestTreeWalkMatchesHeldKarp' -count=1
 go test -race ./internal/lower -run 'TestOracleConcurrentFirstQuery' -count=1
 go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/null
 
@@ -122,6 +122,11 @@ echo "== verifier differential fuzz smoke =="
 # schedule.Validate and the step-by-step simulator must agree on every
 # scheduler family's output and on mutated copies of it.
 go test ./internal/schedule -run '^$' -fuzz FuzzVerifiersAgree -fuzztime 10s
+
+echo "== certified-bound soundness fuzz smoke =="
+# On tiny random trees and weighted graphs the value path must equal the
+# witness path, and bound ≤ exact optimum ≤ greedy makespan.
+go test ./internal/lower -run '^$' -fuzz FuzzBoundSound -fuzztime 10s
 
 echo "== serve-mode smoke =="
 # Drain a fixed seeded stream through the CLI twice: counts must be
