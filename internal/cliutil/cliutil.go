@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -224,8 +225,11 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		return spec, fmt.Errorf("-faults %q: want RATE or RATE,SEED", s)
 	}
 	rate, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil || rate < 0 || rate > 1 {
-		return spec, fmt.Errorf("-faults %q: rate must be a number in [0,1]", s)
+	if err == nil {
+		err = faults.CheckRate("rate", rate)
+	}
+	if err != nil {
+		return spec, fmt.Errorf("-faults %q: rate must be a number in [0,1]: %w", s, err)
 	}
 	spec.Rate = rate
 	if len(parts) == 2 {

@@ -1,11 +1,13 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dtmsched/internal/faults"
 	"dtmsched/internal/topology"
 )
 
@@ -144,9 +146,16 @@ func TestParseFaultSpec(t *testing.T) {
 			t.Errorf("ParseFaultSpec(%q) = %+v, %v; want %+v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"1.5", "-0.1", "x", "0.1,zz", "0.1,2,3", ","} {
+	for _, in := range []string{"1.5", "-0.1", "x", "0.1,zz", "0.1,2,3", ",", "NaN", "nan,3"} {
 		if _, err := ParseFaultSpec(in); err == nil {
 			t.Errorf("ParseFaultSpec(%q) accepted", in)
+		}
+	}
+	// Out-of-range rates, NaN among them, carry the typed rate error.
+	for _, in := range []string{"NaN", "1.5", "-0.1"} {
+		var re *faults.RateError
+		if _, err := ParseFaultSpec(in); !errors.As(err, &re) {
+			t.Errorf("ParseFaultSpec(%q) = %v, want a *faults.RateError", in, err)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
+	"dtmsched/internal/xrand"
 )
 
 // Forever marks a fault interval that never ends (To == Forever) and is the
@@ -363,29 +364,12 @@ func (p *Plan) String() string {
 		slow, down, crash, drop, p.dropRate)
 }
 
-// hashUnit maps (seed, a, b) to a uniform value in [0, 1) via the FNV-1a
-// construction xrand uses for stream derivation. Purely arithmetic, so the
-// probabilistic drop path allocates nothing and never consults a shared
-// RNG.
+// hashUnit maps (seed, a, b) to a uniform value in [0, 1) through an
+// xrand key (the trailing empty label closes the path with a separator).
+// Purely arithmetic, so the probabilistic drop path allocates nothing and
+// never consults a shared RNG.
 func hashUnit(seed, a, b int64) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x int64) {
-		u := uint64(x)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-		h ^= 0xff
-		h *= prime64
-	}
-	mix(seed)
-	mix(a)
-	mix(b)
+	h := uint64(xrand.NewKey(seed).Word(a).Word(b).Label(""))
 	// Use the top 53 bits for a full-precision float in [0, 1).
 	return float64(h>>11) / float64(1<<53)
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math/rand"
 
 	"dtmsched/internal/graph"
 	"dtmsched/internal/xrand"
@@ -39,13 +40,34 @@ type Config struct {
 	// streaming service, which keys chunks to its serving windows). Each
 	// (site, chunk) pair draws from its own derived stream, so plans stay
 	// identical across graph construction order and parallelism, and
-	// Recur = 0 reproduces today's single-draw plans bit-for-bit.
+	// Recur = 0 reproduces the historical single-draw plans bit-for-bit.
 	Recur int64
 }
 
 // rated reports whether any interval fault class has a nonzero rate.
 func (c Config) rated() bool {
 	return c.LinkDownRate > 0 || c.LinkSlowRate > 0 || c.CrashRate > 0
+}
+
+// RateError is a fault rate outside [0, 1]. NaN counts as outside.
+type RateError struct {
+	Name string
+	Rate float64
+}
+
+// Error implements error.
+func (e *RateError) Error() string {
+	return fmt.Sprintf("faults: %s %v outside [0,1]", e.Name, e.Rate)
+}
+
+// CheckRate returns a *RateError unless 0 ≤ r ≤ 1. Every fault-rate entry
+// point guards through it: NaN fails every comparison, so it passes an
+// "r < 0 || r > 1" test and would otherwise be accepted.
+func CheckRate(name string, r float64) error {
+	if r >= 0 && r <= 1 {
+		return nil
+	}
+	return &RateError{name, r}
 }
 
 // New generates a plan over g's links and nodes from per-site rates. The
@@ -60,8 +82,8 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 		name string
 		v    float64
 	}{{"LinkDownRate", cfg.LinkDownRate}, {"LinkSlowRate", cfg.LinkSlowRate}, {"CrashRate", cfg.CrashRate}, {"DropRate", cfg.DropRate}} {
-		if r.v < 0 || r.v > 1 {
-			return nil, fmt.Errorf("faults: %s %v outside [0,1]", r.name, r.v)
+		if err := CheckRate(r.name, r.v); err != nil {
+			return nil, err
 		}
 	}
 	factor := cfg.SlowFactor
@@ -85,39 +107,37 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 		return nil, fmt.Errorf("faults: recur chunk %d < 0", cfg.Recur)
 	}
 
+	// draw rolls one fault site once per chunk of the horizon, appending
+	// f over [from, to) on a hit inside that chunk. Recur = 0 is a single
+	// chunk spanning the horizon, seeded by the site's label path alone:
+	// the historical single-draw plan. Every (site, chunk) seed derives
+	// from (Seed, "faults", kind, a, b[, "chunk", c]) and feeds one reused
+	// jump-ahead source, so the draws equal a freshly seeded math/rand
+	// stream's at no per-chunk allocation.
+	chunk := cfg.Recur
+	if chunk == 0 {
+		chunk = cfg.Horizon
+	}
+	root := xrand.NewKey(cfg.Seed).Label("faults")
+	rng := rand.New(xrand.NewJumpSource(0))
 	var fs []Fault
-	// intervals draws every active interval of one fault site. With
-	// Recur = 0 a site draws exactly once over the whole horizon (one
-	// stream per site — the historical plan shape); with Recur > 0 it
-	// draws once per chunk from a per-(site, chunk) stream, each hit
-	// landing inside its own chunk.
-	intervals := func(r float64, kind string, a, b int64, emit func(from, to int64)) {
+	draw := func(r float64, kind string, a, b int64, f Fault) {
 		if r <= 0 {
 			return
 		}
-		if cfg.Recur <= 0 {
-			rng := xrand.NewDerived(cfg.Seed, "faults", kind, fmt.Sprint(a), fmt.Sprint(b))
-			if rng.Float64() >= r {
-				return
+		site := root.Label(kind).Int(a).Int(b)
+		for start := int64(0); start < cfg.Horizon; start += chunk {
+			key := site
+			if cfg.Recur > 0 {
+				key = site.Label("chunk").Int(start / chunk)
 			}
-			from := 1 + rng.Int63n(cfg.Horizon)
-			dur := 1 + rng.Int63n(2*mean)
-			emit(from, from+dur)
-			return
-		}
-		for start := int64(0); start < cfg.Horizon; start += cfg.Recur {
-			width := cfg.Recur
-			if rem := cfg.Horizon - start; rem < width {
-				width = rem
-			}
-			rng := xrand.NewDerived(cfg.Seed, "faults", kind,
-				fmt.Sprint(a), fmt.Sprint(b), "chunk", fmt.Sprint(start/cfg.Recur))
+			rng.Seed(key.Seed())
 			if rng.Float64() >= r {
 				continue
 			}
-			from := start + 1 + rng.Int63n(width)
-			dur := 1 + rng.Int63n(2*mean)
-			emit(from, from+dur)
+			f.From = start + 1 + rng.Int63n(min(chunk, cfg.Horizon-start))
+			f.To = f.From + 1 + rng.Int63n(2*mean)
+			fs = append(fs, f)
 		}
 	}
 	if cfg.rated() {
@@ -133,18 +153,12 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 					continue // parallel links fault as one site
 				}
 				seen[k] = struct{}{}
-				intervals(cfg.LinkDownRate, "link-down", int64(k.u), int64(k.v), func(from, to int64) {
-					fs = append(fs, Fault{Kind: LinkDown, From: from, To: to, U: k.u, V: k.v})
-				})
-				intervals(cfg.LinkSlowRate, "link-slow", int64(k.u), int64(k.v), func(from, to int64) {
-					fs = append(fs, Fault{Kind: LinkSlow, From: from, To: to, U: k.u, V: k.v, Factor: factor})
-				})
+				draw(cfg.LinkDownRate, "link-down", int64(k.u), int64(k.v), Fault{Kind: LinkDown, U: k.u, V: k.v})
+				draw(cfg.LinkSlowRate, "link-slow", int64(k.u), int64(k.v), Fault{Kind: LinkSlow, U: k.u, V: k.v, Factor: factor})
 			}
 		}
 		for v := 0; v < n; v++ {
-			intervals(cfg.CrashRate, "crash", int64(v), 0, func(from, to int64) {
-				fs = append(fs, Fault{Kind: NodeCrash, From: from, To: to, Node: graph.NodeID(v)})
-			})
+			draw(cfg.CrashRate, "crash", int64(v), 0, Fault{Kind: NodeCrash, Node: graph.NodeID(v)})
 		}
 	}
 	p, err := FromFaults(fs...)

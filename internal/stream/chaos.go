@@ -32,8 +32,8 @@ type ChaosConfig struct {
 // plan is a plain *faults.Plan, so it composes with scripted injectors
 // via faults.Compose.
 func NewChaos(cc ChaosConfig, g *graph.Graph) (faults.Injector, error) {
-	if cc.Rate < 0 || cc.Rate > 1 {
-		return nil, &ConfigError{"Faults", fmt.Sprintf("chaos rate %v outside [0,1]", cc.Rate)}
+	if err := faults.CheckRate("chaos rate", cc.Rate); err != nil {
+		return nil, &ConfigError{"Faults", err.Error()}
 	}
 	if cc.Rate == 0 {
 		return nil, nil

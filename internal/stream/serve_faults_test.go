@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -293,6 +294,28 @@ func TestServeConfigValidate(t *testing.T) {
 	good := mkBase()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+func TestNewChaosConfigErrors(t *testing.T) {
+	// A bad chaos rate or horizon returns a *ConfigError on Faults. NaN
+	// fails every comparison, so it once built a plan that injected
+	// nothing yet sent every window down the faulty replay path.
+	g := topology.NewClique(4).Graph()
+	for _, cc := range []ChaosConfig{
+		{Rate: -0.1, Horizon: 100},
+		{Rate: 1.5, Horizon: 100},
+		{Rate: math.NaN(), Horizon: 100},
+		{Rate: 0.1, Horizon: 0},
+	} {
+		inj, err := NewChaos(cc, g)
+		var ce *ConfigError
+		if inj != nil || !errors.As(err, &ce) || ce.Field != "Faults" {
+			t.Errorf("%+v: got (%v, %v), want a *ConfigError on Faults", cc, inj, err)
+		}
+	}
+	if inj, err := NewChaos(ChaosConfig{Rate: 0}, g); inj != nil || err != nil {
+		t.Errorf("zero rate: got (%v, %v), want (nil, nil)", inj, err)
 	}
 }
 

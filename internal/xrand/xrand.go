@@ -6,8 +6,8 @@
 package xrand
 
 import (
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 )
 
 // DefaultSeed is the root seed used by benches and examples when the caller
@@ -24,19 +24,58 @@ func New(seed int64) *rand.Rand {
 // paths give independent-looking streams; the same path always gives the
 // same stream.
 func Derive(root int64, labels ...string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := uint64(root)
-	for i := range buf {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
+	k := NewKey(root)
 	for _, l := range labels {
-		h.Write([]byte{0xff}) // separator so ("ab","c") != ("a","bc")
-		h.Write([]byte(l))
+		k = k.Label(l)
 	}
-	return int64(h.Sum64())
+	return k.Seed()
 }
+
+// Key is a Derive label path hashed so far: FNV-1a over the root's eight
+// little-endian bytes, then a 0xff separator (so ("ab","c") != ("a","bc"))
+// and the bytes of each label. It is a plain value, so a shared prefix is
+// hashed once and extended per use, and no step allocates:
+// NewKey(root).Label(a).Int(7).Seed() == Derive(root, a, "7").
+type Key uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// NewKey starts a label path at root.
+func NewKey(root int64) Key { return Key(fnvWord(fnvOffset, root)) }
+
+// Label appends one label.
+func (k Key) Label(l string) Key {
+	h := (uint64(k) ^ 0xff) * fnvPrime
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint64(l[i])) * fnvPrime
+	}
+	return Key(h)
+}
+
+// Int appends v's decimal spelling as a label, as fmt.Sprint(v) spells it.
+func (k Key) Int(v int64) Key {
+	var buf [20]byte
+	return k.Label(string(strconv.AppendInt(buf[:0], v, 10)))
+}
+
+// Word appends v's eight little-endian bytes as a label.
+func (k Key) Word(v int64) Key { return Key(fnvWord((uint64(k)^0xff)*fnvPrime, v)) }
+
+// fnvWord hashes v's eight little-endian bytes into h.
+func fnvWord(h uint64, v int64) uint64 {
+	u := uint64(v)
+	for i := 0; i < 8; i++ {
+		h = (h ^ u&0xff) * fnvPrime
+		u >>= 8
+	}
+	return h
+}
+
+// Seed returns the path's derived seed.
+func (k Key) Seed() int64 { return int64(k) }
 
 // NewDerived is New(Derive(root, labels...)).
 func NewDerived(root int64, labels ...string) *rand.Rand {

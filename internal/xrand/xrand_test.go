@@ -1,6 +1,8 @@
 package xrand
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -159,4 +161,18 @@ func TestGeometricGapPanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	GeometricGap(New(1), 0)
+}
+
+func TestKeyMatchesDerive(t *testing.T) {
+	for _, v := range []int64{0, 7, -3, 1 << 40, math.MinInt64, math.MaxInt64} {
+		want := Derive(v, "faults", "link-down", fmt.Sprint(v), "0", "chunk", fmt.Sprint(-v))
+		got := NewKey(v).Label("faults").Label("link-down").Int(v).Int(0).Label("chunk").Int(-v).Seed()
+		if got != want {
+			t.Fatalf("root %d: key %d, Derive %d", v, got, want)
+		}
+	}
+	site := NewKey(5).Label("x").Int(12)
+	if a := testing.AllocsPerRun(100, func() { site.Label("chunk").Int(math.MinInt64).Seed() }); a != 0 {
+		t.Fatalf("key extension allocates %v times, want 0", a)
+	}
 }

@@ -71,10 +71,12 @@ go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/
 echo "== fault layer guards =="
 # RunFaulty with a nil/empty plan must stay on Run's allocation budget
 # (the fault machinery is free when unused), fault plans must be
-# seed-deterministic, and the 3-rate × 2-topology fault matrix must
-# recover deterministically under the race detector.
+# seed-deterministic, equal the per-chunk math/rand reference fault for
+# fault and cost no allocation per chunk, and the 3-rate × 2-topology
+# fault matrix must recover deterministically under the race detector.
 go test ./internal/sim -run 'TestRunFaultyEmptyPlanZeroAlloc' -count=1
 go test -race ./internal/faults -run 'TestPlanSeedDeterminism' -count=1
+go test ./internal/faults -run 'TestNewMatchesReferenceGenerator|TestNewPlanAllocsIndependentOfChunks' -count=1
 go test -race ./internal/sim -run 'TestFaultMatrixSmoke' -count=1
 
 echo "== obs/v2 ledger + exposition guards =="
@@ -127,6 +129,12 @@ echo "== certified-bound soundness fuzz smoke =="
 # On tiny random trees and weighted graphs the value path must equal the
 # witness path, and bound ≤ exact optimum ≤ greedy makespan.
 go test ./internal/lower -run '^$' -fuzz FuzzBoundSound -fuzztime 10s
+
+echo "== jump-ahead source fuzz smoke =="
+# The chaos-plan source must draw exactly what math/rand draws for the
+# same seed: Float64, Int63n on both its paths, Uint64, draws past the
+# jumped ones, and reseeds, including the special-cased seeds.
+go test ./internal/xrand -run '^$' -fuzz FuzzJumpSource -fuzztime 10s
 
 echo "== serve-mode smoke =="
 # Drain a fixed seeded stream through the CLI twice: counts must be
