@@ -128,3 +128,36 @@ func TestComposeLinkFactorPrecedence(t *testing.T) {
 		t.Fatalf("unrelated link factor = %d, want 1", got)
 	}
 }
+
+// TestOverlappingSlowdownsSaturate pins "slowed, never down": however
+// many slowdowns overlap on one link, within one plan or across composed
+// injectors, the factor is their product capped at MaxLinkFactor, never 0
+// (down) and never negative. Unchecked, 32 overlapping ×4 slowdowns
+// wrapped the int64 product to 0.
+func TestOverlappingSlowdownsSaturate(t *testing.T) {
+	slowdowns := func(k int) []Fault {
+		fs := make([]Fault, k)
+		for i := range fs {
+			fs[i] = Fault{Kind: LinkSlow, From: int64(i), To: 1000, U: 0, V: 1, Factor: 4}
+		}
+		return fs
+	}
+	want := func(k int) int64 {
+		f := int64(1)
+		for i := 0; i < k && f < MaxLinkFactor; i++ {
+			f *= 4
+		}
+		return min(f, MaxLinkFactor)
+	}
+	for k := 1; k <= 64; k++ {
+		p := MustFromFaults(slowdowns(k)...)
+		if got := p.LinkFactor(1, 0, 500); got != want(k) {
+			t.Fatalf("%d overlapping ×4 slowdowns: factor %d, want %d", k, got, want(k))
+		}
+		// Split across two composed plans, the product saturates the same.
+		c := Compose(MustFromFaults(slowdowns(k)[:k/2]...), MustFromFaults(slowdowns(k)[k/2:]...))
+		if got := c.LinkFactor(0, 1, 500); got != want(k) {
+			t.Fatalf("%d slowdowns over a composition: factor %d, want %d", k, got, want(k))
+		}
+	}
+}

@@ -88,8 +88,9 @@ type Fault struct {
 //
 // The step arguments let custom injectors vary state over time, but the
 // contract is piecewise-constant state: between two consecutive Boundaries
-// entries every answer must stay fixed, so the simulator can cache one
-// surviving subgraph per epoch.
+// entries every answer must stay fixed. The simulator relies on this to
+// make a partitioned move wait for the next boundary (the first step at
+// which connectivity can return) and to size its step limit.
 type Injector interface {
 	// Empty reports whether the injector can never fire; an empty
 	// injector makes RunFaulty exactly Run.
@@ -101,8 +102,8 @@ type Injector interface {
 	// fault state may change (fault starts and finite ends).
 	Boundaries() []int64
 	// LinkFactor returns the delay multiplier of link {u, v} at step:
-	// 1 healthy, 0 down, > 1 slowed. Overlapping faults multiply; a down
-	// fault dominates.
+	// 1 healthy, 0 down, > 1 slowed. Overlapping faults multiply,
+	// saturating at MaxLinkFactor; a down fault dominates.
 	LinkFactor(u, v graph.NodeID, step int64) int64
 	// NodeDownUntil reports whether node v is crashed at step and, if so,
 	// the step at which it restarts (Forever = never).
@@ -110,6 +111,22 @@ type Injector interface {
 	// DropMove reports whether the seq-th dispatch attempt of object o,
 	// departing at step, is lost in transit.
 	DropMove(o tm.ObjectID, seq int, step int64) bool
+}
+
+// MaxLinkFactor caps the product of overlapping slowdowns. Without the
+// cap enough overlapping factors wrap the int64 product to zero (a slowed
+// link would read as down) or to a negative value. Generated plans never
+// come near it: their products stay below a few thousand.
+const MaxLinkFactor = int64(1) << 30
+
+// mulFactor multiplies two link factors ≥ 1, saturating at MaxLinkFactor.
+// The result is min(a·b, MaxLinkFactor), so a saturated product does not
+// depend on the order its factors arrive in.
+func mulFactor(a, b int64) int64 {
+	if b > MaxLinkFactor/a {
+		return MaxLinkFactor
+	}
+	return a * b
 }
 
 // span is a half-open step interval.
@@ -295,14 +312,19 @@ func (p *Plan) LinkFactor(u, v graph.NodeID, step int64) int64 {
 		return 1
 	}
 	factor := int64(1)
+	// Spans are sorted by start (finish), so none past the first one
+	// starting after step can cover it.
 	for _, s := range p.links[mkLinkKey(u, v)] {
-		if step < s.from || step >= s.to {
+		if s.from > step {
+			break
+		}
+		if step >= s.to {
 			continue
 		}
 		if s.factor == 0 {
 			return 0
 		}
-		factor *= s.factor
+		factor = mulFactor(factor, s.factor)
 	}
 	return factor
 }
@@ -434,7 +456,7 @@ func (c *compose) LinkFactor(u, v graph.NodeID, step int64) int64 {
 		if f == 0 {
 			return 0
 		}
-		factor *= f
+		factor = mulFactor(factor, f)
 	}
 	return factor
 }

@@ -36,73 +36,180 @@ const (
 	defaultMaxRetries  = 32
 )
 
-// faultEnv caches one surviving subgraph per fault epoch. Fault state is
-// piecewise-constant between injector boundaries, so each epoch's subgraph
-// (healthy links at original weight, slowed links multiplied, down links
-// and crashed nodes' links removed) is built once and its lazy SSSP cache
-// then serves every reroute query of the epoch.
+// faultEnv answers reroute queries on the surviving network without ever
+// building it: each query is an A* search over the unmodified base graph
+// that asks the injector about every node it reaches and every link it
+// relaxes. Fault epochs are short and consecutive windows touch disjoint
+// step ranges, so a per-epoch subgraph would be built for a handful of
+// queries and thrown away; the search's scratch, by contrast, lives for
+// the whole run and is reused by every query.
 type faultEnv struct {
 	in     *tm.Instance
 	inj    faults.Injector
 	bounds []int64
-	epochs []*graph.Graph // lazily built; index 0 covers steps before bounds[0]
+
+	// A* scratch. nodes[x] is valid for the current query only while
+	// nodes[x].seen == stamp; open is a binary min-heap of node IDs.
+	nodes []searchNode
+	open  []int32
+	stamp uint32
+}
+
+// searchNode is one node's A* state: its best known cost g from the
+// source, its heuristic h to the target, and its heap slot (-1 once
+// popped, or never pushed because the node is crashed).
+type searchNode struct {
+	g, h int64
+	seen uint32
+	pos  int32
 }
 
 func newFaultEnv(in *tm.Instance, inj faults.Injector) *faultEnv {
-	bounds := inj.Boundaries()
-	return &faultEnv{in: in, inj: inj, bounds: bounds, epochs: make([]*graph.Graph, len(bounds)+1)}
+	return &faultEnv{in: in, inj: inj, bounds: inj.Boundaries()}
 }
 
-// epoch returns the index of the epoch containing step.
-func (e *faultEnv) epoch(step int64) int {
-	return sort.Search(len(e.bounds), func(i int) bool { return e.bounds[i] > step })
-}
-
-// graphAt builds (or returns) the surviving subgraph of epoch ep.
-func (e *faultEnv) graphAt(ep int) *graph.Graph {
-	if g := e.epochs[ep]; g != nil {
-		return g
-	}
-	var step int64
-	if ep > 0 {
-		step = e.bounds[ep-1]
-	}
-	src := e.in.G
-	n := src.NumNodes()
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		if _, down := e.inj.NodeDownUntil(graph.NodeID(u), step); down {
-			continue
-		}
-		for _, edge := range src.Neighbors(graph.NodeID(u)) {
-			if edge.To <= graph.NodeID(u) {
-				continue
-			}
-			if _, down := e.inj.NodeDownUntil(edge.To, step); down {
-				continue
-			}
-			f := e.inj.LinkFactor(graph.NodeID(u), edge.To, step)
-			if f <= 0 {
-				continue
-			}
-			g.AddEdge(graph.NodeID(u), edge.To, edge.Weight*f)
-		}
-	}
-	e.epochs[ep] = g
-	return g
-}
-
-// dist returns the surviving-subgraph distance between u and v at step,
-// and false when the endpoints are partitioned for that whole epoch.
+// dist returns the surviving-network distance between u and v at step,
+// and false when the endpoints are partitioned (a crashed endpoint counts
+// as partitioned).
+//
+// The search runs on the base graph: a link costs its weight times the
+// injector's factor and is skipped when the factor is ≤ 0, and crashed
+// nodes are never entered. The heuristic is the fault-free distance
+// in.Dist, which is consistent because faults only remove links or
+// multiply their weights (RunFaulty's precondition that in.Metric is
+// in.G's shortest-path metric makes it a lower bound on every surviving
+// path). So the first pop of v carries the exact distance, and an
+// exhausted heap means no surviving path exists.
 func (e *faultEnv) dist(step int64, u, v graph.NodeID) (int64, bool) {
 	if u == v {
 		return 0, true
 	}
-	d := e.graphAt(e.epoch(step)).Dist(u, v)
-	if d == graph.Inf {
+	if _, down := e.inj.NodeDownUntil(u, step); down {
 		return 0, false
 	}
-	return d, true
+	if _, down := e.inj.NodeDownUntil(v, step); down {
+		return 0, false
+	}
+	if e.nodes == nil {
+		n := e.in.G.NumNodes()
+		e.nodes = make([]searchNode, n)
+		e.open = make([]int32, 0, n)
+	}
+	e.stamp++
+	if e.stamp == 0 { // wrapped: every stale stamp could now collide
+		clear(e.nodes)
+		e.stamp = 1
+	}
+	e.open = e.open[:0]
+	// The heuristic is evaluated as in.Dist(v, ·) — the same value as
+	// in.Dist(·, v) on an undirected graph — so a graph-backed metric
+	// serves every query of one target from a single cached tree.
+	e.nodes[u] = searchNode{g: 0, h: e.in.Dist(v, u), seen: e.stamp}
+	e.push(int32(u))
+	for len(e.open) > 0 {
+		x := e.pop()
+		gx := e.nodes[x].g
+		if graph.NodeID(x) == v {
+			return gx, true
+		}
+		for _, edge := range e.in.G.Neighbors(graph.NodeID(x)) {
+			y := edge.To
+			ny := &e.nodes[y]
+			if ny.seen == e.stamp && ny.pos < 0 {
+				continue // popped (already exact) or crashed
+			}
+			f := e.inj.LinkFactor(graph.NodeID(x), y, step)
+			if f <= 0 {
+				continue
+			}
+			g := gx + edge.Weight*f
+			if ny.seen == e.stamp {
+				if g < ny.g {
+					ny.g = g
+					e.up(int(ny.pos))
+				}
+				continue
+			}
+			if _, down := e.inj.NodeDownUntil(y, step); down {
+				*ny = searchNode{seen: e.stamp, pos: -1}
+				continue
+			}
+			*ny = searchNode{g: g, h: e.in.Dist(v, y), seen: e.stamp}
+			e.push(int32(y))
+		}
+	}
+	return 0, false
+}
+
+// less orders the open heap by f = g + h, breaking ties toward the larger
+// g (the node nearer the target).
+func (e *faultEnv) less(a, b int32) bool {
+	na, nb := &e.nodes[a], &e.nodes[b]
+	fa, fb := na.g+na.h, nb.g+nb.h
+	if fa != fb {
+		return fa < fb
+	}
+	return na.g > nb.g
+}
+
+// place puts node x in heap slot i.
+func (e *faultEnv) place(i int, x int32) {
+	e.open[i] = x
+	e.nodes[x].pos = int32(i)
+}
+
+func (e *faultEnv) push(x int32) {
+	e.open = append(e.open, x)
+	e.place(len(e.open)-1, x)
+	e.up(len(e.open) - 1)
+}
+
+// pop removes the heap minimum and marks it closed.
+func (e *faultEnv) pop() int32 {
+	top := e.open[0]
+	last := len(e.open) - 1
+	e.place(0, e.open[last])
+	e.open = e.open[:last]
+	if last > 0 {
+		e.down(0)
+	}
+	e.nodes[top].pos = -1
+	return top
+}
+
+// up restores the heap order above slot i after its key decreased.
+func (e *faultEnv) up(i int) {
+	x := e.open[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(x, e.open[p]) {
+			break
+		}
+		e.place(i, e.open[p])
+		i = p
+	}
+	e.place(i, x)
+}
+
+// down restores the heap order below slot i.
+func (e *faultEnv) down(i int) {
+	x := e.open[i]
+	n := len(e.open)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && e.less(e.open[r], e.open[c]) {
+			c = r
+		}
+		if !e.less(e.open[c], x) {
+			break
+		}
+		e.place(i, e.open[c])
+		i = c
+	}
+	e.place(i, x)
 }
 
 // nextBoundary returns the first fault boundary strictly after step, and
@@ -141,6 +248,12 @@ func (e *faultEnv) nextBoundary(step int64) (int64, bool) {
 // Determinism: for a fixed (instance, schedule, injector, options) the
 // Result, the Report, and the event trace are identical across runs — all
 // fault decisions are seeded, never drawn from wall-clock or shared state.
+//
+// Precondition: in.Metric is in.G's shortest-path metric, as Validate and
+// Run already assume (the topology package's checkMetric test pins it for
+// every built-in topology). Reroutes search in.G guided by in.Metric, so
+// a metric that overstates a distance could yield a longer-than-shortest
+// surviving path.
 func RunFaulty(in *tm.Instance, s *schedule.Schedule, opt FaultyOptions) (*Result, *faults.Report, error) {
 	if opt.Inject == nil || opt.Inject.Empty() {
 		res, err := Run(in, s, opt.Options)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -357,5 +358,166 @@ func TestFaultMatrixSmoke(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// survivingGraph is the reference for faultEnv.dist: the surviving
+// subgraph at step, built explicitly — crashed nodes and down links
+// removed, slowed links reweighted.
+func survivingGraph(in *tm.Instance, inj faults.Injector, step int64) *graph.Graph {
+	n := in.G.NumNodes()
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		if _, down := inj.NodeDownUntil(graph.NodeID(u), step); down {
+			continue
+		}
+		for _, edge := range in.G.Neighbors(graph.NodeID(u)) {
+			if edge.To <= graph.NodeID(u) {
+				continue
+			}
+			if _, down := inj.NodeDownUntil(edge.To, step); down {
+				continue
+			}
+			f := inj.LinkFactor(graph.NodeID(u), edge.To, step)
+			if f <= 0 {
+				continue
+			}
+			g.AddEdge(graph.NodeID(u), edge.To, edge.Weight*f)
+		}
+	}
+	return g
+}
+
+// TestFaultDistMatchesSurvivingSubgraph checks the goal-directed reroute
+// search against Dijkstra/BFS on the explicitly built surviving subgraph,
+// for every node pair at every step of random plans: equal distances, and
+// a partition (crashed endpoints included) exactly where the reference
+// reports Inf.
+func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
+	topos := []struct {
+		name   string
+		topo   topology.Topology
+		closed bool // metric: the topology's closed form, else the graph
+	}{
+		{"grid-5", topology.NewSquareGrid(5), true},
+		{"grid-5-graphmetric", topology.NewSquareGrid(5), false},
+		{"clique-8", topology.NewClique(8), true},
+		{"line-12", topology.NewLine(12), true},
+		{"star-3x4", topology.NewStar(3, 4), true},
+		{"cluster-3x4", topology.NewCluster(3, 4, 6), true},
+		{"fogcloud-3x3", topology.NewFogCloud([]int{3, 3}, []int64{5, 2}), true},
+	}
+	const horizon = 48
+	for _, tp := range topos {
+		t.Run(tp.name, func(t *testing.T) {
+			g := tp.topo.Graph()
+			var metric graph.Metric = g
+			if tp.closed {
+				metric = graph.FuncMetric(tp.topo.Dist)
+			}
+			in := tm.NewInstance(g, metric, 0, nil, nil)
+			background := faults.MustNew(faults.Config{
+				Seed: 3, Horizon: horizon, Recur: 12, MeanOutage: 4,
+				LinkDownRate: 0.3, LinkSlowRate: 0.4, CrashRate: 0.15,
+			}, g)
+			// Scripted overlay: overlapping slowdowns on one link, a crash
+			// of node 0 (an endpoint of many queries), and, at steps
+			// [30, 36), every link of node 1 cut (a true partition).
+			script := []faults.Fault{
+				{Kind: faults.LinkSlow, From: 5, To: 25, U: 0, V: g.Neighbors(0)[0].To, Factor: 3},
+				{Kind: faults.LinkSlow, From: 10, To: 20, U: 0, V: g.Neighbors(0)[0].To, Factor: 5},
+				{Kind: faults.NodeCrash, From: 14, To: 18, Node: 0},
+			}
+			for _, e := range g.Neighbors(1) {
+				script = append(script, faults.Fault{Kind: faults.LinkDown, From: 30, To: 36, U: 1, V: e.To})
+			}
+			for name, inj := range map[string]faults.Injector{
+				"plan":     background,
+				"composed": faults.Compose(background, faults.MustFromFaults(script...)),
+			} {
+				env := newFaultEnv(in, inj)
+				var queries, partitioned int
+				wrapped := false
+				for step := int64(0); step <= horizon+2; step++ {
+					ref := survivingGraph(in, inj, step)
+					for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+						for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+							want := ref.Dist(u, v)
+							got, ok := env.dist(step, u, v)
+							queries++
+							if env.stamp == 1 && !wrapped {
+								// Wrap the stamp right after the first search, so
+								// its leftover marks would collide unless cleared.
+								env.stamp = ^uint32(0)
+								wrapped = true
+							}
+							if want == graph.Inf {
+								partitioned++
+								if ok {
+									t.Fatalf("%s: step %d, %d→%d: dist %d, want partitioned", name, step, u, v, got)
+								}
+								continue
+							}
+							if !ok || got != want {
+								t.Fatalf("%s: step %d, %d→%d: dist (%d, %v), want %d", name, step, u, v, got, ok, want)
+							}
+						}
+					}
+				}
+				if partitioned == 0 || partitioned == queries {
+					t.Fatalf("%s: %d of %d queries partitioned; the plan must exercise both outcomes", name, partitioned, queries)
+				}
+			}
+		})
+	}
+}
+
+// TestRunFaultyAllocsIndependentOfBoundaries pins that a window's replay
+// costs the same however many fault boundaries its plan holds: reroute
+// scratch is sized by the graph, never by the plan. The same window runs
+// under a 1-chunk and a 200-chunk plan over one horizon (rates low enough
+// that no fault touches the window, so both replays do identical work).
+func TestRunFaultyAllocsIndependentOfBoundaries(t *testing.T) {
+	g := topology.NewSquareGrid(8).Graph()
+	in := tm.UniformK(12, 2).Generate(xrand.NewDerived(4, "allocs"), g, nil, g.Nodes(), tm.PlaceAtRandomUser)
+	in.PrecomputeDist(1)
+	s := serialSchedule(in)
+	const horizon = 200 * 64
+	plan := func(recur int64) *faults.Plan {
+		p := faults.MustNew(faults.Config{Seed: 9, Horizon: horizon, Recur: recur, MeanOutage: 8,
+			LinkDownRate: 0.01, LinkSlowRate: 0.01, CrashRate: 0.01}, g)
+		if len(p.Boundaries()) == 0 {
+			t.Fatalf("recur %d: plan has no boundaries", recur)
+		}
+		return p
+	}
+	one, many := plan(horizon), plan(horizon/200)
+	if len(many.Boundaries()) < 100*len(one.Boundaries()) {
+		t.Fatalf("boundaries: %d at 1 chunk, %d at 200; want a ≥100× spread",
+			len(one.Boundaries()), len(many.Boundaries()))
+	}
+	cost := func(p *faults.Plan) (allocs, bytes uint64) {
+		run := func() {
+			_, fr := MustRunFaulty(in, s, FaultyOptions{Inject: p})
+			if fr.Reroutes != 0 || fr.BlockedWaits != 0 || fr.DeferredCommits != 0 {
+				t.Fatalf("a fault touched the window: %v", fr)
+			}
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run() // warm the distance oracle
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	oneAllocs, oneBytes := cost(one)
+	manyAllocs, manyBytes := cost(many)
+	if oneAllocs != manyAllocs || oneBytes != manyBytes {
+		t.Fatalf("RunFaulty cost grows with boundaries: %d allocs / %d B at %d boundaries, %d allocs / %d B at %d",
+			oneAllocs, oneBytes, len(one.Boundaries()), manyAllocs, manyBytes, len(many.Boundaries()))
 	}
 }

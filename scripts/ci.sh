@@ -70,11 +70,14 @@ go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/
 
 echo "== fault layer guards =="
 # RunFaulty with a nil/empty plan must stay on Run's allocation budget
-# (the fault machinery is free when unused), fault plans must be
-# seed-deterministic, equal the per-chunk math/rand reference fault for
-# fault and cost no allocation per chunk, and the 3-rate × 2-topology
-# fault matrix must recover deterministically under the race detector.
-go test ./internal/sim -run 'TestRunFaultyEmptyPlanZeroAlloc' -count=1
+# (the fault machinery is free when unused), its goal-directed reroute
+# search must equal the explicitly built surviving subgraph's distances
+# and cost the same however many boundaries the plan holds, fault plans
+# must be seed-deterministic, equal the per-chunk math/rand reference
+# fault for fault and cost no allocation per chunk, and the 3-rate ×
+# 2-topology fault matrix must recover deterministically under the race
+# detector.
+go test ./internal/sim -run 'TestRunFaultyEmptyPlanZeroAlloc|TestFaultDistMatchesSurvivingSubgraph|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
 go test -race ./internal/faults -run 'TestPlanSeedDeterminism' -count=1
 go test ./internal/faults -run 'TestNewMatchesReferenceGenerator|TestNewPlanAllocsIndependentOfChunks' -count=1
 go test -race ./internal/sim -run 'TestFaultMatrixSmoke' -count=1
