@@ -38,13 +38,14 @@ type candidate struct {
 func computeValue(in *tm.Instance) Bound {
 	var (
 		b      Bound
-		s      tsp.Solver
 		sites  []graph.NodeID
 		terms  []graph.NodeID
 		cands  []candidate
 		maxLB  int64
 		caseUB int64
 	)
+	s := solvers.Get().(*tsp.Solver)
+	defer solvers.Put(s)
 	m := in.Metric
 	rank := treeRank(in.G)
 	for o := 0; o < in.NumObjects; o++ {

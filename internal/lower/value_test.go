@@ -3,6 +3,7 @@ package lower
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dtmsched/internal/core"
@@ -167,6 +168,41 @@ func TestValuePathLayers(t *testing.T) {
 		if b.ClosedFormObjects != b.ExactObjects || b.ExactObjects == 0 {
 			t.Errorf("%s: %d of %d exact objects closed-form", g.Name(), b.ClosedFormObjects, b.ExactObjects)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestComputeOptsRecyclesSolver: once warm, the value path reuses a
+// pooled solver's Held–Karp table instead of allocating one per call. The
+// instance's one object has 15 walk sites on a 12×12 grid and its bracket
+// does not close, so every call solves it with a 3.75 MiB table.
+func TestComputeOptsRecyclesSolver(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	tp := topology.NewSquareGrid(12)
+	g := tp.Graph()
+	perm := rand.New(rand.NewSource(1)).Perm(g.NumNodes())
+	txns := make([]tm.Txn, 16)
+	for i := range txns {
+		txns[i] = tm.Txn{Node: graph.NodeID(perm[i]), Objects: []tm.ObjectID{0}}
+	}
+	in := tm.NewInstance(g, graph.FuncMetric(tp.Dist), 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
+	b := ComputeOpts(in, Options{})
+	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects; solved != 1 {
+		t.Fatalf("%d objects went through Held–Karp, want 1 (%+v)", solved, b)
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ComputeOpts(in, Options{})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 256<<10 {
+		t.Fatalf("ComputeOpts allocated %d B per warm call, want < 256 KiB", per)
 	}
 }
 

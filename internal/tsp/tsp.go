@@ -10,16 +10,20 @@
 // get certified bounds: MST weight ≤ optimal walk ≤ optimal tour ≤ 2·MST,
 // with a nearest-neighbor + 2-opt heuristic tightening the upper side.
 //
-// The Held–Karp tables are the hot allocation of the whole measurement
-// path (2^q·q int64 cells per solve — 8 MiB at q = 16), so the exact
-// solver lives on a reusable Solver: one per worker amortizes the tables
-// across every object of an instance. The package-level Walk and Tour
-// remain as convenience wrappers over a throwaway Solver.
+// Held–Karp pulls each state from its predecessors, dp[S][j] = min over
+// i ∈ S∖{j} of dp[S∖{j}][i] + d(i, j): one table row read against one
+// column of a transposed distance matrix, every state written once, so
+// the table (2^q·q int64 cells, 8 MiB at q = 16) needs no initialisation.
+// It lives on a reusable Solver; callers that compute many bounds recycle
+// solvers through a sync.Pool, and a pooled solver keeps its tables until
+// the GC empties the pool. The package-level Walk and Tour remain as
+// convenience wrappers over a throwaway Solver.
 package tsp
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"dtmsched/internal/graph"
 )
@@ -38,14 +42,16 @@ type Bounds struct {
 }
 
 // Solver computes Walk, Bracket and Tour bounds with reusable scratch:
-// the DP table, the flat pairwise-distance matrix, the bracket buffers
-// and an epoch-stamped dedupe buffer all persist across calls, so solving many site sets (one per
-// object of an instance) allocates only on high-water-mark growth. A
+// the Held–Karp table, the transposed pairwise-distance matrix, the
+// bracket buffers and an epoch-stamped dedupe buffer all persist across
+// calls, so solving many site sets (one per object of an instance, or
+// many instances through a pool) allocates only on high-water-mark
+// growth. Tours above ExactLimit run on the same bracket scratch. A
 // Solver is not safe for concurrent use; parallel callers keep one per
 // worker. The zero value is ready to use.
 type Solver struct {
 	dp    []int64        // Held–Karp table, 2^q·q cells
-	d     []int64        // flat pairwise distances, row-major
+	dt    []int64        // pairwise distances, transposed
 	uniq  []graph.NodeID // dedupe output buffer
 	stamp []int64        // per-node visit stamps for O(q) dedupe
 	epoch int64
@@ -100,18 +106,26 @@ func (s *Solver) Bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID
 // bracket computes Bracket's bounds over distinct sites ≠ home.
 func (s *Solver) bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) (lb, ub int64) {
 	s.all = append(append(s.all[:0], home), sites...)
-	s.key = growI64(s.key, len(s.all))
-	if cap(s.done) < len(s.all) {
-		s.done = make([]bool, len(s.all))
+	lb = s.mstWeight(m, s.all)
+	ub = pathLen(m, home, s.heuristicPath(m, home, sites))
+	return lb, min(ub, 2*lb)
+}
+
+// mstWeight is MSTWeight on the solver's Prim scratch.
+func (s *Solver) mstWeight(m graph.Metric, nodes []graph.NodeID) int64 {
+	s.key = growI64(s.key, len(nodes))
+	if cap(s.done) < len(nodes) {
+		s.done = make([]bool, len(nodes))
 	}
-	lb = primWeight(m, s.all, s.key, s.done[:len(s.all)])
+	return primWeight(m, nodes, s.key, s.done[:len(nodes)])
+}
+
+// heuristicPath returns the nearest-neighbour + 2-opt path from start
+// through sites, in the solver's path buffer.
+func (s *Solver) heuristicPath(m graph.Metric, start graph.NodeID, sites []graph.NodeID) []graph.NodeID {
 	s.pool = append(s.pool[:0], sites...)
-	s.path = nearestNeighborPath(m, home, s.pool, s.path[:0])
-	ub = pathLen(m, home, twoOptPath(m, home, s.path))
-	if double := 2 * lb; double < ub {
-		ub = double
-	}
-	return lb, ub
+	s.path = twoOptPath(m, start, nearestNeighborPath(m, start, s.pool, s.path[:0]))
+	return s.path
 }
 
 // Tour bounds the optimal closed TSP tour through all sites (no fixed
@@ -130,15 +144,10 @@ func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 		opt := s.heldKarpTour(m, sites)
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
-	mst := MSTWeight(m, sites)
-	path := nearestNeighborPath(m, sites[0], append([]graph.NodeID(nil), sites[1:]...), nil)
-	path = twoOptPath(m, sites[0], path)
-	var ub int64 = m.Dist(sites[0], path[len(path)-1])
-	ub += pathLen(m, sites[0], path)
-	if double := 2 * mst; double < ub {
-		ub = double
-	}
-	return Bounds{LB: mst, UB: ub}
+	mst := s.mstWeight(m, sites)
+	path := s.heuristicPath(m, sites[0], sites[1:])
+	ub := m.Dist(sites[0], path[len(path)-1]) + pathLen(m, sites[0], path)
+	return Bounds{LB: mst, UB: min(ub, 2*mst)}
 }
 
 // Walk bounds the shortest home-rooted walk through sites with a
@@ -232,127 +241,89 @@ func growI64(buf []int64, n int) []int64 {
 	return buf[:n]
 }
 
-// fillPairwise populates the solver's flat distance matrix over nodes
-// (row-major, stride len(nodes)); nodes[0] is the walk home / tour start.
-func (s *Solver) fillPairwise(m graph.Metric, home graph.NodeID, sites []graph.NodeID) []int64 {
+// fillPairwise populates the solver's transposed distance matrix over
+// home ∪ sites (index 0 is home, i ≥ 1 is sites[i−1], stride
+// len(sites)+1): dt[j·stride+i] = d(i, j), so the distances into j form
+// one contiguous column.
+func (s *Solver) fillPairwise(m graph.Metric, home graph.NodeID, sites []graph.NodeID) {
 	n := len(sites) + 1
-	d := growI64(s.d, n*n)
-	s.d = d
+	s.dt = growI64(s.dt, n*n)
 	at := func(i int) graph.NodeID {
 		if i == 0 {
 			return home
 		}
 		return sites[i-1]
 	}
-	for i := 0; i < n; i++ {
-		row := d[i*n : (i+1)*n]
-		ni := at(i)
-		for j := 0; j < n; j++ {
+	for j := 0; j < n; j++ {
+		col := s.dt[j*n : (j+1)*n]
+		nj := at(j)
+		for i := range col {
 			if i == j {
-				row[j] = 0
+				col[i] = 0
 				continue
 			}
-			row[j] = m.Dist(ni, at(j))
+			col[i] = m.Dist(at(i), nj)
 		}
 	}
-	return d
 }
 
-// heldKarpPath solves the fixed-start open path exactly:
-// dp[S][j] = cheapest walk from home visiting exactly set S, ending at j.
-// The inner loops iterate only the set bits of S (ends) and of its
-// complement (extensions), so the work is Σ_S |S|·(q−|S|) = 2^q·q²/4
-// transitions instead of 2^q·q² index probes.
-func (s *Solver) heldKarpPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
-	q := len(sites)
-	d := s.fillPairwise(m, home, sites) // index 0 = home, stride q+1
+// heldKarp runs the Held–Karp DP over the q sites of the filled distance
+// matrix and returns the full set's row: entry j is the cheapest walk from
+// index 0 through every site, ending at site j. It pulls each state from
+// its predecessors,
+//
+//	dp[S][j] = min over i ∈ S∖{j} of dp[S∖{j}][i] + d(i, j),
+//
+// so a state reads one row of the table against one distance column, and
+// every state with j ∈ S is written exactly once before any read (S∖{j}
+// < S). States with j ∉ S are never read, so the table is not
+// initialised: it may hold rows of an earlier, larger solve.
+func (s *Solver) heldKarp(q int) []int64 {
 	stride := q + 1
 	size := 1 << q
-	const inf = int64(math.MaxInt64) / 2
-	dp := growI64(s.dp, size*q)
-	s.dp = dp
-	for i := range dp {
-		dp[i] = inf
-	}
-	for j := 0; j < q; j++ {
-		dp[(1<<j)*q+j] = d[j+1] // d[home][j]
-	}
-	full := uint32(size - 1)
+	s.dp = growI64(s.dp, size*q)
+	dp := s.dp
 	for set := 1; set < size; set++ {
-		base := set * q
-		rest := full &^ uint32(set)
-		if rest == 0 {
+		row := dp[set*q : (set+1)*q]
+		if set&(set-1) == 0 {
+			j := bits.TrailingZeros32(uint32(set))
+			row[j] = s.dt[(j+1)*stride] // d(home, j)
 			continue
 		}
 		for ends := uint32(set); ends != 0; ends &= ends - 1 {
 			j := int(bits.TrailingZeros32(ends))
-			cur := dp[base+j]
-			if cur >= inf {
-				continue
+			from := uint32(set) &^ (1 << j)
+			prev := dp[int(from)*q : int(from+1)*q]
+			col := s.dt[(j+1)*stride+1 : (j+2)*stride]
+			i := int(bits.TrailingZeros32(from))
+			best := prev[i] + col[i]
+			for from &= from - 1; from != 0; from &= from - 1 {
+				i = int(bits.TrailingZeros32(from))
+				best = min(best, prev[i]+col[i])
 			}
-			row := d[(j+1)*stride:]
-			for rem := rest; rem != 0; rem &= rem - 1 {
-				nxt := int(bits.TrailingZeros32(rem))
-				if c := cur + row[nxt+1]; c < dp[(set|1<<nxt)*q+nxt] {
-					dp[(set|1<<nxt)*q+nxt] = c
-				}
-			}
+			row[j] = best
 		}
 	}
-	best := inf
-	for j := 0; j < q; j++ {
-		if c := dp[(size-1)*q+j]; c < best {
-			best = c
-		}
-	}
-	return best
+	return dp[(size-1)*q : size*q]
+}
+
+// heldKarpPath solves the fixed-start open walk from home through sites
+// exactly.
+func (s *Solver) heldKarpPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
+	s.fillPairwise(m, home, sites)
+	return slices.Min(s.heldKarp(len(sites)))
 }
 
 // heldKarpTour solves the closed tour exactly by fixing sites[0] as the
-// start/end; same bit-iterated transition structure as heldKarpPath.
+// start and end: the walk from sites[0] through the rest, closed by the
+// edge back from its last site.
 func (s *Solver) heldKarpTour(m graph.Metric, sites []graph.NodeID) int64 {
-	q := len(sites) - 1                         // remaining sites after fixing sites[0]
-	d := s.fillPairwise(m, sites[0], sites[1:]) // index 0 = start, stride q+1
-	stride := q + 1
-	size := 1 << q
-	const inf = int64(math.MaxInt64) / 2
-	dp := growI64(s.dp, size*q)
-	s.dp = dp
-	for i := range dp {
-		dp[i] = inf
+	s.fillPairwise(m, sites[0], sites[1:])
+	row := s.heldKarp(len(sites) - 1)
+	for j := range row {
+		row[j] += s.dt[j+1] // d(site j, start)
 	}
-	for j := 0; j < q; j++ {
-		dp[(1<<j)*q+j] = d[j+1] // d[start][j]
-	}
-	full := uint32(size - 1)
-	for set := 1; set < size; set++ {
-		base := set * q
-		rest := full &^ uint32(set)
-		if rest == 0 {
-			continue
-		}
-		for ends := uint32(set); ends != 0; ends &= ends - 1 {
-			j := int(bits.TrailingZeros32(ends))
-			cur := dp[base+j]
-			if cur >= inf {
-				continue
-			}
-			row := d[(j+1)*stride:]
-			for rem := rest; rem != 0; rem &= rem - 1 {
-				nxt := int(bits.TrailingZeros32(rem))
-				if c := cur + row[nxt+1]; c < dp[(set|1<<nxt)*q+nxt] {
-					dp[(set|1<<nxt)*q+nxt] = c
-				}
-			}
-		}
-	}
-	best := inf
-	for j := 0; j < q; j++ {
-		if c := dp[(size-1)*q+j] + d[(j+1)*stride]; c < best {
-			best = c
-		}
-	}
-	return best
+	return slices.Min(row)
 }
 
 // nearestNeighborPath orders sites by repeatedly hopping to the closest
@@ -422,22 +393,4 @@ func pathLen(m graph.Metric, home graph.NodeID, path []graph.NodeID) int64 {
 		cur = v
 	}
 	return total
-}
-
-// dedupe removes duplicates and (when skip ≥ 0) any site equal to skip.
-// Map-based; the Solver's stamp dedupe is the amortized equivalent.
-func dedupe(sites []graph.NodeID, skip graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{}, len(sites))
-	out := make([]graph.NodeID, 0, len(sites))
-	for _, s := range sites {
-		if s == skip {
-			continue
-		}
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	return out
 }

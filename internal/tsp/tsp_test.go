@@ -1,7 +1,11 @@
 package tsp
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +21,15 @@ func (lineMetric) Dist(u, v graph.NodeID) int64 {
 		d = -d
 	}
 	return d
+}
+
+// gridMetric is the Manhattan metric of a side×side grid, node u at
+// (u mod side, u div side).
+type gridMetric int
+
+func (side gridMetric) Dist(u, v graph.NodeID) int64 {
+	s := graph.NodeID(side)
+	return lineMetric{}.Dist(u%s, v%s) + lineMetric{}.Dist(u/s, v/s)
 }
 
 func TestWalkOnLine(t *testing.T) {
@@ -67,8 +80,10 @@ func TestMSTWeightHandComputed(t *testing.T) {
 	}
 }
 
-// bruteWalk enumerates all permutations (small q only).
-func bruteWalk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
+// bruteWalk enumerates all orders of sites (small q only): the shortest
+// walk from home through them, or with closed the shortest tour that
+// also returns to home.
+func bruteWalk(m graph.Metric, home graph.NodeID, sites []graph.NodeID, closed bool) int64 {
 	best := int64(1) << 60
 	perm := make([]graph.NodeID, len(sites))
 	copy(perm, sites)
@@ -80,6 +95,9 @@ func bruteWalk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
 			for _, v := range perm {
 				total += m.Dist(cur, v)
 				cur = v
+			}
+			if closed {
+				total += m.Dist(cur, home)
 			}
 			if total < best {
 				best = total
@@ -121,11 +139,21 @@ func TestHeldKarpMatchesBruteForceProperty(t *testing.T) {
 		if !b.Exact {
 			return false
 		}
-		want := bruteWalk(g, home, dedupe(sites, home))
+		want := bruteWalk(g, home, dedupe(sites, home), false)
 		if len(dedupe(sites, home)) == 0 {
 			want = 0
 		}
-		return b.LB == want
+		if b.LB != want {
+			return false
+		}
+		// Tours: randomGraphMetric draws at most 7 sites.
+		uniq := dedupe(sites, -1)
+		tour := Tour(g, sites)
+		want = 0
+		if len(uniq) > 1 {
+			want = bruteWalk(g, uniq[0], uniq[1:], true)
+		}
+		return tour.Exact && tour.LB == want && tour.UB == want
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -195,4 +223,179 @@ func TestTwoOptImprovesCrossing(t *testing.T) {
 	if got := pathLen(m, 0, improved); got != 11 {
 		t.Fatalf("2-opt path length = %d, want 11 (0→1→2→10→11)", got)
 	}
+}
+
+// dedupe removes duplicates and (when skip ≥ 0) any site equal to skip:
+// the map-based reference for Solver.Distinct.
+func dedupe(sites []graph.NodeID, skip graph.NodeID) []graph.NodeID {
+	seen := make(map[graph.NodeID]struct{}, len(sites))
+	out := make([]graph.NodeID, 0, len(sites))
+	for _, s := range sites {
+		if s == skip {
+			continue
+		}
+		if _, dup := seen[s]; dup {
+			continue
+		}
+		seen[s] = struct{}{}
+		out = append(out, s)
+	}
+	return out
+}
+
+// pushHeldKarp is the push-form Held–Karp DP, the reference for the
+// Solver's pull kernel: over an inf-filled table, every reached state
+// dp[S][j] extends to each site outside S. d is the row-major distance
+// matrix over start ∪ q sites (index 0 is the start, stride q+1); it
+// returns the full set's row.
+func pushHeldKarp(d []int64, q int) []int64 {
+	stride := q + 1
+	size := 1 << q
+	const inf = int64(math.MaxInt64) / 2
+	dp := make([]int64, size*q)
+	for i := range dp {
+		dp[i] = inf
+	}
+	for j := 0; j < q; j++ {
+		dp[(1<<j)*q+j] = d[j+1]
+	}
+	full := uint32(size - 1)
+	for set := 1; set < size; set++ {
+		base := set * q
+		rest := full &^ uint32(set)
+		for ends := uint32(set); ends != 0; ends &= ends - 1 {
+			j := int(bits.TrailingZeros32(ends))
+			cur := dp[base+j]
+			if cur >= inf {
+				continue
+			}
+			row := d[(j+1)*stride:]
+			for rem := rest; rem != 0; rem &= rem - 1 {
+				nxt := int(bits.TrailingZeros32(rem))
+				if c := cur + row[nxt+1]; c < dp[(set|1<<nxt)*q+nxt] {
+					dp[(set|1<<nxt)*q+nxt] = c
+				}
+			}
+		}
+	}
+	return dp[(size-1)*q:]
+}
+
+// rowMajor returns the row-major distance matrix over start ∪ sites.
+func rowMajor(m graph.Metric, start graph.NodeID, sites []graph.NodeID) []int64 {
+	nodes := append([]graph.NodeID{start}, sites...)
+	d := make([]int64, 0, len(nodes)*len(nodes))
+	for _, u := range nodes {
+		for _, v := range nodes {
+			d = append(d, m.Dist(u, v))
+		}
+	}
+	return d
+}
+
+// pushWalk and pushTour solve a walk and a tour over distinct sites with
+// the push reference.
+func pushWalk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
+	return slices.Min(pushHeldKarp(rowMajor(m, home, sites), len(sites)))
+}
+
+func pushTour(m graph.Metric, sites []graph.NodeID) int64 {
+	d := rowMajor(m, sites[0], sites[1:])
+	best := int64(math.MaxInt64)
+	for j, c := range pushHeldKarp(d, len(sites)-1) {
+		best = min(best, c+d[(j+1)*len(sites)])
+	}
+	return best
+}
+
+// TestHeldKarpMatchesPushReference pins the pull kernel to the push
+// reference for walks over 2..16 sites and tours over 3..16, on line,
+// grid, graph-backed and asymmetric weighted metrics (weights around
+// 1e12 in the last). One Solver serves a shuffled sequence of sizes, so
+// the uninitialised table is entered both fresh and holding the rows of
+// an earlier, larger solve.
+func TestHeldKarpMatchesPushReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const n = 40
+	g := graph.New(n)
+	perm := r.Perm(n)
+	for i := 1; i < n; i++ {
+		g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[r.Intn(i)]), 1+r.Int63n(1e6))
+	}
+	for e := 0; e < n; e++ {
+		if u, v := r.Intn(n), r.Intn(n); u != v {
+			g.AddEdge(graph.NodeID(u), graph.NodeID(v), 1+r.Int63n(1e6))
+		}
+	}
+	heavy := make(graph.MatrixMetric, n)
+	for u := range heavy {
+		heavy[u] = make([]int64, n)
+		for v := range heavy[u] {
+			if u != v {
+				heavy[u][v] = 1e12 + r.Int63n(1e9)
+			}
+		}
+	}
+	metrics := []struct {
+		name  string
+		m     graph.Metric
+		nodes int
+	}{
+		{"line", lineMetric{}, n},
+		{"grid", gridMetric(12), 144},
+		{"graph", g, n},
+		{"heavy", heavy, n},
+	}
+	var qs []int
+	for q := 2; q <= ExactLimit; q++ {
+		qs = append(qs, q, q)
+	}
+	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	var s Solver
+	for _, q := range qs {
+		for _, mt := range metrics {
+			nodes := make([]graph.NodeID, q+1)
+			for i, v := range r.Perm(mt.nodes)[:q+1] {
+				nodes[i] = graph.NodeID(v)
+			}
+			home, sites := nodes[0], nodes[1:]
+			if got, want := s.Walk(mt.m, home, sites), pushWalk(mt.m, home, sites); !got.Exact || got.LB != want || got.UB != want {
+				t.Fatalf("%s walk q=%d: pull %+v, push %d", mt.name, q, got, want)
+			}
+			if q < 3 {
+				continue // a two-site tour is closed-form
+			}
+			if got, want := s.Tour(mt.m, sites), pushTour(mt.m, sites); !got.Exact || got.LB != want || got.UB != want {
+				t.Fatalf("%s tour q=%d: pull %+v, push %d", mt.name, q, got, want)
+			}
+		}
+	}
+}
+
+var benchSink Bounds
+
+// BenchmarkHeldKarp times the exact kernel on fixed site sets of a 12×12
+// grid: walks over 12, 14 and 16 sites and a tour over 16, each on a
+// warm Solver.
+func BenchmarkHeldKarp(b *testing.B) {
+	var nodes []graph.NodeID
+	for _, v := range rand.New(rand.NewSource(1)).Perm(144)[:ExactLimit+1] {
+		nodes = append(nodes, graph.NodeID(v))
+	}
+	grid := gridMetric(12)
+	run := func(name string, solve func(*Solver) Bounds) {
+		b.Run(name, func(b *testing.B) {
+			var s Solver
+			solve(&s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = solve(&s)
+			}
+		})
+	}
+	for _, q := range []int{12, 14, 16} {
+		run(fmt.Sprintf("walk/q=%d", q), func(s *Solver) Bounds { return s.Walk(grid, nodes[0], nodes[1:q+1]) })
+	}
+	run("tour/q=16", func(s *Solver) Bounds { return s.Tour(grid, nodes[1:]) })
 }

@@ -60,13 +60,18 @@ go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev
 echo "== lower-bound oracle guards =="
 # Warm oracle lookups must stay zero-alloc (a published bound is a
 # pointer load), the value path must report the witness path's scalars
-# and its tree closed form must match Held–Karp, concurrent first
-# queries must race benignly under the race detector, and the cost-tier
-# benchmark must at least compile and run (1 iteration smoke — the
-# Measure-stage speedup is checked via BENCH_RESULTS.json).
-go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsMatchesCompute|TestValueMatchesWitness|TestTreeWalkMatchesHeldKarp' -count=1
+# and its tree closed form must match Held–Karp, the pull-form
+# Held–Karp kernel must equal the push-form reference on reused scratch,
+# a warm value path must recycle its pooled solver's table instead of
+# allocating one per call, concurrent first queries must race benignly
+# under the race detector, and the cost-tier and kernel benchmarks must
+# at least compile and run (1 iteration smokes — the Measure-stage
+# speedup is checked via BENCH_RESULTS.json).
+go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsMatchesCompute|TestValueMatchesWitness|TestTreeWalkMatchesHeldKarp|TestComputeOptsRecyclesSolver' -count=1
+go test ./internal/tsp -run 'TestHeldKarpMatchesPushReference' -count=1
 go test -race ./internal/lower -run 'TestOracleConcurrentFirstQuery' -count=1
 go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/null
+go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count=1 >/dev/null
 
 echo "== fault layer guards =="
 # RunFaulty with a nil/empty plan must stay on Run's allocation budget
