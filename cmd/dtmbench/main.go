@@ -7,10 +7,9 @@
 // Usage:
 //
 //	dtmbench [-quick] [-trials N] [-seed S] [-only E5[,E6,…]] [-md]
-//	         [-parallel N] [-timeout D] [-precompute auto|on|off]
-//	         [-faults RATE[,RATE…][,SEED]]
+//	         [-parallel N] [-timeout D] [-faults RATE[,RATE…][,SEED]]
 //	         [-json FILE] [-trace FILE] [-metrics FILE] [-http ADDR]
-//	         [-ledger FILE] [-profile DIR]
+//	         [-ledger FILE]
 //
 // -faults runs the fault-injection sweep (E20, unless -only selects
 // more): fractional tokens are fault rates, an integer token reseeds the
@@ -20,13 +19,12 @@
 // -trace writes a structured JSONL run trace to FILE and a Chrome
 // trace-event file (open it in Perfetto or chrome://tracing) next to it;
 // -metrics writes the final metrics snapshot; -http serves
-// /debug/pprof/*, /debug/vars, and /metrics while the sweep runs.
+// /debug/pprof/*, /debug/vars, and /metrics while the sweep runs, so
+// `go tool pprof http://ADDR/debug/pprof/profile` profiles a live sweep.
 //
 // -ledger appends one schema-versioned run-ledger record per experiment
 // (JSONL); compare or gate accumulated ledgers with `dtmsched bench
-// compare OLD NEW` / `dtmsched bench gate OLD NEW`. -profile captures a
-// CPU profile per pipeline stage plus a heap snapshot at every stage
-// boundary into DIR (one file per stage crossing; forces -parallel 1).
+// compare OLD NEW` / `dtmsched bench gate OLD NEW`.
 package main
 
 import (
@@ -47,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"dtmsched/internal/engine"
 	"dtmsched/internal/experiments"
 	"dtmsched/internal/lower"
 	"dtmsched/internal/obs"
@@ -76,9 +73,12 @@ type jsonColumn struct {
 }
 
 // jsonPipeline surfaces the engine instrumentation that each experiment's
-// jobs measure: summed per-stage wall time and the simulator counters.
+// jobs measure: summed per-stage wall time, summed whole-job wall time
+// (which spans the stages, so it is kept apart from them), and the
+// simulator counters.
 type jsonPipeline struct {
 	StageMS         map[string]float64 `json:"stage_ms,omitempty"`
+	JobMS           float64            `json:"job_ms,omitempty"`
 	DepGraphBuildMS float64            `json:"depgraph_build_ms,omitempty"`
 	DepGraphBuilds  int64              `json:"depgraph_builds,omitempty"`
 	LowerMS         float64            `json:"lower_ms,omitempty"`
@@ -135,11 +135,13 @@ func pipelineDelta(prev, cur map[string]int64) jsonPipeline {
 		Executed:    d("txns_executed_total"),
 		StageMS:     map[string]float64{},
 	}
-	for _, stage := range []string{"generate", "schedule", "verify", "measure", "done"} {
+	for _, stage := range []string{"generate", "schedule", "verify", "measure"} {
 		if us := d("engine_stage_wall_us{stage=" + stage + "}"); us != 0 {
 			p.StageMS[stage] = float64(us) / 1000
 		}
 	}
+	// The engine files each job's total wall under the done stage.
+	p.JobMS = float64(d("engine_stage_wall_us{stage=done}")) / 1000
 	if ns := d("depgraph_build_ns_total"); ns != 0 {
 		p.DepGraphBuildMS = float64(ns) / 1e6
 		p.DepGraphBuilds = d("depgraph_builds_total")
@@ -183,25 +185,18 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit tables as CSV (one block per experiment) for plotting")
 		parallel  = flag.Int("parallel", 0, "engine workers per experiment sweep (0 = GOMAXPROCS)")
 		shardw    = flag.Int("shardworkers", 0, "hierarchical shard workers for E22 (0 = GOMAXPROCS); schedules are identical at every count")
-		precomp   = flag.String("precompute", "auto", "all-pairs distance matrix for graph-backed metrics: auto (small graphs only), on, off")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-		buildb    = flag.String("buildbench", "", "benchmark the conflict-graph build at 1k/10k txns for these comma-separated worker counts, then exit")
 		faultsIn  = flag.String("faults", "", "fault-injection sweep: comma-separated fault rates in [0,1) plus an optional integer seed (selects E20 unless -only is set)")
 		jsonOut   = flag.String("json", "", "write machine-readable results to FILE")
 		traceOut  = flag.String("trace", "", "write a JSONL run trace to FILE (plus a Chrome trace next to it)")
 		metrOut   = flag.String("metrics", "", "write the final metrics snapshot (JSON) to FILE")
 		httpAddr  = flag.String("http", "", "serve /debug/pprof/*, /debug/vars, and /metrics (JSON; ?format=prom for Prometheus text) on ADDR while running")
 		ledgerOut = flag.String("ledger", "", "append one run-ledger record per experiment to FILE (JSONL; gate with `dtmsched bench compare/gate`)")
-		profDir   = flag.String("profile", "", "capture per-stage CPU profiles and stage-boundary heap snapshots into DIR (forces -parallel 1)")
 	)
 	flag.Parse()
-
-	if *buildb != "" {
-		if err := runBuildBench(*buildb); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: %v\n", err)
-			os.Exit(2)
-		}
-		return
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "dtmbench: -trials must be at least 1 (got %d)\n", *trials)
+		os.Exit(2)
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -226,17 +221,6 @@ func main() {
 			*only = "E20"
 		}
 	}
-	switch *precomp {
-	case "auto":
-		cfg.Precompute = experiments.PrecomputeAuto
-	case "on":
-		cfg.Precompute = experiments.PrecomputeOn
-	case "off":
-		cfg.Precompute = experiments.PrecomputeOff
-	default:
-		fmt.Fprintf(os.Stderr, "dtmbench: -precompute must be auto, on, or off (got %q)\n", *precomp)
-		os.Exit(2)
-	}
 
 	// The collector is always attached: metrics-only by default, with
 	// full trace retention when -trace asks for it. Trace retention is
@@ -258,21 +242,6 @@ func main() {
 		}
 		ledgerFile = f
 		ledger = obs.NewLedger(f)
-	}
-	var prof *obs.Profiler
-	if *profDir != "" {
-		p, err := obs.NewProfiler(*profDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: -profile: %v\n", err)
-			os.Exit(2)
-		}
-		if cfg.Workers != 1 {
-			fmt.Fprintln(os.Stderr, "dtmbench: -profile forces -parallel 1 (per-stage CPU attribution needs serial execution)")
-			cfg.Workers = 1
-		}
-		cfg.Hook = engine.ProfilerHook(p)
-		p.Start()
-		prof = p
 	}
 	if *httpAddr != "" {
 		col.Registry().Publish(expvarName)
@@ -398,13 +367,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d experiments, %d checks)\n", *jsonOut, len(out.Experiments), out.ChecksRun)
-	}
-	if prof != nil {
-		if err := prof.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmbench: profiler: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote per-stage profiles to %s\n", prof.Dir())
 	}
 	if ledger != nil {
 		if err := ledger.Err(); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"expvar"
 	"testing"
 
@@ -69,5 +70,67 @@ func TestLedgerRecordFromPipeline(t *testing.T) {
 	rec = ledgerRecord("E5", cfg, true, 12.5, cur, cur)
 	if len(rec.Counters) != 0 || len(rec.Hists) != 0 {
 		t.Errorf("identical snapshots recorded %v / %v, want nothing", rec.Counters, rec.Hists)
+	}
+}
+
+// TestLedgerSelfGates drives the -ledger path end to end on a real
+// experiment: quick E10 runs under the metrics collector, its record is
+// written through a ledger and read back, it carries the engine's stage,
+// simulator, and latency series, and the ledger gates clean against
+// itself. The -json pipeline summary of the same run keeps whole-job wall
+// time out of the per-stage map.
+func TestLedgerSelfGates(t *testing.T) {
+	e, ok := experiments.ByID("E10")
+	if !ok {
+		t.Fatal("E10 not registered")
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.Quick = true
+	cfg.Trials = 1
+	col := obs.NewMetricsCollector()
+	cfg.Collector = col
+	prev := col.Registry().Snapshot()
+	if _, err := e.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cur := col.Registry().Snapshot()
+
+	var buf bytes.Buffer
+	l := obs.NewLedger(&buf)
+	if err := l.Append(ledgerRecord(e.ID, cfg, true, 1, prev, cur)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadLedger(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("read back %d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	for _, stage := range []string{"generate", "schedule", "verify", "measure"} {
+		if rec.Counters["engine_stage_total{stage="+stage+"}"] <= 0 {
+			t.Errorf("record has no %s stage completions: %v", stage, rec.Counters)
+		}
+	}
+	if rec.Counters["sim_steps_total"] <= 0 {
+		t.Errorf("sim_steps_total = %d, want > 0", rec.Counters["sim_steps_total"])
+	}
+	if rec.Hists["txn_latency_steps"] == nil {
+		t.Error("record carries no txn_latency_steps histogram")
+	}
+	if rep := obs.Compare(recs, recs, obs.Thresholds{}); !rep.Pass() {
+		var out bytes.Buffer
+		rep.WriteText(&out)
+		t.Errorf("ledger does not gate clean against itself:\n%s", out.String())
+	}
+
+	counters := counterMap(cur)
+	p := pipelineDelta(counterMap(prev), counters)
+	if _, ok := p.StageMS["done"]; ok {
+		t.Errorf("stage_ms = %v, want job wall kept out of the stage map", p.StageMS)
+	}
+	if want := float64(counters["engine_stage_wall_us{stage=done}"]) / 1000; p.JobMS != want || want <= 0 {
+		t.Errorf("job_ms = %v, want the summed job wall %v", p.JobMS, want)
 	}
 }

@@ -79,39 +79,3 @@ func TestBenchGate(t *testing.T) {
 		t.Errorf("bare bench exited %d, want 2", code)
 	}
 }
-
-// TestBenchRecordSmoke runs the in-process record path on the smoke
-// suite and gates the resulting ledger against itself.
-func TestBenchRecordSmoke(t *testing.T) {
-	dir := t.TempDir()
-	ledger := filepath.Join(dir, "smoke.jsonl")
-	if code := runBenchCmd([]string{"record", "-ledger", ledger, "-suite", "smoke", "-trials", "1"}); code != 0 {
-		t.Fatalf("record exited %d, want 0", code)
-	}
-	recs, err := obs.ReadLedgerFile(ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("smoke suite wrote %d records, want 2 (one per cell)", len(recs))
-	}
-	for _, r := range recs {
-		if r.Config["suite"] != "smoke" || r.Config["job"] == "" {
-			t.Errorf("record config = %v, want suite and job", r.Config)
-		}
-		if r.Counters["makespan_steps_max"] <= 0 || r.Counters["sim_steps_total"] <= 0 ||
-			r.Hists["txn_latency_steps"] == nil {
-			t.Errorf("record %s carries no measurements: %+v", r.Experiment, r)
-		}
-	}
-	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {
-		t.Errorf("gating a ledger against itself exited %d, want 0", code)
-	}
-
-	if code := runBenchCmd([]string{"record", "-ledger", ledger, "-suite", "nope"}); code != 2 {
-		t.Errorf("unknown suite exited %d, want 2", code)
-	}
-	if code := runBenchCmd([]string{"record", "-suite", "smoke"}); code != 2 {
-		t.Errorf("record without -ledger exited %d, want 2", code)
-	}
-}

@@ -19,10 +19,9 @@
 //	dtmsched trace -topo grid -side 8 -w 16 -alg auto
 //	dtmsched trace -topo star -alpha 4 -beta 8 -out run.jsonl -chrome run.chrome.json
 //
-// The bench subcommand family records reproducible benchmark ledgers and
-// gates regressions between them (see bench.go):
+// The bench subcommand family gates regressions between run ledgers
+// recorded by `dtmbench -ledger` (see bench.go):
 //
-//	dtmsched bench record -ledger base.jsonl
 //	dtmsched bench compare base.jsonl head.jsonl
 //	dtmsched bench gate base.jsonl head.jsonl   # exit 1 on regression
 package main
@@ -88,6 +87,9 @@ func main() {
 		loadPath     = flag.String("load", "", "schedule an instance loaded from a JSON file instead of generating one")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		fatalf("-trials must be at least 1 (got %d)", *trials)
+	}
 
 	if *list {
 		for _, a := range dtm.Algorithms() {

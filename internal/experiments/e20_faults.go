@@ -111,7 +111,7 @@ func runE20(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	results, err := engine.RunBatch(cfg.context(), jobs, engine.Options{Workers: cfg.Workers, Collector: cfg.Collector, Hook: cfg.Hook})
+	results, err := engine.RunBatch(cfg.context(), jobs, engine.Options{Workers: cfg.Workers, Collector: cfg.Collector})
 	if err != nil {
 		return nil, err
 	}

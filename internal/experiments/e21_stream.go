@@ -73,7 +73,6 @@ func runE21(cfg Config) (*Result, error) {
 					Verify:        verifyModeFor(cfg),
 					PipelineDepth: 2,
 					Collector:     cfg.Collector,
-					Hook:          cfg.Hook,
 				})
 				if err != nil {
 					return nil, err

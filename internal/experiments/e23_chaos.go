@@ -74,7 +74,6 @@ func runE23(cfg Config) (*Result, error) {
 			BreakerWindow: 2,
 			InflationTrip: 1.25,
 			Collector:     cfg.Collector,
-			Hook:          cfg.Hook,
 		}
 		if chaosRate > 0 {
 			inj, err := stream.NewChaos(stream.ChaosConfig{

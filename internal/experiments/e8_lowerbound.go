@@ -80,7 +80,7 @@ func runLB(cfg Config, id, title, ref string, build func(s int) tm.Blocked) (*Re
 			jobs[i] = engine.Job{Name: fmt.Sprintf("%s/s=%d/%s", id, s, a.name),
 				Instance: li.Instance, Scheduler: a.sched, SkipLowerBound: true}
 		}
-		results, err := engine.RunBatch(cfg.context(), jobs, engine.Options{Workers: cfg.Workers, Hook: cfg.Hook})
+		results, err := engine.RunBatch(cfg.context(), jobs, engine.Options{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -26,26 +26,6 @@ import (
 	"dtmsched/internal/xrand"
 )
 
-// PrecomputeMode selects when instances install the precomputed all-pairs
-// distance matrix (tm.Instance.PrecomputeDist) before entering the engine
-// pipeline. Only graph-backed metrics are affected; topologies with
-// closed-form metrics never consult the graph.
-type PrecomputeMode int
-
-// Precompute policies. The zero value is Auto: small graph-backed
-// instances get the matrix, everything else keeps the lock-free lazy
-// tree cache.
-const (
-	// PrecomputeAuto installs the matrix for graph-backed metrics on
-	// graphs of at most tm.AutoPrecomputeNodes nodes.
-	PrecomputeAuto PrecomputeMode = iota
-	// PrecomputeOff never installs the matrix.
-	PrecomputeOff
-	// PrecomputeOn installs the matrix for every graph-backed metric
-	// regardless of size.
-	PrecomputeOn
-)
-
 // Config tunes experiment execution.
 type Config struct {
 	// Seed roots all randomness; fixed default for reproducibility.
@@ -64,15 +44,6 @@ type Config struct {
 	// (depending on its configuration) run traces from every engine job
 	// the experiments execute. Nil costs nothing.
 	Collector *obs.Collector
-	// Hook, when set, observes every engine job's stage completions
-	// (dtmbench wires the obs/v2 profiler through it). Called from the
-	// engine workers; must be goroutine-safe. Nil costs nothing.
-	Hook engine.Hook
-	// Precompute selects the distance-matrix policy applied to every
-	// instance the experiments build (default PrecomputeAuto). Purely a
-	// performance knob: measured makespans, bounds, and ratios are
-	// identical under every mode.
-	Precompute PrecomputeMode
 	// FaultRates overrides E20's fault-rate ladder (dtmbench -faults).
 	// Empty keeps the experiment's default ladder; a 0 entry is the
 	// fault-free baseline column.
@@ -99,24 +70,19 @@ func (c Config) bound(in *tm.Instance) lower.Bound {
 	return lower.ComputeOpts(in, lower.Options{})
 }
 
-// prepare applies the precompute policy to a freshly built instance. It
-// runs single-threaded SSSP: callers are already fanned out across the
-// engine worker pool, so nesting parallelism would oversubscribe.
+// prepare installs the precomputed all-pairs distance matrix on a
+// freshly built instance when its graph is small enough to pay for it
+// (tm.Instance.PrecomputeDistAuto); makespans, bounds, and ratios are
+// identical either way. It runs single-threaded SSSP: callers are
+// already fanned out across the engine worker pool, so nesting
+// parallelism would oversubscribe.
 func (c Config) prepare(in *tm.Instance) *tm.Instance {
-	switch c.Precompute {
-	case PrecomputeOn:
-		in.PrecomputeDist(1)
-	case PrecomputeAuto:
-		in.PrecomputeDistAuto(1)
-	}
+	in.PrecomputeDistAuto(1)
 	return in
 }
 
 // wrapGen applies prepare to the instance a Gen closure produces.
 func (c Config) wrapGen(gen func() (*tm.Instance, error)) func() (*tm.Instance, error) {
-	if c.Precompute == PrecomputeOff {
-		return gen
-	}
 	return func() (*tm.Instance, error) {
 		in, err := gen()
 		if err != nil {
@@ -233,7 +199,7 @@ func cellFromReport(r *engine.Report) cell {
 // the instance lower bound. Any infeasibility is a hard error: the
 // experiments never report unverified schedules.
 func runCell(cfg Config, in *tm.Instance, sched core.Scheduler) (cell, error) {
-	rep, err := engine.Run(cfg.context(), engine.Job{Instance: cfg.prepare(in), Scheduler: sched, Collector: cfg.Collector, LowerOracle: cfg.LowerOracle, Hook: cfg.Hook})
+	rep, err := engine.Run(cfg.context(), engine.Job{Instance: cfg.prepare(in), Scheduler: sched, Collector: cfg.Collector, LowerOracle: cfg.LowerOracle})
 	if err != nil {
 		return cell{}, fmt.Errorf("%s: %w", sched.Name(), err)
 	}
@@ -242,7 +208,7 @@ func runCell(cfg Config, in *tm.Instance, sched core.Scheduler) (cell, error) {
 
 // runSchedule is runCell for a precomputed schedule.
 func runSchedule(cfg Config, in *tm.Instance, s *schedule.Schedule, name string) (cell, error) {
-	rep, err := engine.Run(cfg.context(), engine.Job{Instance: cfg.prepare(in), Schedule: s, Algorithm: name, Collector: cfg.Collector, LowerOracle: cfg.LowerOracle, Hook: cfg.Hook})
+	rep, err := engine.Run(cfg.context(), engine.Job{Instance: cfg.prepare(in), Schedule: s, Algorithm: name, Collector: cfg.Collector, LowerOracle: cfg.LowerOracle})
 	if err != nil {
 		return cell{}, fmt.Errorf("%s: %w", name, err)
 	}
@@ -293,7 +259,6 @@ func (s *sweep) run() ([][]cell, error) {
 	results, err := engine.RunBatch(s.cfg.context(), s.jobs, engine.Options{
 		Workers:     s.cfg.Workers,
 		Collector:   s.cfg.Collector,
-		Hook:        s.cfg.Hook,
 		LowerOracle: s.cfg.LowerOracle,
 	})
 	if err != nil {

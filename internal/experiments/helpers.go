@@ -8,7 +8,7 @@ import (
 // metric adapts a topology's distance oracle to graph.Metric: the
 // closed form where one exists, the graph itself where the topology
 // falls back to shortest-path search — exposing the graph directly lets
-// instances install the precomputed matrix (Config.Precompute).
+// instances install the precomputed matrix (Config.prepare).
 func metric(t topology.Topology) graph.Metric {
 	if topology.MetricFallsBackToGraph(t) {
 		return t.Graph()

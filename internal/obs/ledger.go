@@ -2,14 +2,14 @@
 // RunRecords. Where a metrics snapshot answers "what happened in this
 // process", the ledger answers "how does this run compare to every run
 // before it": each benchmark invocation appends one record per
-// experiment (or per engine job), and the regression engine in compare.go
-// groups the accumulated records by configuration fingerprint to decide
-// whether performance moved.
+// experiment, and the regression engine in compare.go groups the
+// accumulated records by configuration fingerprint to decide whether
+// performance moved.
 //
 // The ledger follows the Collector's nil-safety contract: a nil *Ledger
-// is a no-op whose methods cost zero allocations, so engine hooks can
-// call it unconditionally and an unattached pipeline pays nothing
-// (enforced by TestNilLedgerProfilerZeroAllocs).
+// is a no-op whose methods cost zero allocations, so callers can use it
+// unconditionally and an unattached run pays nothing (enforced by
+// TestNilLedgerZeroAllocs).
 package obs
 
 import (

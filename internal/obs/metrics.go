@@ -3,8 +3,8 @@
 // fixed-bucket histograms backed by sync/atomic) with Prometheus and
 // expvar exposition, a trace store exporting plain-data run traces as
 // JSONL and Chrome trace-event files (loadable in Perfetto /
-// chrome://tracing), a run ledger recording registry deltas, the
-// regression gate over ledgers, and a per-stage profiler.
+// chrome://tracing), a run ledger recording registry deltas, and the
+// regression gate over ledgers.
 //
 // Publishers — the engine, the streaming service — write their own
 // series into the registry they are handed; obs never names them. The

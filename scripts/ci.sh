@@ -51,9 +51,10 @@ go test ./internal/graph -run '^$' -bench 'BenchmarkDistParallel' -benchtime 1x 
 echo "== conflict-graph layer guards =="
 # Warm CSR queries (Weight/Degree/Neighbors/CheckColoring) must stay
 # zero-alloc, and the parallel build must produce byte-identical CSR
-# storage at every worker count; the build benchmark must at least
-# compile and run (1 iteration smoke — the ≥2× speedup vs the map-based
-# reference builder is checked manually with -benchtime).
+# storage at every worker count; BenchmarkDepGraphBuild (1k/10k builds at
+# each worker count against the map-based reference builder) must at
+# least compile and run (1 iteration smoke — the speedup is checked with
+# -benchtime).
 go test ./internal/depgraph -run 'TestWarmCSRQueriesZeroAlloc|TestBuildDeterministicAcrossWorkers' -count=1
 go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev/null
 
@@ -93,13 +94,13 @@ echo "== obs/v2 ledger + exposition guards =="
 # regression gate must flag a synthetic 2× slowdown and pass identical
 # ledgers (self-test at both the library and CLI layers), a never-seen
 # count, time counter, and histogram must reach the ledger and the gate
-# with no obs edit, and nil ledger/profiler hooks must keep the engine
-# hot path allocation-free.
+# with no obs edit, a nil ledger must stay allocation-free, and a real
+# dtmbench experiment's ledger must carry the engine's stage, simulator,
+# and latency series and gate clean against itself.
 go test ./internal/obs -run 'TestPromGolden|TestPromDeterministic|TestPromParseable|TestRegistryUpdateZeroAllocDuringScrape' -count=1
-go test ./internal/obs -run 'TestCompareGateSelfTest|TestGateNewSeries|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerProfilerZeroAllocs' -count=1
-go test ./internal/engine -run 'TestLedgerHook|TestProfilerHook' -count=1
-go test ./cmd/dtmsched -run 'TestBenchGate|TestBenchRecordSmoke' -count=1
-go test ./cmd/dtmbench -run 'TestPublishPrefix' -count=1
+go test ./internal/obs -run 'TestCompareGateSelfTest|TestGateNewSeries|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerZeroAllocs' -count=1
+go test ./cmd/dtmsched -run 'TestBenchGate' -count=1
+go test ./cmd/dtmbench -run 'TestPublishPrefix|TestLedgerSelfGates' -count=1
 
 echo "== ledger count determinism =="
 # Count series are exact at every worker count: two parallel runs of the
@@ -111,6 +112,25 @@ for run in a b; do
 done
 go run ./cmd/dtmsched bench gate -time-threshold 10 "$det_tmp/a.jsonl" "$det_tmp/b.jsonl" >/dev/null
 rm -rf "$det_tmp"
+
+echo "== CLI usage guards =="
+# A run with no trials has nothing to measure: both CLIs must reject
+# -trials < 1 as a usage error (exit 2) instead of passing vacuously.
+# The binaries are built first because go run folds every failure into
+# exit 1.
+cli_tmp=$(mktemp -d)
+go build -o "$cli_tmp/" ./cmd/dtmbench ./cmd/dtmsched
+for trials in 0 -1; do
+    for cli in "dtmbench -quick -only E1" "dtmsched -topo grid -n 4 -w 8 -k 2"; do
+        code=0
+        "$cli_tmp"/$cli -trials "$trials" >/dev/null 2>&1 || code=$?
+        if [[ "$code" != 2 ]]; then
+            echo "$cli -trials $trials exited $code, want 2" >&2
+            exit 1
+        fi
+    done
+done
+rm -rf "$cli_tmp"
 
 echo "== online loop guards =="
 # The online executor's steady-state tick must not allocate per step
