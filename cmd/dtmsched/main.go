@@ -42,9 +42,9 @@ import (
 	"dtmsched/internal/engine"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/hier"
-	"dtmsched/internal/lower"
 	"dtmsched/internal/obs"
 	"dtmsched/internal/persist"
+	"dtmsched/internal/schedule"
 	"dtmsched/internal/sim"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -169,10 +169,8 @@ func main() {
 		if len(rep.Stats) > 0 {
 			fmt.Printf("  stats: %v\n", rep.Stats)
 		}
-		if *analyze || *trace {
-			if err := extras(sys.Instance(), dtm.Algorithm(*alg), *analyze, *trace, *seed); err != nil {
-				fatalf("%v", err)
-			}
+		if err := extras(sys.Instance(), rep.Schedule, *analyze, *trace); err != nil {
+			fatalf("%v", err)
 		}
 	}
 }
@@ -313,60 +311,36 @@ func runLoaded(path, alg string, analyze, trace bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	res, err := sched.Schedule(in)
+	rep, err := engine.Run(context.Background(), engine.Job{Name: path, Instance: in, Scheduler: sched})
 	if err != nil {
 		return err
-	}
-	simRes, err := sim.Run(in, res.Schedule, sim.Options{Trace: trace})
-	if err != nil {
-		return err
-	}
-	lb := lower.ComputeOpts(in, lower.Options{})
-	ratio := 0.0
-	if lb.Value > 0 {
-		ratio = float64(res.Makespan) / float64(lb.Value)
 	}
 	fmt.Printf("%-20s on %-10s makespan=%-7d lb=%-6d ratio=%.2f comm=%d\n",
-		res.Algorithm, in.G.Name(), res.Makespan, lb.Value, ratio, simRes.CommCost)
-	printExtras(in, res, simRes, analyze, trace)
-	return nil
+		rep.Algorithm, in.G.Name(), rep.Makespan, rep.Bound.Value, rep.Ratio, rep.CommCost)
+	return extras(in, rep.Schedule, analyze, trace)
 }
 
-func extras(in *tm.Instance, alg dtm.Algorithm, analyze, trace bool, seed int64) error {
-	sched, err := genericScheduler(string(alg), seed)
-	if err != nil {
-		// Topology-specific algorithm: re-deriving it here would need
-		// the generator; fall back to analyzing the greedy schedule.
-		sched = &core.Greedy{}
-	}
-	res, err := sched.Schedule(in)
-	if err != nil {
-		return err
-	}
-	simRes, err := sim.Run(in, res.Schedule, sim.Options{Trace: trace})
-	if err != nil {
-		return err
-	}
-	printExtras(in, res, simRes, analyze, trace)
-	return nil
-}
-
-func printExtras(in *tm.Instance, res *core.Result, simRes *sim.Result, analyze, trace bool) {
+// extras prints the analysis and the simulator's event trace of the
+// reported schedule s, as requested.
+func extras(in *tm.Instance, s *schedule.Schedule, analyze, trace bool) error {
 	if analyze {
-		fmt.Print(analysis.Analyze(in, res.Schedule))
+		fmt.Print(analysis.Analyze(in, s))
 	}
-	if trace {
-		limit := len(simRes.Events)
-		if limit > 200 {
-			limit = 200
-		}
-		for _, e := range simRes.Events[:limit] {
-			fmt.Println(" ", e)
-		}
-		if len(simRes.Events) > limit {
-			fmt.Printf("  … %d more events\n", len(simRes.Events)-limit)
-		}
+	if !trace {
+		return nil
 	}
+	simRes, err := sim.Run(in, s, sim.Options{Trace: true})
+	if err != nil {
+		return err
+	}
+	limit := min(len(simRes.Events), 200)
+	for _, e := range simRes.Events[:limit] {
+		fmt.Println(" ", e)
+	}
+	if len(simRes.Events) > limit {
+		fmt.Printf("  … %d more events\n", len(simRes.Events)-limit)
+	}
+	return nil
 }
 
 // genericScheduler resolves topology-independent algorithms by name.

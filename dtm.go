@@ -26,6 +26,7 @@ import (
 	"dtmsched/internal/engine"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/hier"
+	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
 	"dtmsched/internal/xrand"
@@ -353,6 +354,9 @@ type Report struct {
 	MaxWalk int64
 	// Stats carries algorithm-specific counters.
 	Stats map[string]int64
+	// Schedule is the schedule the report measures: Schedule.Times[i] is
+	// transaction i's commit step.
+	Schedule *schedule.Schedule
 	// Verify is the verification policy the report was produced under.
 	Verify VerifyMode
 	// Timing is the run pipeline's per-stage wall-time instrumentation.
@@ -409,6 +413,7 @@ func (s *System) report(rep *engine.Report) *Report {
 		MaxUse:     rep.Bound.MaxUse,
 		MaxWalk:    rep.Bound.MaxWalkLB,
 		Stats:      rep.Stats,
+		Schedule:   rep.Schedule,
 		Verify:     rep.Verify,
 		Timing:     rep.Timing,
 		Counters:   rep.Counters,

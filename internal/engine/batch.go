@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,64 +62,19 @@ type Options struct {
 	LowerOracle *lower.Oracle
 }
 
-// JobResult pairs one job with its outcome. Err is nil on success. On
-// failure, Report may still carry the partial report of the stages that
-// completed before the error (a schedule whose verification or faulty
-// replay failed, for example) — the degraded state; see State and
-// PartialReports. Jobs skipped by cancellation carry the context's error.
+// JobResult pairs one job with its outcome: exactly one of Report / Err is
+// set. Jobs skipped by cancellation carry the context's error.
 type JobResult struct {
 	// Index is the job's position in the input slice.
 	Index int
 	// Name echoes the job label.
 	Name string
-	// Report is the finished report on success, or the partial report on
-	// a degraded failure (nil when nothing useful completed).
+	// Report is the finished report on success.
 	Report *Report
 	// Err is the job's failure: a pipeline error, a recovered scheduler
 	// panic, a deadline overrun, or the context error for jobs not run
 	// before cancellation.
 	Err error
-}
-
-// State classifies a JobResult.
-type State int
-
-// Job outcome states.
-const (
-	// StateOK: the job completed; Report is final.
-	StateOK State = iota
-	// StateDegraded: the job failed but produced a usable partial report
-	// (at least a schedule); Err explains what was lost.
-	StateDegraded
-	// StateFailed: the job failed with nothing to show.
-	StateFailed
-)
-
-// String names the state for logs.
-func (s State) String() string {
-	switch s {
-	case StateOK:
-		return "ok"
-	case StateDegraded:
-		return "degraded"
-	case StateFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// State classifies the result: OK, degraded (partial report + error), or
-// failed outright.
-func (r JobResult) State() State {
-	switch {
-	case r.Err == nil:
-		return StateOK
-	case r.Report != nil:
-		return StateDegraded
-	default:
-		return StateFailed
-	}
 }
 
 // RunBatch fans jobs out over a bounded worker pool. It always returns one
@@ -250,21 +204,15 @@ func runAttempt(ctx context.Context, i int, job Job, hook Hook, col *obs.Collect
 }
 
 // runRecover executes one pipeline run, converting panics (a buggy
-// scheduler, a bad workload closure) into that job's error. A failing run
-// keeps its partial report only when it got far enough to be useful — a
-// schedule to look at — so StateDegraded never surfaces an empty shell.
+// scheduler, a bad workload closure) into that job's error.
 func runRecover(ctx context.Context, i int, job Job, hook Hook, col *obs.Collector) (res JobResult) {
 	res = JobResult{Index: i, Name: job.Name}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Report = nil
 			res.Err = fmt.Errorf("engine: job %d (%s) panicked: %v", i, job.Name, r)
 		}
 	}()
 	res.Report, res.Err = run(ctx, i, job, hook, col)
-	if res.Err != nil && res.Report != nil && res.Report.Schedule == nil {
-		res.Report = nil
-	}
 	return res
 }
 
@@ -290,50 +238,6 @@ func Reports(results []JobResult) ([]*Report, error) {
 			return nil, fmt.Errorf("engine: job %d (%s): %w", r.Index, r.Name, r.Err)
 		}
 		out[i] = r.Report
-	}
-	return out, nil
-}
-
-// Degraded is the error PartialReports returns when some jobs failed: the
-// batch still produced results, just not all of them. Failed holds every
-// non-OK JobResult (degraded ones included, with their partial reports).
-type Degraded struct {
-	// Failed are the results with errors, in job order.
-	Failed []JobResult
-	// Total is the batch size.
-	Total int
-}
-
-// Error summarizes the losses.
-func (d *Degraded) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine: %d of %d jobs failed:", len(d.Failed), d.Total)
-	for i, r := range d.Failed {
-		if i == 3 {
-			fmt.Fprintf(&b, " … (%d more)", len(d.Failed)-i)
-			break
-		}
-		fmt.Fprintf(&b, " [%d %s: %v]", r.Index, r.Name, r.Err)
-	}
-	return b.String()
-}
-
-// PartialReports unwraps a batch in degraded mode: the reports of every
-// successful job, plus a *Degraded error describing the failures (nil
-// when all jobs succeeded). Unlike Reports, one bad job does not discard
-// the rest of the sweep.
-func PartialReports(results []JobResult) ([]*Report, error) {
-	out := make([]*Report, 0, len(results))
-	var failed []JobResult
-	for _, r := range results {
-		if r.Err != nil {
-			failed = append(failed, r)
-			continue
-		}
-		out = append(out, r.Report)
-	}
-	if len(failed) > 0 {
-		return out, &Degraded{Failed: failed, Total: len(results)}
 	}
 	return out, nil
 }

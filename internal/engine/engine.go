@@ -150,9 +150,9 @@ type Job struct {
 	// never on the Report, which stays byte-identical either way.
 	LowerOracle *lower.Oracle
 	// Faults, when set to a non-empty injector, replays the schedule
-	// under fault injection in the Verify stage: sim.RunFaulty
-	// re-dispatches dropped moves with backoff, reroutes around dead
-	// links, and defers commits on crashed nodes. The recovery summary
+	// under fault injection in the Verify stage: sim.Run re-dispatches
+	// dropped moves with backoff, reroutes around dead links, and defers
+	// commits on crashed nodes. The recovery summary
 	// lands in Report.Fault and the collector's fault_* counters. A
 	// non-empty injector forces the faulty simulation even under
 	// VerifyFast / VerifyOff (injection is meaningless without a replay);
@@ -240,15 +240,9 @@ type Report struct {
 
 // Run executes one job through the staged pipeline. The context is checked
 // between stages, so cancellation aborts promptly without leaving partial
-// state anywhere but the returned error. On error the report is nil;
-// degraded-mode consumers that want partial results use RunBatch and
-// PartialReports.
+// state anywhere but the returned error. On error the report is nil.
 func Run(ctx context.Context, job Job) (*Report, error) {
-	rep, err := run(ctx, 0, job, job.Hook, job.Collector)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return run(ctx, 0, job, job.Hook, job.Collector)
 }
 
 // run is Run with an explicit batch index, composed hook, and collector.
@@ -267,10 +261,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	fail := func(stage Stage, elapsed time.Duration, err error) (*Report, error) {
 		err = fmt.Errorf("engine: %s stage: %w", stage, err)
 		emit(stage, elapsed, err, nil)
-		// The partial report (whatever the completed stages populated) is
-		// returned alongside the error for degraded-mode consumers; Run
-		// discards it, RunBatch keeps it when it carries a schedule.
-		return rep, err
+		return nil, err
 	}
 
 	// Generate: obtain the instance. Cancellation between stages routes
@@ -350,35 +341,19 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	default:
 		return fail(StageVerify, 0, fmt.Errorf("unknown verify mode %d", int(job.Verify)))
 	}
-	switch {
-	case job.Faults != nil && !job.Faults.Empty():
-		// Fault injection always replays the schedule, whatever the verify
-		// policy: the replay is the measurement.
-		var frep *faults.Report
+	// Fault injection always replays the schedule, whatever the verify
+	// policy: the replay is the measurement.
+	if job.Verify == VerifyFull || (job.Faults != nil && !job.Faults.Empty()) {
 		var err error
-		simRes, frep, err = sim.RunFaulty(in, rep.Schedule, sim.FaultyOptions{
-			Options: sim.Options{Trace: col.Tracing()},
-			Inject:  job.Faults,
-		})
-		if err != nil {
-			return fail(StageVerify, time.Since(t0), fmt.Errorf("faulty replay of %s schedule: %w", rep.Algorithm, err))
-		}
-		rep.Fault = frep
-		publishFault(col.Registry(), frep)
-		if job.Verify == VerifyFull {
-			rep.CommCost = simRes.CommCost
-			rep.Counters = Counters{
-				SimSteps:    simRes.Makespan,
-				ObjectMoves: simRes.Moves,
-				Executed:    int64(simRes.Executed),
-			}
-		}
-	case job.Verify == VerifyFull:
-		var err error
-		simRes, err = sim.Run(in, rep.Schedule, sim.Options{Trace: col.Tracing()})
+		simRes, err = sim.Run(in, rep.Schedule, sim.Options{Trace: col.Tracing(), Faults: job.Faults})
 		if err != nil {
 			return fail(StageVerify, time.Since(t0), fmt.Errorf("simulator rejected %s schedule: %w", rep.Algorithm, err))
 		}
+		if rep.Fault = simRes.Fault; rep.Fault != nil {
+			publishFault(col.Registry(), rep.Fault)
+		}
+	}
+	if job.Verify == VerifyFull {
 		rep.CommCost = simRes.CommCost
 		rep.Counters = Counters{
 			SimSteps:    simRes.Makespan,

@@ -107,11 +107,10 @@ func TestVerifyFailureEventsRunBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A verify-stage failure is the degraded state: the error is set, and
-	// the partial report (the schedule that failed verification) survives
-	// for degraded-mode consumers.
-	if res[0].Err == nil || res[0].State() != StateDegraded || res[0].Report == nil || res[0].Report.Schedule == nil {
-		t.Errorf("infeasible job: report=%v err=%v state=%v, want a degraded result carrying the partial report", res[0].Report, res[0].Err, res[0].State())
+	// A verify-stage failure sets the error and nothing else: exactly one
+	// of Report / Err is set.
+	if res[0].Err == nil || res[0].Report != nil {
+		t.Errorf("infeasible job: report=%v err=%v, want an error and no report", res[0].Report, res[0].Err)
 	}
 	if res[1].Err != nil || res[1].Report == nil {
 		t.Errorf("good job failed: %v", res[1].Err)

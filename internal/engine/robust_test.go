@@ -153,8 +153,8 @@ func TestRunBatchDeadlineFreesPool(t *testing.T) {
 	if !strings.Contains(res[0].Err.Error(), "deadline") {
 		t.Errorf("hung job error %q does not mention the deadline", res[0].Err)
 	}
-	if res[0].State() != StateFailed {
-		t.Errorf("hung job state = %v, want failed", res[0].State())
+	if res[0].Report != nil {
+		t.Errorf("hung job carries a report: %+v", res[0].Report)
 	}
 	if res[1].Err != nil || res[1].Report == nil {
 		t.Fatalf("job after the hung one failed: %v", res[1].Err)
@@ -194,7 +194,7 @@ func TestRunBatchRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != nil || res[0].State() != StateOK {
+	if res[0].Err != nil || res[0].Report == nil {
 		t.Fatalf("flaky job did not recover: %v", res[0].Err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -224,48 +224,5 @@ func TestRunBatchRetriesTransientFailures(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("non-retryable error attempted %d times, want 1", got)
-	}
-}
-
-func TestPartialReportsDegradedBatch(t *testing.T) {
-	// A batch with one infeasible job degrades instead of failing whole:
-	// PartialReports hands back the successes plus a *Degraded error that
-	// names the losses.
-	jobs := []Job{
-		{Name: "good-0", Gen: cliqueGen(16, 4, 2, 1), Scheduler: &core.Greedy{}},
-		infeasibleJob("broken", VerifyFull),
-		{Name: "good-1", Gen: cliqueGen(16, 4, 2, 2), Scheduler: &core.Greedy{}},
-	}
-	res, err := RunBatch(context.Background(), jobs, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Reports(res); err == nil {
-		t.Fatal("Reports should fail on the broken job")
-	}
-	reps, err := PartialReports(res)
-	if len(reps) != 2 {
-		t.Fatalf("got %d partial reports, want 2", len(reps))
-	}
-	var deg *Degraded
-	if !errors.As(err, &deg) {
-		t.Fatalf("err = %v (%T), want *Degraded", err, err)
-	}
-	if len(deg.Failed) != 1 || deg.Total != 3 || deg.Failed[0].Name != "broken" {
-		t.Errorf("Degraded = %+v, want the one broken job of 3", deg)
-	}
-	if deg.Failed[0].State() != StateDegraded {
-		t.Errorf("broken job state = %v, want degraded (verify failures keep the schedule)", deg.Failed[0].State())
-	}
-	if !strings.Contains(deg.Error(), "1 of 3 jobs failed") {
-		t.Errorf("Degraded.Error() = %q", deg.Error())
-	}
-	// An all-green batch returns a nil error.
-	res, err = RunBatch(context.Background(), jobs[:1], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PartialReports(res); err != nil {
-		t.Errorf("all-green PartialReports returned %v", err)
 	}
 }

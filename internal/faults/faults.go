@@ -1,10 +1,11 @@
 // Package faults provides deterministic, seed-reproducible fault plans for
-// the repairing simulator (sim.RunFaulty) and the engine's robustness
-// sweeps. Every bound in the paper assumes the synchronous fault-free model
-// of Section 2.1; this package scripts the ways a deployment breaks that
-// model — links slowing down or dropping out over step intervals, object
-// moves lost in transit, nodes crashing and restarting — so the schedules'
-// makespan and communication-cost loss under faults becomes measurable.
+// the simulator's self-healing replay (sim.Options.Faults) and the
+// engine's robustness sweeps. Every bound in the paper assumes the
+// synchronous fault-free model of Section 2.1; this package scripts the
+// ways a deployment breaks that model — links slowing down or dropping
+// out over step intervals, object moves lost in transit, nodes crashing
+// and restarting — so the schedules' makespan and communication-cost loss
+// under faults becomes measurable.
 //
 // All randomness is rooted in an explicit seed (never wall-clock): the same
 // seed always yields the same Plan, and a Plan's answers depend only on its
@@ -93,7 +94,7 @@ type Fault struct {
 // which connectivity can return) and to size its step limit.
 type Injector interface {
 	// Empty reports whether the injector can never fire; an empty
-	// injector makes RunFaulty exactly Run.
+	// injector leaves a sim.Run replay fault-free.
 	Empty() bool
 	// Count is the number of scripted faults (rate-based move drops are
 	// uncounted: they surface as retries in the report).

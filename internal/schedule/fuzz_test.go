@@ -2,10 +2,14 @@ package schedule_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dtmsched/internal/baseline"
 	"dtmsched/internal/core"
+	"dtmsched/internal/exact"
+	"dtmsched/internal/faults"
+	"dtmsched/internal/graph"
 	"dtmsched/internal/hier"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/sim"
@@ -18,9 +22,11 @@ import (
 // verifiers, schedule.Validate (the ChainChecker) and the step-by-step
 // simulator sim.Run. Every scheduler family's output on a tiny seeded
 // instance must pass both, with CommCost equal to the simulator's
-// measured communication cost; a mutated copy (one commit pulled a step
-// earlier, or the times of two conflicting transactions swapped) must get
-// the same verdict from both.
+// measured communication cost and Makespan equal to the schedule's; a
+// mutated copy (one commit pulled a step earlier, or the times of two
+// conflicting transactions swapped) must get the same verdict from both.
+// On the scheduler outputs the simulator is also checked against the
+// exact optimum and under seeded faults (see certify).
 func FuzzVerifiersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, pick uint16, swap bool) {
 		r := rand.New(rand.NewSource(seed))
@@ -42,6 +48,7 @@ func FuzzVerifiersAgree(f *testing.F) {
 				t.Fatalf("%s: %v", sc.Name(), err)
 			}
 			agree(t, sc.Name(), at, res.Schedule, int(pick), swap)
+			certify(t, sc.Name(), at, res.Schedule, seed)
 		}
 
 		seq, err := windows.Generate(r, g, topo, wl, 2, tm.PlaceAtRandomUser)
@@ -70,8 +77,9 @@ func FuzzVerifiersAgree(f *testing.F) {
 	})
 }
 
-// agree asserts that both verifiers accept s, then that they reach the
-// same verdict on a mutated copy.
+// agree asserts that both verifiers accept s, with the simulator measuring
+// s's makespan and communication cost, then that they reach the same
+// verdict on a mutated copy.
 func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pick int, swap bool) {
 	t.Helper()
 	if err := s.Validate(in); err != nil {
@@ -84,6 +92,9 @@ func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pic
 	if c := s.CommCost(in); c != res.CommCost {
 		t.Fatalf("%s: CommCost %d, sim measured %d", name, c, res.CommCost)
 	}
+	if m := s.Makespan(); m != res.Makespan {
+		t.Fatalf("%s: Makespan %d, sim measured %d", name, m, res.Makespan)
+	}
 	bad := s.Clone()
 	mutate(in, bad, pick, swap)
 	checkErr := bad.Validate(in)
@@ -92,6 +103,58 @@ func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pic
 	// on flattened windows, where a node hosts several transactions.
 	if (checkErr != nil) != (simErr != nil || nodeTie(in, bad)) {
 		t.Fatalf("%s: verifiers disagree on %v: Validate %v, sim %v", name, bad.Times, checkErr, simErr)
+	}
+}
+
+// certify checks the feasible schedule s against the exact optimum and
+// replays it under faults: a seeded plan must recover deterministically,
+// commit every transaction, and never beat the fault-free makespan, and a
+// plan whose faults all start after the makespan must leave the fault-free
+// Result untouched apart from its Fault report.
+func certify(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, seed int64) {
+	t.Helper()
+	m := s.Makespan()
+	opt, err := exact.Optimal(in, exact.Options{})
+	if err != nil {
+		t.Fatalf("%s: exact: %v", name, err)
+	}
+	if opt.Makespan > m {
+		t.Fatalf("%s: exact optimum %d exceeds the feasible makespan %d", name, opt.Makespan, m)
+	}
+
+	plan := faults.MustNew(faults.Config{Seed: seed, Horizon: m,
+		LinkDownRate: 0.3, LinkSlowRate: 0.3, CrashRate: 0.15, DropRate: 0.1}, in.G)
+	replay := func(inj faults.Injector) *sim.Result {
+		res, err := sim.Run(in, s, sim.Options{Trace: true, Faults: inj})
+		if err != nil {
+			t.Fatalf("%s: faulty replay: %v", name, err)
+		}
+		return res
+	}
+	a, b := replay(plan), replay(plan)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: faulty replay is nondeterministic", name)
+	}
+	if a.Executed != in.NumTxns() {
+		t.Fatalf("%s: faulty replay executed %d of %d transactions", name, a.Executed, in.NumTxns())
+	}
+	if a.Fault != nil && a.Fault.Makespan < m {
+		t.Fatalf("%s: faulty makespan %d beats the fault-free %d", name, a.Fault.Makespan, m)
+	}
+
+	u, v := graph.NodeID(0), in.G.Neighbors(0)[0].To
+	late := faults.MustFromFaults(
+		faults.Fault{Kind: faults.LinkDown, From: m + 1, To: m + 5, U: u, V: v},
+		faults.Fault{Kind: faults.LinkSlow, From: m + 2, To: m + 9, U: u, V: v, Factor: 4},
+		faults.Fault{Kind: faults.NodeCrash, From: m + 1, To: m + 3, Node: v},
+	)
+	got, want := replay(late), replay(nil)
+	if got.Fault == nil || got.Fault.Makespan != m {
+		t.Fatalf("%s: late plan report %v, want makespan %d", name, got.Fault, m)
+	}
+	got.Fault = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: faults after the makespan changed the replay:\n%+v\nvs\n%+v", name, got, want)
 	}
 }
 

@@ -53,15 +53,15 @@ func TestRunFaultyNilInjectorMatchesRun(t *testing.T) {
 		"nil-plan":     (*faults.Plan)(nil),
 		"zero-compose": faults.Compose(nil, faults.MustFromFaults()),
 	} {
-		got, fr, err := RunFaulty(in, s, FaultyOptions{Options: Options{Trace: true}, Inject: inj})
+		got, err := Run(in, s, Options{Trace: true, Faults: inj})
 		if err != nil {
-			t.Fatalf("%s: RunFaulty: %v", name, err)
+			t.Fatalf("%s: Run: %v", name, err)
 		}
-		if fr != nil {
-			t.Errorf("%s: empty injector produced a report: %v", name, fr)
+		if got.Fault != nil {
+			t.Errorf("%s: empty injector produced a report: %v", name, got.Fault)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: RunFaulty result differs from Run:\n%+v\nvs\n%+v", name, got, want)
+			t.Errorf("%s: result differs from the fault-free run:\n%+v\nvs\n%+v", name, got, want)
 		}
 	}
 }
@@ -78,10 +78,11 @@ func TestRunFaultyHarmlessScriptMatchesRun(t *testing.T) {
 		faults.Fault{Kind: faults.NodeCrash, From: 50, To: 60, Node: 2},
 		faults.Fault{Kind: faults.MoveDrop, Object: 0, Seq: 9}, // object 0 never dispatches 10 times
 	)
-	got, fr, err := RunFaulty(in, s, FaultyOptions{Options: Options{Trace: true}, Inject: inj})
+	got, err := Run(in, s, Options{Trace: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := got.Fault
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		t.Errorf("events differ:\n%v\nvs\n%v", got.Events, want.Events)
 	}
@@ -106,10 +107,11 @@ func TestRunFaultyScriptedDropBacksOff(t *testing.T) {
 	in := tinyInstance()
 	s := &schedule.Schedule{Times: []int64{1, 3, 1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.MoveDrop, Object: 1, Seq: 1})
-	res, fr, err := RunFaulty(in, s, FaultyOptions{Options: Options{Trace: true}, Inject: inj})
+	res, err := Run(in, s, Options{Trace: true, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Fault
 	if res.Makespan != 4 || res.Executed != 3 {
 		t.Fatalf("makespan = %d, executed = %d; want 4, 3", res.Makespan, res.Executed)
 	}
@@ -146,10 +148,11 @@ func TestRunFaultyCrashDefersCommit(t *testing.T) {
 	in := tinyInstance()
 	s := &schedule.Schedule{Times: []int64{1, 3, 1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.NodeCrash, From: 2, To: 6, Node: 1})
-	res, fr, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	res, err := Run(in, s, Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Fault
 	if res.Makespan != 6 {
 		t.Fatalf("makespan = %d, want 6 (deferred to restart)", res.Makespan)
 	}
@@ -167,10 +170,11 @@ func TestRunFaultyLinkDownReroutes(t *testing.T) {
 	in := ringInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.LinkDown, From: 0, To: 5, U: 0, V: 1})
-	res, fr, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	res, err := Run(in, s, Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Fault
 	if res.Makespan != 3 || res.CommCost != 3 {
 		t.Fatalf("makespan = %d, commcost = %d; want 3, 3", res.Makespan, res.CommCost)
 	}
@@ -184,10 +188,11 @@ func TestRunFaultyLinkSlowStretchesHop(t *testing.T) {
 	in := twoNodeInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.LinkSlow, From: 0, To: 10, U: 0, V: 1, Factor: 4})
-	res, fr, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	res, err := Run(in, s, Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Fault
 	if res.Makespan != 4 {
 		t.Fatalf("makespan = %d, want 4", res.Makespan)
 	}
@@ -202,10 +207,11 @@ func TestRunFaultyPartitionWaitsForBoundary(t *testing.T) {
 	in := twoNodeInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.LinkDown, From: 0, To: 5, U: 0, V: 1})
-	res, fr, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	res, err := Run(in, s, Options{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := res.Fault
 	if res.Makespan != 6 {
 		t.Fatalf("makespan = %d, want 6 (departs at the boundary)", res.Makespan)
 	}
@@ -218,7 +224,7 @@ func TestRunFaultyPermanentPartitionErrors(t *testing.T) {
 	in := twoNodeInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.LinkDown, From: 0, To: faults.Forever, U: 0, V: 1})
-	_, _, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	_, err := Run(in, s, Options{Faults: inj})
 	if err == nil || !strings.Contains(err.Error(), "permanently partitioned") {
 		t.Fatalf("err = %v, want permanent-partition error", err)
 	}
@@ -228,7 +234,7 @@ func TestRunFaultyPermanentCrashErrors(t *testing.T) {
 	in := twoNodeInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustFromFaults(faults.Fault{Kind: faults.NodeCrash, From: 0, To: faults.Forever, Node: 1})
-	_, _, err := RunFaulty(in, s, FaultyOptions{Inject: inj})
+	_, err := Run(in, s, Options{Faults: inj})
 	if err == nil || !strings.Contains(err.Error(), "never restarts") {
 		t.Fatalf("err = %v, want permanent-crash error", err)
 	}
@@ -240,7 +246,7 @@ func TestRunFaultyRetryBudget(t *testing.T) {
 	in := twoNodeInstance()
 	s := &schedule.Schedule{Times: []int64{1}}
 	inj := faults.MustNew(faults.Config{Seed: 1, DropRate: 1}, in.G)
-	_, _, err := RunFaulty(in, s, FaultyOptions{Inject: inj, MaxRetries: 4})
+	_, err := Run(in, s, Options{Faults: inj})
 	if err == nil || !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("err = %v, want retry-budget error", err)
 	}
@@ -278,19 +284,22 @@ func TestRunRejectsDuplicateObject(t *testing.T) {
 	}
 }
 
-func TestRunFaultyEmptyPlanZeroAlloc(t *testing.T) {
-	// The fault machinery must cost nothing when unused: RunFaulty with a
-	// nil or empty injector allocates exactly what Run allocates.
+func TestRunEmptyInjectorAllocsLikeRun(t *testing.T) {
+	// The fault machinery must cost nothing when unused: Run with a nil,
+	// empty, or nil-plan injector allocates exactly what Options{} does.
 	in := tinyInstance()
 	s := &schedule.Schedule{Times: []int64{1, 3, 1}}
-	in.PrecomputeDist(1) // steady-state distance oracle for both paths
+	in.PrecomputeDist(1) // steady-state distance oracle for every run
 	MustRun(in, s, Options{})
-	empty := faults.MustFromFaults()
 	base := testing.AllocsPerRun(200, func() { MustRun(in, s, Options{}) })
-	for name, inj := range map[string]faults.Injector{"nil": nil, "empty": empty} {
-		got := testing.AllocsPerRun(200, func() { MustRunFaulty(in, s, FaultyOptions{Inject: inj}) })
-		if got > base {
-			t.Errorf("%s injector: RunFaulty allocates %.1f/op vs Run's %.1f/op; the empty path must add zero", name, got, base)
+	for name, inj := range map[string]faults.Injector{
+		"nil":      nil,
+		"empty":    faults.MustFromFaults(),
+		"nil-plan": (*faults.Plan)(nil),
+	} {
+		got := testing.AllocsPerRun(200, func() { MustRun(in, s, Options{Faults: inj}) })
+		if got != base {
+			t.Errorf("%s injector: Run allocates %.1f/op vs %.1f/op without one; the empty path must add nothing", name, got, base)
 		}
 	}
 }
@@ -334,11 +343,11 @@ func TestFaultMatrixSmoke(t *testing.T) {
 					LinkDownRate: rate, LinkSlowRate: rate, CrashRate: rate / 2, DropRate: rate / 2,
 				}, tp.g)
 				run := func() (*Result, *faults.Report) {
-					res, fr, err := RunFaulty(in, s, FaultyOptions{Options: Options{Trace: true}, Inject: plan})
+					res, err := Run(in, s, Options{Trace: true, Faults: plan})
 					if err != nil {
-						t.Fatalf("RunFaulty: %v", err)
+						t.Fatalf("Run: %v", err)
 					}
-					return res, fr
+					return res, res.Fault
 				}
 				resA, frA := run()
 				resB, frB := run()
@@ -435,7 +444,7 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 				"plan":     background,
 				"composed": faults.Compose(background, faults.MustFromFaults(script...)),
 			} {
-				env := newFaultEnv(in, inj)
+				env := newFaultEnv(in, schedule.New(0), inj)
 				var queries, partitioned int
 				wrapped := false
 				for step := int64(0); step <= horizon+2; step++ {
@@ -498,7 +507,7 @@ func TestRunFaultyAllocsIndependentOfBoundaries(t *testing.T) {
 	}
 	cost := func(p *faults.Plan) (allocs, bytes uint64) {
 		run := func() {
-			_, fr := MustRunFaulty(in, s, FaultyOptions{Inject: p})
+			fr := MustRun(in, s, Options{Faults: p}).Fault
 			if fr.Reroutes != 0 || fr.BlockedWaits != 0 || fr.DeferredCommits != 0 {
 				t.Fatalf("a fault touched the window: %v", fr)
 			}
@@ -517,7 +526,7 @@ func TestRunFaultyAllocsIndependentOfBoundaries(t *testing.T) {
 	oneAllocs, oneBytes := cost(one)
 	manyAllocs, manyBytes := cost(many)
 	if oneAllocs != manyAllocs || oneBytes != manyBytes {
-		t.Fatalf("RunFaulty cost grows with boundaries: %d allocs / %d B at %d boundaries, %d allocs / %d B at %d",
+		t.Fatalf("faulty Run cost grows with boundaries: %d allocs / %d B at %d boundaries, %d allocs / %d B at %d",
 			oneAllocs, oneBytes, len(one.Boundaries()), manyAllocs, manyBytes, len(many.Boundaries()))
 	}
 }

@@ -5,15 +5,18 @@
 // and forwards objects toward their next requesters along shortest paths.
 //
 // The simulator is the ground truth for Definition 1: a schedule is
-// feasible iff Run completes without error, and the reported makespan and
-// communication cost are measured from the actual object movements. Tests
-// cross-check sim.Run against schedule.Validate on every algorithm.
+// feasible iff Run without faults completes without error, and the
+// reported makespan and communication cost are measured from the actual
+// object movements. Tests cross-check sim.Run against schedule.Validate on
+// every algorithm.
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
@@ -31,10 +34,10 @@ const (
 	// EventExecute: a transaction executes and commits.
 	EventExecute
 	// EventDrop: a dispatched object is lost in transit and will be
-	// re-dispatched after backoff (RunFaulty only).
+	// re-dispatched after backoff (fault-injected runs only).
 	EventDrop
 	// EventDefer: a transaction commits later than its scheduled step
-	// because of faults (RunFaulty only).
+	// because of faults (fault-injected runs only).
 	EventDefer
 )
 
@@ -85,38 +88,73 @@ type Result struct {
 	ObjectDistance []int64
 	// Events is the trace, present only when requested.
 	Events []Event
+	// Fault summarizes the recovery work of a fault-injected run; nil
+	// when Options.Faults is nil or empty.
+	Fault *faults.Report
 }
 
 // Options configures a run.
 type Options struct {
-	// Trace records depart/arrive/execute events.
+	// Trace records depart/arrive/execute events (plus drop/defer events
+	// under faults).
 	Trace bool
-	// MaxSteps caps the step of every simulated event. A schedule whose
-	// makespan already exceeds the cap is rejected up front; during
-	// execution, any object movement that would arrive past the cap
-	// aborts the run (commit steps are bounded by the makespan, so the
-	// upfront check covers them). 0 derives the cap from the schedule's
-	// makespan, which every feasible schedule satisfies: an object is
-	// only ever dispatched toward a transaction, and on feasible input
-	// it arrives no later than that transaction executes.
-	MaxSteps int64
+	// Faults scripts faults that break the model of Section 2.1 during
+	// the replay. A nil or empty injector leaves the run fault-free: same
+	// result, same events, nil Result.Fault, no extra allocations.
+	Faults faults.Injector
 }
 
 // Run simulates schedule s on instance in and verifies that every
 // transaction's objects are physically present when it executes. It
 // returns an error describing the first violation for infeasible
 // schedules.
+//
+// Every simulated event is capped at a step limit so that the run
+// terminates: the makespan without faults (an object is only ever
+// dispatched toward a transaction, and on feasible input it arrives no
+// later than that transaction executes), and 16·makespan + the last
+// fault boundary + 4096 with them.
+//
+// Under a non-empty Options.Faults injector the run repairs the
+// execution instead of failing it, and a late arrival becomes a recovery
+// delay rather than an error:
+//
+//   - an object whose move is dropped in transit is re-dispatched with
+//     bounded exponential backoff (1 step doubling to 64, at most 32
+//     consecutive drops of one hop);
+//   - a move across downed links travels the shortest path of the
+//     surviving network, and waits for the next fault boundary when the
+//     endpoints are partitioned outright;
+//   - a crashed node defers its transaction's commit (and any dispatch
+//     touching it) until the restart.
+//
+// The scheduled step of every transaction is kept as a floor — faults only
+// ever delay commits — and each object still visits its requesters in
+// schedule order, so single-copy semantics are preserved by construction
+// and re-verified: the recovered commit times are cross-checked against
+// schedule.Validate's Definition 1 invariants before returning. The
+// Result then measures the faulty execution (its Makespan and CommCost
+// include recovery delays and detours; CommCost counts delivered moves
+// only), and Result.Fault quantifies the recovery work and the makespan
+// inflation against the fault-free baseline. For a fixed (instance,
+// schedule, injector) the Result and its trace are identical across runs:
+// all fault decisions are seeded, never drawn from wall-clock or shared
+// state.
+//
+// Precondition: in.Metric is in.G's shortest-path metric, as Validate
+// already assumes (the topology package's checkMetric test pins it for
+// every built-in topology). Reroutes search in.G guided by in.Metric, so
+// a metric that overstates a distance could yield a longer-than-shortest
+// surviving path.
 func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 	if err := checkInput(in, s); err != nil {
 		return nil, err
 	}
-	horizon := s.Makespan()
-	if opt.MaxSteps > 0 && horizon > opt.MaxSteps {
-		return nil, fmt.Errorf("sim: schedule makespan %d exceeds step limit %d", horizon, opt.MaxSteps)
-	}
-	limit := opt.MaxSteps
-	if limit == 0 {
-		limit = horizon // feasible schedules never produce an event past the makespan
+	limit := s.Makespan()
+	var env *faultEnv
+	if opt.Faults != nil && !opt.Faults.Empty() {
+		env = newFaultEnv(in, s, opt.Faults)
+		limit = env.limit
 	}
 
 	// Per-object itinerary: the sequence of requesters in execution
@@ -136,23 +174,32 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 	}
 	objs := make([]objState, in.NumObjects)
 
-	dispatch := func(o int, from graph.NodeID, departStep int64) error {
+	dispatch := func(o int, from graph.NodeID, step int64) error {
 		it := itineraries[o]
 		st := &objs[o]
 		if st.next >= len(it) {
 			return nil // no further requester; object rests
 		}
 		dest := in.Txns[it[st.next]].Node
-		d := in.Dist(from, dest)
+		depart := step
+		var d int64
+		if env != nil {
+			var err error
+			if depart, d, err = env.route(res, o, it[st.next], from, dest, step, opt.Trace); err != nil {
+				return err
+			}
+		} else {
+			d = in.Dist(from, dest)
+		}
 		st.node = dest
-		st.arrives = departStep + d
+		st.arrives = depart + d
 		if st.arrives > limit {
 			return fmt.Errorf("sim: object %d departing node %d at step %d would reach node %d only at step %d, past the step limit %d",
-				o, from, departStep, dest, st.arrives, limit)
+				o, from, depart, dest, st.arrives, limit)
 		}
 		if opt.Trace && d > 0 {
 			res.Events = append(res.Events,
-				Event{Step: departStep, Kind: EventDepart, Object: tm.ObjectID(o), Txn: it[st.next], From: from, To: dest},
+				Event{Step: depart, Kind: EventDepart, Object: tm.ObjectID(o), Txn: it[st.next], From: from, To: dest},
 				Event{Step: st.arrives, Kind: EventArrive, Object: tm.ObjectID(o), Txn: it[st.next], To: dest})
 		}
 		res.CommCost += d
@@ -171,17 +218,23 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 		}
 	}
 
-	// Execute transactions in time order, verifying physical presence.
+	// Execute transactions in (scheduled step, ID) order, verifying
+	// physical presence. Feasible schedules give the users of every
+	// object strictly increasing times, so each object's chain of
+	// requesters is processed in itinerary order and, under faults, every
+	// dependency (the previous holder's actual commit) is already resolved
+	// when a transaction is reached — one pass suffices even though faults
+	// shift actual commit steps past later-scheduled, unrelated
+	// transactions.
 	order := make([]tm.TxnID, in.NumTxns())
 	for i := range order {
 		order[i] = tm.TxnID(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := s.Times[order[a]], s.Times[order[b]]
-		if ta != tb {
-			return ta < tb
+	slices.SortFunc(order, func(a, b tm.TxnID) int {
+		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	for _, id := range order {
@@ -199,8 +252,17 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 					o, st.node, id, txn.Node)
 			}
 			if st.arrives > step {
-				return nil, fmt.Errorf("sim: object %d arrives at node %d only at step %d, but transaction %d executes at step %d",
-					o, txn.Node, st.arrives, id, step)
+				if env == nil {
+					return nil, fmt.Errorf("sim: object %d arrives at node %d only at step %d, but transaction %d executes at step %d",
+						o, txn.Node, st.arrives, id, step)
+				}
+				step = st.arrives // recovery delay, not an infeasibility
+			}
+		}
+		if env != nil {
+			var err error
+			if step, err = env.commit(res, id, txn.Node, step, opt.Trace); err != nil {
+				return nil, err
 			}
 		}
 		// Commit: forward each object to its next requester.
@@ -218,6 +280,11 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 			}
 		}
 	}
+	if env != nil {
+		if err := env.finish(res); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
 }
 
@@ -227,7 +294,7 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 // object checks guard the simulator's dense per-object state against
 // hand-built instances that bypassed tm.NewInstance — an out-of-range or
 // duplicated request previously hit the object-state index as a panic.
-// Allocation-free: RunFaulty's empty-plan path must add nothing over Run.
+// Allocation-free, so it adds nothing to a fault-free run's budget.
 func checkInput(in *tm.Instance, s *schedule.Schedule) error {
 	if len(s.Times) != in.NumTxns() {
 		return fmt.Errorf("sim: schedule has %d times for %d transactions", len(s.Times), in.NumTxns())

@@ -74,22 +74,14 @@ func TestRunRejectsWrongLength(t *testing.T) {
 	}
 }
 
-func TestRunMaxSteps(t *testing.T) {
-	in := tinyInstance()
-	s := &schedule.Schedule{Times: []int64{1, 3, 1}}
-	if _, err := Run(in, s, Options{MaxSteps: 2}); err == nil {
-		t.Fatal("step limit not enforced")
-	}
-}
-
-// TestRunMaxStepsEnforcedOnArrivals: the cap binds actual event steps,
-// not just the upfront makespan comparison. Times {1,2,1} keep the
-// makespan within MaxSteps=2, but committing txn 2 forwards object 1 from
-// node 3 toward node 1 (distance 2, arriving at step 3) — past the cap.
+// TestRunMaxStepsEnforcedOnArrivals: the step cap binds actual event
+// steps. Times {1,2,1} have makespan 2, the derived cap, but committing
+// txn 2 forwards object 1 from node 3 toward node 1 (distance 2, arriving
+// at step 3) — past the cap.
 func TestRunMaxStepsEnforcedOnArrivals(t *testing.T) {
 	in := tinyInstance()
 	s := &schedule.Schedule{Times: []int64{1, 2, 1}}
-	_, err := Run(in, s, Options{MaxSteps: 2})
+	_, err := Run(in, s, Options{})
 	if err == nil {
 		t.Fatal("arrival past the step limit accepted")
 	}
@@ -98,8 +90,8 @@ func TestRunMaxStepsEnforcedOnArrivals(t *testing.T) {
 	}
 }
 
-// TestRunMaxStepsDerivedFromMakespan: with MaxSteps 0 the cap defaults to
-// the schedule's makespan, so a movement that cannot complete by then is
+// TestRunMaxStepsDerivedFromMakespan: without faults the step cap is the
+// schedule's makespan, so a movement that cannot complete by then is
 // rejected with the step-limit error (triggered branch), while feasible
 // schedules — whose events all land at or before the makespan — pass
 // under the derived cap (non-triggered branch).
@@ -121,17 +113,14 @@ func TestRunMaxStepsDerivedFromMakespan(t *testing.T) {
 		t.Fatalf("error %q does not carry the derived cap", err)
 	}
 
-	// Non-triggered: a feasible schedule runs to completion under both the
-	// derived cap and an explicit cap equal to its makespan.
-	feasible := &schedule.Schedule{Times: []int64{3}}
-	for _, opt := range []Options{{}, {MaxSteps: 3}} {
-		res, err := Run(in, feasible, opt)
-		if err != nil {
-			t.Fatalf("feasible schedule rejected under cap %d: %v", opt.MaxSteps, err)
-		}
-		if res.Makespan != 3 || res.Executed != 1 {
-			t.Fatalf("res = %+v", res)
-		}
+	// Non-triggered: a feasible schedule runs to completion under the
+	// derived cap.
+	res, err := Run(in, &schedule.Schedule{Times: []int64{3}}, Options{})
+	if err != nil {
+		t.Fatalf("feasible schedule rejected: %v", err)
+	}
+	if res.Makespan != 3 || res.Executed != 1 {
+		t.Fatalf("res = %+v", res)
 	}
 }
 

@@ -54,7 +54,7 @@ type Config struct {
 
 	// Faults, when set to a non-empty injector (NewChaos, or any
 	// faults.Injector), turns on fault-tolerant serving: every window
-	// executes under sim.RunFaulty, transactions homed on down nodes are
+	// replays under faults in the engine's Verify stage, transactions homed on down nodes are
 	// requeued with backoff instead of scheduled into a doomed window,
 	// and the admission circuit breaker sheds load while windows run
 	// inflated. Nil or empty keeps serving byte-identical to the

@@ -75,15 +75,16 @@ go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/
 go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count=1 >/dev/null
 
 echo "== fault layer guards =="
-# RunFaulty with a nil/empty plan must stay on Run's allocation budget
-# (the fault machinery is free when unused), its goal-directed reroute
-# search must equal the explicitly built surviving subgraph's distances
-# and cost the same however many boundaries the plan holds, fault plans
+# sim.Run with a nil, empty, or nil-plan injector must allocate exactly
+# what a fault-free run does (the fault machinery is free when unused),
+# its goal-directed reroute search must equal the explicitly built
+# surviving subgraph's distances, a faulty replay must cost the same
+# however many boundaries the plan holds, fault plans
 # must be seed-deterministic, equal the per-chunk math/rand reference
 # fault for fault and cost no allocation per chunk, and the 3-rate ×
 # 2-topology fault matrix must recover deterministically under the race
 # detector.
-go test ./internal/sim -run 'TestRunFaultyEmptyPlanZeroAlloc|TestFaultDistMatchesSurvivingSubgraph|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
+go test ./internal/sim -run 'TestRunEmptyInjectorAllocsLikeRun|TestFaultDistMatchesSurvivingSubgraph|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
 go test -race ./internal/faults -run 'TestPlanSeedDeterminism' -count=1
 go test ./internal/faults -run 'TestNewMatchesReferenceGenerator|TestNewPlanAllocsIndependentOfChunks' -count=1
 go test -race ./internal/sim -run 'TestFaultMatrixSmoke' -count=1
@@ -116,8 +117,9 @@ rm -rf "$det_tmp"
 echo "== CLI usage guards =="
 # A run with no trials has nothing to measure: both CLIs must reject
 # -trials < 1 as a usage error (exit 2) instead of passing vacuously.
-# The binaries are built first because go run folds every failure into
-# exit 1.
+# dtmsched -analyze must examine the schedule it reports (the paper's
+# line schedule here, not a rescheduled greedy one). The binaries are
+# built first because go run folds every failure into exit 1.
 cli_tmp=$(mktemp -d)
 go build -o "$cli_tmp/" ./cmd/dtmbench ./cmd/dtmsched
 for trials in 0 -1; do
@@ -130,6 +132,13 @@ for trials in 0 -1; do
         fi
     done
 done
+"$cli_tmp"/dtmsched -topo line -n 64 -alg auto -analyze > "$cli_tmp/analyze.txt"
+reported=$(sed -n 's/.* makespan=\([0-9]*\) .*/\1/p' "$cli_tmp/analyze.txt")
+analyzed=$(sed -n 's/^makespan \([0-9]*\) over .*/\1/p' "$cli_tmp/analyze.txt")
+if [[ -z "$reported" || "$reported" != "$analyzed" ]]; then
+    echo "dtmsched -analyze: report makespan '$reported' != analyzed makespan '$analyzed'" >&2
+    exit 1
+fi
 rm -rf "$cli_tmp"
 
 echo "== online loop guards =="
