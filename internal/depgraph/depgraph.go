@@ -8,19 +8,21 @@
 //
 // H is stored in compressed sparse row (CSR) form: one flat neighbor array
 // plus one flat weight array, indexed per member by a row-offset table.
-// Build enumerates conflict pairs from the instance's shared
-// tm.ConflictIndex in parallel (per-object shards into per-worker
-// buffers), merges them with a counting sort over rows, and sorts +
-// deduplicates each row — so the resulting CSR bytes are identical for
-// every worker count, and all warm queries (Weight, Degree, Neighbors,
-// GreedyColor, CheckColoring) are zero-allocation slice walks.
+// Build emits each row directly from the shared tm.ConflictIndex: rows are
+// sharded across workers, and each worker marks a row's neighbors in a
+// private bitset and reads them back in ascending order — so the resulting
+// CSR bytes are identical for every worker count, and all warm queries
+// (Weight, Degree, Neighbors, GreedyColor, CheckColoring) are
+// zero-allocation slice walks.
 package depgraph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"dtmsched/internal/tm"
@@ -49,12 +51,6 @@ type DepGraph struct {
 // their stats so the engine and observability layers can attribute
 // schedule-stage time to conflict-graph construction.
 type BuildInfo struct {
-	// Workers is the number of build workers actually used.
-	Workers int
-	// Pairs is the number of conflicting pairs enumerated across objects,
-	// before deduplication (two transactions sharing two objects count
-	// twice).
-	Pairs int64
 	// Edges is the number of distinct undirected edges of H.
 	Edges int64
 	// Duration is the wall time of the build.
@@ -66,15 +62,20 @@ type BuildInfo struct {
 type Options struct {
 	// Workers is the number of build goroutines: 0 picks automatically
 	// (serial for small member sets, up to GOMAXPROCS beyond that),
-	// 1 forces the serial path. The built graph is byte-identical for
-	// every worker count.
+	// 1 forces the serial path. It is capped at the member count. The
+	// built graph is byte-identical for every worker count.
 	Workers int
-	// Index supplies the object → member-transaction source to enumerate
+	// Index supplies the object → member-transaction source to read
 	// conflicts from. Nil uses the instance's own cached Index(). Callers
 	// with an evolving member set (the windows extension) pass their
 	// incrementally maintained *tm.ConflictIndex here; the hierarchical
 	// scheduler passes one tm.ShardView per subtree so each shard's build
 	// sees only its own members without copying the index.
+	//
+	// The build walks a member's objects from the instance and their
+	// member lists from Index, so a transaction listed under object o
+	// must request o (all three sources above satisfy this). A
+	// transaction missing from o's list gets no edges through o.
 	Index tm.MemberSource
 }
 
@@ -93,16 +94,17 @@ func Build(in *tm.Instance, ids []tm.TxnID) *DepGraph {
 // BuildOpts constructs H over the given transactions of in. A nil ids
 // slice means all transactions.
 //
-// The build runs in two passes. Pass one shards the objects of the
-// conflict index across workers; each worker enumerates, for its objects,
-// every pair of member transactions (restricted to ids) into a private
-// buffer, and counts the pairs' row degrees. Pass two lays the pairs out
-// as CSR via a counting sort — per-row offsets are derived from the
-// per-worker degree counts, so workers scatter concurrently without
-// synchronization — then sorts and deduplicates each row and fills in
-// edge weights from the instance metric. Sorting rows makes the result
-// independent of enumeration order: the same instance yields identical
-// CSR bytes, h_max, and Δ at every worker count.
+// The build emits every CSR row straight from the conflict index in three
+// passes. The slot pass bounds row i's length by Σ (|Members(o)| − 1) over
+// i's objects o, capped at n − 1, and lays the rows out at those bounds,
+// so nbr and wt are allocated once. The fill pass shards rows across
+// workers: for row i a worker marks the local index of every other member
+// of the objects whose member list holds i in a private bitset, then
+// emits the set bits in ascending order with their weights from the
+// instance metric. The compact pass slides each shard's rows left over the
+// slack the bounds left behind. Rows come out sorted and deduplicated by
+// construction, so the CSR bytes, h_max and Δ are identical at every
+// worker count.
 func BuildOpts(in *tm.Instance, ids []tm.TxnID, opt Options) *DepGraph {
 	start := time.Now()
 	if ids == nil {
@@ -112,7 +114,7 @@ func BuildOpts(in *tm.Instance, ids []tm.TxnID, opt Options) *DepGraph {
 		}
 	}
 	n := len(ids)
-	h := &DepGraph{IDs: ids}
+	h := &DepGraph{IDs: ids, rowStart: make([]int32, n+1)}
 
 	index := opt.Index
 	if index == nil {
@@ -126,13 +128,7 @@ func BuildOpts(in *tm.Instance, ids []tm.TxnID, opt Options) *DepGraph {
 			workers = runtime.GOMAXPROCS(0)
 		}
 	}
-	w := index.NumObjects()
-	if workers > w && w > 0 {
-		workers = w
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, n))
 
 	// Local-index lookup: localOf[id] = member index, or −1.
 	localOf := make([]int32, in.NumTxns())
@@ -143,147 +139,104 @@ func BuildOpts(in *tm.Instance, ids []tm.TxnID, opt Options) *DepGraph {
 		localOf[id] = int32(i)
 	}
 
-	// Pass 1: enumerate conflict pairs per object shard.
-	type pair struct{ a, b int32 } // a < b, local indices
-	bufs := make([][]pair, workers)
-	degs := make([][]int32, workers) // per-worker per-row pair counts
-	runShards(workers, w, func(shard, lo, hi int) {
-		var buf []pair
-		deg := make([]int32, n)
-		var scratch []int32
-		for o := lo; o < hi; o++ {
-			members := index.Members(tm.ObjectID(o))
-			scratch = scratch[:0]
-			for _, id := range members {
-				if li := localOf[id]; li >= 0 {
-					scratch = append(scratch, li)
-				}
-			}
-			for x := 0; x < len(scratch); x++ {
-				for y := x + 1; y < len(scratch); y++ {
-					a, b := scratch[x], scratch[y]
-					if a > b {
-						a, b = b, a
-					}
-					buf = append(buf, pair{a, b})
-					deg[a]++
-					deg[b]++
-				}
-			}
+	// Slot pass: row i starts at the sum of the earlier rows' bounds.
+	var slots int64
+	for i, id := range ids {
+		h.rowStart[i] = int32(slots)
+		var bound int64
+		for _, o := range in.Txns[id].Objects {
+			bound += int64(max(len(index.Members(o))-1, 0))
 		}
-		bufs[shard] = buf
-		degs[shard] = deg
-	})
+		slots += min(bound, int64(n-1))
+	}
+	if slots > math.MaxInt32 {
+		panic(fmt.Sprintf("depgraph: %d directed pair slots overflow the CSR int32 layout", slots))
+	}
+	h.rowStart[n] = int32(slots)
+	h.nbr = make([]int32, slots)
+	h.wt = make([]int64, slots)
 
-	// Counting sort: per-row offsets, with each worker's slots reserved in
-	// shard order so the scatter needs no synchronization.
-	var pairs int64
-	for _, buf := range bufs {
-		pairs += int64(len(buf))
+	// Fill pass: each shard writes its rows back to back from its first
+	// slot and records where they end.
+	type shard struct {
+		lo, hi int
+		end    int32
+		hmax   int64
+		mdeg   int
 	}
-	h.info = BuildInfo{Workers: workers, Pairs: pairs}
-	rowStart := make([]int32, n+1)
-	var total int64
-	for i := 0; i < n; i++ {
-		rowStart[i] = int32(total)
-		for _, deg := range degs {
-			total += int64(deg[i])
-		}
-	}
-	if total != 2*pairs {
-		panic("depgraph: pair accounting mismatch")
-	}
-	if total > int64(1)<<31-1 {
-		panic(fmt.Sprintf("depgraph: %d directed pair slots overflow the CSR int32 layout", total))
-	}
-	rowStart[n] = int32(total)
-	// cursors[shard] = next free slot per row for that shard.
-	cursors := make([][]int32, workers)
-	for shard := range cursors {
-		cur := make([]int32, n)
-		for i := 0; i < n; i++ {
-			off := rowStart[i]
-			for s := 0; s < shard; s++ {
-				off += degs[s][i]
-			}
-			cur[i] = off
-		}
-		cursors[shard] = cur
-	}
-	tmpNbr := make([]int32, total)
-	runShards(workers, workers, func(_, lo, hi int) {
-		for shard := lo; shard < hi; shard++ {
-			cur := cursors[shard]
-			for _, p := range bufs[shard] {
-				tmpNbr[cur[p.a]] = p.b
-				cur[p.a]++
-				tmpNbr[cur[p.b]] = p.a
-				cur[p.b]++
-			}
-		}
-	})
-
-	// Pass 2a: sort + dedup each row in place; record final degrees.
-	finalDeg := make([]int32, n)
-	runShards(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := tmpNbr[rowStart[i]:rowStart[i+1]]
-			slices.Sort(row)
-			d := 0
-			for j := range row {
-				if j == 0 || row[j] != row[j-1] {
-					row[d] = row[j]
-					d++
-				}
-			}
-			finalDeg[i] = int32(d)
-		}
-	})
-
-	// Pass 2b: compact into the final CSR and compute weights, h_max, Δ.
-	h.rowStart = make([]int32, n+1)
-	var edges2 int64
-	for i := 0; i < n; i++ {
-		h.rowStart[i] = int32(edges2)
-		edges2 += int64(finalDeg[i])
-	}
-	h.rowStart[n] = int32(edges2)
-	h.info.Edges = edges2 / 2
-	h.nbr = make([]int32, edges2)
-	h.wt = make([]int64, edges2)
-	hmaxs := make([]int64, workers)
-	mdegs := make([]int, workers)
-	runShards(workers, n, func(shard, lo, hi int) {
+	shards := make([]shard, workers)
+	runShards(workers, n, func(s, lo, hi int) {
+		// Two-level bitset: bit j of set marks neighbor j, bit w of sum
+		// marks a non-zero set[w], and touched lists the non-zero words
+		// of sum. Emitting walks sum in order, so only touched is sorted.
+		set := make([]uint64, (n+63)/64)
+		sum := make([]uint64, (len(set)+63)/64)
+		var touched []int32
 		var hmax int64
 		mdeg := 0
+		at := h.rowStart[lo]
 		for i := lo; i < hi; i++ {
-			src := tmpNbr[rowStart[i] : rowStart[i]+finalDeg[i]]
-			dst := int(h.rowStart[i])
-			ui := in.Txns[ids[i]].Node
-			copy(h.nbr[dst:], src)
-			for k, j := range src {
-				wgt := in.Dist(ui, in.Txns[ids[j]].Node)
-				h.wt[dst+k] = wgt
-				if wgt > hmax {
-					hmax = wgt
+			id := ids[i]
+			for _, o := range in.Txns[id].Objects {
+				ms := index.Members(o)
+				if _, ok := slices.BinarySearch(ms, id); !ok {
+					continue
+				}
+				for _, j := range ms {
+					lj := localOf[j]
+					if lj < 0 || j == id {
+						continue
+					}
+					if w := lj >> 6; set[w] == 0 {
+						if sum[w>>6] == 0 {
+							touched = append(touched, w>>6)
+						}
+						sum[w>>6] |= 1 << (w & 63)
+					}
+					set[lj>>6] |= 1 << (lj & 63)
 				}
 			}
-			if d := len(src); d > mdeg {
-				mdeg = d
+			slices.Sort(touched)
+			h.rowStart[i] = at
+			ui := in.Txns[id].Node
+			for _, t := range touched {
+				for sb := sum[t]; sb != 0; sb &= sb - 1 {
+					w := t<<6 | int32(bits.TrailingZeros64(sb))
+					for b := set[w]; b != 0; b &= b - 1 {
+						j := w<<6 | int32(bits.TrailingZeros64(b))
+						wgt := in.Dist(ui, in.Txns[ids[j]].Node)
+						h.nbr[at], h.wt[at] = j, wgt
+						at++
+						hmax = max(hmax, wgt)
+					}
+					set[w] = 0
+				}
+				sum[t] = 0
+			}
+			touched = touched[:0]
+			mdeg = max(mdeg, int(at-h.rowStart[i]))
+		}
+		shards[s] = shard{lo: lo, hi: hi, end: at, hmax: hmax, mdeg: mdeg}
+	})
+
+	// Compact pass: close the gap between consecutive shards' rows.
+	var end int32
+	for _, s := range shards {
+		from := h.rowStart[s.lo]
+		if shift := from - end; shift > 0 {
+			copy(h.nbr[end:], h.nbr[from:s.end])
+			copy(h.wt[end:], h.wt[from:s.end])
+			for i := s.lo; i < s.hi; i++ {
+				h.rowStart[i] -= shift
 			}
 		}
-		hmaxs[shard] = hmax
-		mdegs[shard] = mdeg
-	})
-	for shard := 0; shard < workers; shard++ {
-		if hmaxs[shard] > h.hmax {
-			h.hmax = hmaxs[shard]
-		}
-		if mdegs[shard] > h.mdeg {
-			h.mdeg = mdegs[shard]
-		}
+		end += s.end - from
+		h.hmax = max(h.hmax, s.hmax)
+		h.mdeg = max(h.mdeg, s.mdeg)
 	}
-	h.info.Duration = time.Since(start)
+	h.rowStart[n] = end
+	h.nbr, h.wt = h.nbr[:end], h.wt[:end]
+	h.info = BuildInfo{Edges: int64(end) / 2, Duration: time.Since(start)}
 	return h
 }
 
@@ -304,7 +257,7 @@ func runShards(workers, size int, fn func(shard, lo, hi int)) {
 		hi := lo + chunk
 		if lo >= size {
 			// Late shards may be empty; still run fn so per-shard state
-			// (degree buffers) exists for every shard index.
+			// exists for every shard index.
 			lo, hi = size, size
 		} else if hi > size {
 			hi = size
@@ -345,12 +298,10 @@ func BuildReference(in *tm.Instance, ids []tm.TxnID) *DepGraph {
 			byObject[o] = append(byObject[o], i)
 		}
 	}
-	var pairs int64
 	for _, members := range byObject {
 		for x := 0; x < len(members); x++ {
 			for y := x + 1; y < len(members); y++ {
 				i, j := members[x], members[y]
-				pairs++
 				if _, done := adj[i][j]; done {
 					continue
 				}
@@ -388,7 +339,7 @@ func BuildReference(in *tm.Instance, ids []tm.TxnID) *DepGraph {
 			h.wt[int(h.rowStart[i])+k] = adj[i][int(j)]
 		}
 	}
-	h.info = BuildInfo{Workers: 1, Pairs: pairs, Edges: total / 2, Duration: time.Since(start)}
+	h.info = BuildInfo{Edges: total / 2, Duration: time.Since(start)}
 	return h
 }
 
@@ -535,8 +486,8 @@ func (h *DepGraph) OrderByNode(in *tm.Instance) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return in.Txns[h.IDs[order[a]]].Node < in.Txns[h.IDs[order[b]]].Node
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(in.Txns[h.IDs[a]].Node, in.Txns[h.IDs[b]].Node)
 	})
 	return order
 }
@@ -549,11 +500,11 @@ func (h *DepGraph) OrderByColor(color []int64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if color[order[a]] != color[order[b]] {
-			return color[order[a]] < color[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(color[a], color[b]); c != 0 {
+			return c
 		}
-		return h.IDs[order[a]] < h.IDs[order[b]]
+		return cmp.Compare(h.IDs[a], h.IDs[b])
 	})
 	return order
 }

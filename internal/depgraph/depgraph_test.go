@@ -144,7 +144,12 @@ func TestOrderByNode(t *testing.T) {
 }
 
 func randomInstance(r *rand.Rand) *tm.Instance {
-	n := 3 + r.Intn(24)
+	return randomSized(r, 3+r.Intn(24))
+}
+
+// randomSized: n transactions on a random weighted tree of n nodes,
+// UniformK over 2–9 objects.
+func randomSized(r *rand.Rand, n int) *tm.Instance {
 	w := 2 + r.Intn(8)
 	k := 1 + r.Intn(minInt(w, 4))
 	g := graph.New(n)
@@ -302,6 +307,79 @@ func TestBuildExternalIndex(t *testing.T) {
 	if h.MaxDegree() != 1 {
 		t.Fatalf("MaxDegree = %d after hub removal, want 1", h.MaxDegree())
 	}
+}
+
+// FuzzBuildMatchesReference: the row build equals the map-of-maps
+// reference at 1–4 workers over a shuffled subset of the members (local
+// order ≠ ID order), over every shard of a partitioned index including the
+// cross shard, and over an external index with random members removed,
+// whose rows must come out empty. The top two bits of shape pick the
+// instance: up to 26 transactions, 64–263 (rows span several bitset
+// words), or 8192–9191 with sparse rows (several summary words).
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		var in *tm.Instance
+		switch shape >> 6 {
+		case 2:
+			in = randomSized(r, 64+r.Intn(200))
+		case 3: // a line with a closed-form metric keeps this size cheap
+			n := 8192 + r.Intn(1000)
+			g := graph.New(n)
+			for i := 1; i < n; i++ {
+				g.AddUnitEdge(graph.NodeID(i-1), graph.NodeID(i))
+			}
+			line := graph.FuncMetric(func(u, v graph.NodeID) int64 { return int64(max(u-v, v-u)) })
+			in = tm.UniformK(n/4, 2).Generate(r, g, line, g.Nodes(), tm.PlaceAtRandomUser)
+		default:
+			in = randomInstance(r)
+		}
+		m := in.NumTxns()
+		workers := 1 + int(shape%4)
+		shuffled := func(keep func(i int) bool) []tm.TxnID {
+			ids := []tm.TxnID{}
+			for _, i := range r.Perm(m) {
+				if keep(i) {
+					ids = append(ids, tm.TxnID(i))
+				}
+			}
+			return ids
+		}
+
+		ids := shuffled(func(int) bool { return r.Intn(4) != 0 })
+		csrEqual(t, "subset", BuildOpts(in, ids, Options{Workers: workers}), BuildReference(in, ids))
+
+		// The last shard plays the hierarchical scheduler's cross shard.
+		shards := 2 + int(shape>>2)%4
+		shardOf := make([]int, m)
+		for i := range shardOf {
+			shardOf[i] = r.Intn(shards)
+		}
+		pv := in.Index().Partition(shards, shardOf)
+		for s := 0; s < shards; s++ {
+			sids := shuffled(func(i int) bool { return shardOf[i] == s })
+			got := BuildOpts(in, sids, Options{Workers: workers, Index: pv.View(s)})
+			csrEqual(t, "shard", got, BuildReference(in, sids))
+		}
+
+		// The reference sees a removed member as requesting nothing.
+		index := tm.IndexTxns(in.NumObjects, in.Txns)
+		txns := slices.Clone(in.Txns)
+		for i := range txns {
+			if r.Intn(3) == 0 {
+				index.Remove(txns[i].ID, txns[i].Objects)
+				txns[i].Objects = nil
+			}
+		}
+		stripped := tm.NewInstance(in.G, in.Metric, in.NumObjects, txns, in.Home)
+		got := BuildOpts(in, ids, Options{Workers: workers, Index: index})
+		csrEqual(t, "removed", got, BuildReference(stripped, ids))
+		for i, id := range ids {
+			if txns[id].Objects == nil && got.Degree(i) != 0 {
+				t.Fatalf("removed member %d has degree %d", id, got.Degree(i))
+			}
+		}
+	})
 }
 
 // TestCheckColoringEdgeCases: empty graphs, single members, and weight-0

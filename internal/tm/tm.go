@@ -12,7 +12,7 @@ package tm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dtmsched/internal/graph"
@@ -36,8 +36,8 @@ type Txn struct {
 
 // Uses reports whether the transaction requests object o.
 func (t *Txn) Uses(o ObjectID) bool {
-	i := sort.Search(len(t.Objects), func(i int) bool { return t.Objects[i] >= o })
-	return i < len(t.Objects) && t.Objects[i] == o
+	_, ok := slices.BinarySearch(t.Objects, o)
+	return ok
 }
 
 // Instance is one batch scheduling problem: a communication graph, a
@@ -77,7 +77,7 @@ func NewInstance(g *graph.Graph, metric graph.Metric, numObjects int, txns []Txn
 }
 
 func sortObjects(objs []ObjectID) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	slices.Sort(objs)
 }
 
 // NumTxns returns the number of transactions m ≤ n.

@@ -3,7 +3,7 @@ package tm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dtmsched/internal/graph"
 	"dtmsched/internal/xrand"
@@ -248,7 +248,7 @@ func toObjectIDs(xs []int) []ObjectID {
 	for i, x := range xs {
 		out[i] = ObjectID(x)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

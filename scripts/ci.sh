@@ -173,6 +173,12 @@ echo "== jump-ahead source fuzz smoke =="
 # jumped ones, and reseeds, including the special-cased seeds.
 go test ./internal/xrand -run '^$' -fuzz FuzzJumpSource -fuzztime 10s
 
+echo "== conflict-graph differential fuzz smoke =="
+# The row-by-row conflict-graph build must equal the map-of-maps
+# reference over shuffled member subsets at 1–4 workers, over every shard
+# of a partitioned index, and over an index with members removed.
+go test ./internal/depgraph -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 10s
+
 echo "== serve-mode smoke =="
 # Drain a fixed seeded stream through the CLI twice: counts must be
 # deterministic, everything admitted must commit (reject policy), the
