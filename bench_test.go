@@ -239,23 +239,38 @@ func BenchmarkLowerBound(b *testing.B) {
 // instance: the witness computation (every walk and tour), the value
 // path (closed forms, brackets, pruned Held–Karp), and a warm oracle hit
 // (the steady state of batch sweeps, where jobs sharing an instance pay a
-// pointer load).
+// pointer load). The clique instance has ~8 users per object, so
+// value-bounded adds a 16×16 grid instance whose 8 objects each have ~64
+// sites, above tsp.ExactLimit: the value path's MST-only case.
 func BenchmarkLowerCompute(b *testing.B) {
 	in := cliqueInstance(256, 64, 2)
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			lower.ComputeOpts(in, lower.Options{Witness: true})
+			lower.Compute(in)
 		}
 	})
 	b.Run("value", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			lower.ComputeOpts(in, lower.Options{})
+			lower.Value(in)
+		}
+	})
+	b.Run("value-bounded", func(b *testing.B) {
+		topo := topology.NewSquareGrid(16)
+		in := tm.UniformK(8, 2).Generate(xrand.New(1), topo.Graph(),
+			graph.FuncMetric(topo.Dist), topo.Graph().Nodes(), tm.PlaceAtRandomUser)
+		if lower.Value(in).BoundedObjects == 0 {
+			b.Fatal("no object above tsp.ExactLimit")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lower.Value(in)
 		}
 	})
 	b.Run("oracle-warm", func(b *testing.B) {
-		o := lower.NewOracle(lower.Options{Witness: true})
+		o := lower.NewOracle()
 		o.Get(in)
 		b.ReportAllocs()
 		b.ResetTimer()

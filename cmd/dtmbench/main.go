@@ -286,7 +286,7 @@ func main() {
 		// bound query of the experiment shares it (k algorithms × t trials
 		// on one instance compute the bound once), while its instances
 		// stay collectable after the experiment ends.
-		cfg.LowerOracle = lower.NewOracle(lower.Options{})
+		cfg.LowerOracle = lower.NewOracle()
 		res, err := e.Run(cfg)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -403,7 +403,7 @@ func TestLineMaxWalkMatchesTSPExact(t *testing.T) {
 			for i, id := range users {
 				sites[i] = in.Txns[id].Node
 			}
-			b := tsp.Walk(graph.FuncMetric(topo.Dist), in.Home[o], sites)
+			b := new(tsp.Solver).Walk(graph.FuncMetric(topo.Dist), in.Home[o], sites)
 			if !b.Exact {
 				t.Skip("instance too large for exact walks")
 			}

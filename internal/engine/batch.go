@@ -100,7 +100,7 @@ func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error)
 	oracle := opt.LowerOracle
 	for i := 0; oracle == nil && i < len(jobs); i++ {
 		if !jobs[i].SkipLowerBound && jobs[i].LowerOracle == nil {
-			oracle = lower.NewOracle(lower.Options{})
+			oracle = lower.NewOracle()
 		}
 	}
 	results := make([]JobResult, len(jobs))

@@ -376,7 +376,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 			b, hit = job.LowerOracle.Get(in)
 			rep.Bound = *b
 		} else {
-			rep.Bound = lower.ComputeOpts(in, lower.Options{})
+			rep.Bound = lower.Value(in)
 		}
 		if rep.Bound.Value > 0 {
 			rep.Ratio = float64(rep.Makespan) / float64(rep.Bound.Value)

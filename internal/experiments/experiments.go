@@ -67,7 +67,7 @@ func (c Config) bound(in *tm.Instance) lower.Bound {
 		b, _ := c.LowerOracle.Get(in)
 		return *b
 	}
-	return lower.ComputeOpts(in, lower.Options{})
+	return lower.Value(in)
 }
 
 // prepare installs the precomputed all-pairs distance matrix on a

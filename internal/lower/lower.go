@@ -15,13 +15,13 @@
 // optimal, never understate it.
 //
 // The bound depends only on the instance, so the package provides two
-// computations and a cache: ComputeOpts(in, Options{}) is the value path
-// (closed-form tree walks, MST/heuristic brackets, and Held–Karp only for
-// objects that could still raise the maximum; no tours), Compute — equal
-// to ComputeOpts with Options{Witness: true} — solves every object's walk
-// and tour and keeps them as witnesses, and Oracle publishes one bound
-// per instance so repeated queries cost a pointer load. Both paths agree
-// on Value, MaxUse, MaxWalkLB/UB and ExactObjects/BoundedObjects.
+// computations and a cache: Value is the value path (closed-form tree
+// walks, MST low ends above tsp.ExactLimit, brackets, and Held–Karp only
+// for objects that could still raise the maximum; no tours and no walk
+// upper ends), Compute solves every object's walk and tour and keeps them
+// as witnesses for the tour-gap experiments, and Oracle publishes one
+// Value per instance so repeated queries cost a pointer load. Both paths
+// agree on Value, MaxUse, MaxWalkLB and ExactObjects/BoundedObjects.
 package lower
 
 import (
@@ -63,6 +63,8 @@ type Bound struct {
 	// MaxUse is ℓ.
 	MaxUse int
 	// MaxWalkLB / MaxWalkUB bracket the longest shortest object walk.
+	// MaxWalkUB is witness-only: zero on the value path, which computes
+	// no walk upper ends.
 	MaxWalkLB, MaxWalkUB int64
 	// MaxTourLB / MaxTourUB bracket the longest optimal object TSP tour.
 	// Zero on the value path, which solves no tours.
@@ -70,7 +72,8 @@ type Bound struct {
 	// ExactObjects counts requested objects whose walk has at most
 	// tsp.ExactLimit distinct sites and is therefore known exactly (or
 	// proven unable to raise the maximum); BoundedObjects counts those
-	// that got MST/heuristic bounds instead.
+	// with more sites, whose walk is only bounded: by the MST/heuristic
+	// bracket on the witness path, by the MST low end on the value path.
 	ExactObjects, BoundedObjects int
 	// ClosedFormObjects and PrunedObjects split ExactObjects on the
 	// value path: walks settled without Held–Karp (at most one site, the
@@ -80,34 +83,8 @@ type Bound struct {
 	// witness path, which solves every object.
 	ClosedFormObjects, PrunedObjects int
 	// PerObject has one entry per object that is requested at all.
-	// Empty on the value path (Options.Witness false); the scalar fields
-	// above are always populated.
+	// Witness-only: empty on the value path.
 	PerObject []ObjectDetail
-}
-
-// Options controls how ComputeOpts runs. The zero value is the value
-// path.
-type Options struct {
-	// Witness solves every object's walk and tour and populates
-	// Bound.PerObject and MaxTour*. Callers that only need the scalar
-	// bound (engines computing ratios) leave it false.
-	Witness bool
-}
-
-// Compute derives the certified bound for an instance with full
-// witnesses. Equivalent to ComputeOpts(in, Options{Witness: true}); kept
-// as the stable original API.
-func Compute(in *tm.Instance) Bound {
-	return ComputeOpts(in, Options{Witness: true})
-}
-
-// ComputeOpts derives the certified bound for an instance: the value path
-// by default, the full per-object walk and tour solve with opt.Witness.
-func ComputeOpts(in *tm.Instance, opt Options) Bound {
-	if !opt.Witness {
-		return computeValue(in)
-	}
-	return computeWitness(in)
 }
 
 // solvers recycles tsp.Solver scratch across bound computations, so a
@@ -116,9 +93,11 @@ func ComputeOpts(in *tm.Instance, opt Options) Bound {
 // solver keeps its tables until the GC empties the pool.
 var solvers = sync.Pool{New: func() any { return tsp.NewSolver() }}
 
-// computeWitness solves every requested object's walk and tour on one
-// pooled solver, in object order.
-func computeWitness(in *tm.Instance) Bound {
+// Compute derives the certified bound for an instance with full
+// witnesses: it solves every requested object's walk and tour on one
+// pooled solver, in object order, and fills every field of Bound.
+// Callers that only need the scalar bound use Value.
+func Compute(in *tm.Instance) Bound {
 	var (
 		b     Bound
 		sites []graph.NodeID

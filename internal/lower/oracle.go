@@ -24,7 +24,6 @@ import (
 // The oracle holds its instances live; scope one per batch or sweep
 // rather than per process so retired instances can be collected.
 type Oracle struct {
-	opt     Options
 	entries sync.Map // *tm.Instance → *oracleEntry
 }
 
@@ -32,9 +31,9 @@ type oracleEntry struct {
 	b atomic.Pointer[Bound]
 }
 
-// NewOracle returns an oracle computing misses with ComputeOpts(in, opt).
-func NewOracle(opt Options) *Oracle {
-	return &Oracle{opt: opt}
+// NewOracle returns an oracle computing misses with Value.
+func NewOracle() *Oracle {
+	return &Oracle{}
 }
 
 // Get returns the instance's certified bound and whether it was served
@@ -52,13 +51,13 @@ func (o *Oracle) Get(in *tm.Instance) (*Bound, bool) {
 	if b := e.b.Load(); b != nil {
 		return b, true
 	}
-	b := ComputeOpts(in, o.opt)
+	b := Value(in)
 	if e.b.CompareAndSwap(nil, &b) {
 		return &b, false
 	}
 	// A concurrent first query published first; adopt its bound (the
-	// values are identical — ComputeOpts is deterministic) so every
-	// caller shares one witness allocation. The work was duplicated, but
-	// the answer came from the cache.
+	// values are identical — Value is deterministic) so every caller
+	// shares one allocation. The work was duplicated, but the answer
+	// came from the cache.
 	return e.b.Load(), true
 }

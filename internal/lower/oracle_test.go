@@ -14,7 +14,7 @@ import (
 
 // zooInstances builds one instance per topology family, covering both
 // graph-backed and closed-form metrics plus the > tsp.ExactLimit
-// heuristic path (the single-object workload funnels every transaction
+// MST-bounded case (the single-object workload funnels every transaction
 // onto one object).
 func zooInstances(t testing.TB) []*tm.Instance {
 	t.Helper()
@@ -32,35 +32,25 @@ func zooInstances(t testing.TB) []*tm.Instance {
 	s := topology.NewStar(4, 5)
 	build(s.Graph(), graph.FuncMetric(s.Dist), 5, 2)
 	// One object requested by every transaction: 40 sites exceed
-	// tsp.ExactLimit, exercising the order-sensitive MST/heuristic path.
+	// tsp.ExactLimit, so the walk is only bounded by its MST.
 	big := topology.NewSquareGrid(7).Graph()
 	out = append(out, tm.UniformK(1, 1).Generate(r, big, nil, big.Nodes(), tm.PlaceAtRandomUser))
 	return out
 }
 
-// TestComputeOptsMatchesCompute pins the witness option to the original
-// API: same witnesses, same scalars, on every topology family.
-func TestComputeOptsMatchesCompute(t *testing.T) {
+// TestValueWitnessFree: the value path must skip PerObject, the tours
+// and the walk upper ends but keep every other scalar identical.
+func TestValueWitnessFree(t *testing.T) {
 	for i, in := range zooInstances(t) {
-		want := Compute(in)
-		got := ComputeOpts(in, Options{Witness: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("instance %d: ComputeOpts diverged\n want %+v\n  got %+v", i, want, got)
-		}
-	}
-}
-
-// TestComputeOptsWitnessFree: the value path must skip PerObject and the
-// tours but keep every other scalar identical.
-func TestComputeOptsWitnessFree(t *testing.T) {
-	for i, in := range zooInstances(t) {
-		full := ComputeOpts(in, Options{Witness: true})
-		fast := ComputeOpts(in, Options{})
+		full, fast := Compute(in), Value(in)
 		if fast.PerObject != nil {
 			t.Errorf("instance %d: witness-free bound has PerObject", i)
 		}
 		if fast.MaxTourLB != 0 || fast.MaxTourUB != 0 {
 			t.Errorf("instance %d: value path solved tours: [%d,%d]", i, fast.MaxTourLB, fast.MaxTourUB)
+		}
+		if fast.MaxWalkUB != 0 {
+			t.Errorf("instance %d: value path reported a walk upper end %d", i, fast.MaxWalkUB)
 		}
 		if got, want := scalarsOf(fast), scalarsOf(full); got != want {
 			t.Errorf("instance %d: witness-free scalars diverged\n want %+v\n  got %+v", i, want, got)
@@ -73,8 +63,8 @@ func TestComputeOptsWitnessFree(t *testing.T) {
 // bound, and exactly one of them — the publisher — must see a miss.
 func TestOracleConcurrentFirstQuery(t *testing.T) {
 	for _, in := range zooInstances(t) {
-		o := NewOracle(Options{Witness: true})
-		want := Compute(in)
+		o := NewOracle()
+		want := Value(in)
 		const goroutines = 8
 		bounds := make([]*Bound, goroutines)
 		var misses atomic.Int64
@@ -112,7 +102,7 @@ func TestOracleConcurrentFirstQuery(t *testing.T) {
 // pointer load — no allocation, matching the distance-oracle guard.
 func TestOracleWarmLookupZeroAllocs(t *testing.T) {
 	in := zooInstances(t)[0]
-	o := NewOracle(Options{Witness: true})
+	o := NewOracle()
 	first, hit := o.Get(in)
 	if hit {
 		t.Fatal("first query reported as cache hit")

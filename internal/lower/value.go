@@ -16,14 +16,15 @@ type candidate struct {
 	hi  int64
 }
 
-// computeValue is the value path: it returns the scalars of Compute
-// (Value, MaxUse, MaxWalkLB/UB, ExactObjects, BoundedObjects) without
-// solving tours, and runs Held–Karp only for objects that might raise the
-// longest walk. Per requested object with walk set S (its distinct
-// requester sites other than home):
+// Value is the value path: it returns the scalars of Compute that the
+// certified bound needs (Value, MaxUse, MaxWalkLB, ExactObjects,
+// BoundedObjects) without solving tours or computing walk upper ends,
+// and runs Held–Karp only for objects that might raise the longest walk.
+// Per requested object with walk set S (its distinct requester sites
+// other than home):
 //
-//  1. |S| > tsp.ExactLimit: tsp.Solver.Walk on the original site order,
-//     as the witness path does (its heuristic is order-sensitive);
+//  1. |S| > tsp.ExactLimit: the MST weight over home ∪ S
+//     (tsp.Solver.WalkLB), the witness path's low end;
 //  2. |S| ≤ 1: the walk is 0 or one distance;
 //  3. in.G is a tree: the exact walk is 2·Steiner(home ∪ S) minus the
 //     farthest site from home (treeWalk);
@@ -33,16 +34,16 @@ type candidate struct {
 // The running maximum starts from every exact walk, every lo, and every
 // case-1 lower bound. Candidates are visited by hi descending (object ID
 // breaking ties) and solved only while hi exceeds the maximum: a skipped
-// object's walk is ≤ hi ≤ the maximum, so MaxWalkLB and MaxWalkUB equal
-// the witness path's.
-func computeValue(in *tm.Instance) Bound {
+// object's walk is ≤ hi ≤ the maximum, so MaxWalkLB equals the witness
+// path's. The witness-only fields (MaxWalkUB, MaxTour*, PerObject) stay
+// zero.
+func Value(in *tm.Instance) Bound {
 	var (
-		b      Bound
-		sites  []graph.NodeID
-		terms  []graph.NodeID
-		cands  []candidate
-		maxLB  int64
-		caseUB int64
+		b     Bound
+		sites []graph.NodeID
+		terms []graph.NodeID
+		cands []candidate
+		maxLB int64
 	)
 	s := solvers.Get().(*tsp.Solver)
 	defer solvers.Put(s)
@@ -61,10 +62,8 @@ func computeValue(in *tm.Instance) Bound {
 		var walk int64
 		switch {
 		case len(set) > tsp.ExactLimit:
-			w := s.Walk(m, home, sites)
 			b.BoundedObjects++
-			maxLB = max(maxLB, w.LB)
-			caseUB = max(caseUB, w.UB)
+			maxLB = max(maxLB, s.WalkLB(m, home, set))
 			continue
 		case len(set) == 0:
 			b.ClosedFormObjects++
@@ -105,7 +104,6 @@ func computeValue(in *tm.Instance) Bound {
 	}
 
 	b.MaxWalkLB = maxLB
-	b.MaxWalkUB = max(maxLB, caseUB)
 	b.Value = max(int64(b.MaxUse), maxLB)
 	if b.Value < 1 && in.NumTxns() > 0 {
 		b.Value = 1

@@ -19,12 +19,12 @@ import (
 type scalars struct {
 	Value                        int64
 	MaxUse                       int
-	MaxWalkLB, MaxWalkUB         int64
+	MaxWalkLB                    int64
 	ExactObjects, BoundedObjects int
 }
 
 func scalarsOf(b Bound) scalars {
-	return scalars{b.Value, b.MaxUse, b.MaxWalkLB, b.MaxWalkUB, b.ExactObjects, b.BoundedObjects}
+	return scalars{b.Value, b.MaxUse, b.MaxWalkLB, b.ExactObjects, b.BoundedObjects}
 }
 
 // metricTopology is a graph with a closed-form metric over it.
@@ -128,12 +128,14 @@ var certifyCells = []struct {
 }
 
 // TestValueMatchesWitness: the value path must report the witness path's
-// scalars (all but the tours) on the zoo and on 20 seeds of every
-// offline-certify cell shape, and must account for every exact object.
+// scalars (all but the tours and the walk upper ends) on the zoo and on
+// 20 seeds of every offline-certify cell shape, and must account for
+// every exact object. Every cell must reach the MST-bounded case
+// (|S| > tsp.ExactLimit) on some seed, so that case stays compared.
 func TestValueMatchesWitness(t *testing.T) {
-	check := func(name string, in *tm.Instance) {
+	check := func(name string, in *tm.Instance) Bound {
 		t.Helper()
-		value, witness := ComputeOpts(in, Options{}), Compute(in)
+		value, witness := Value(in), Compute(in)
 		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
 			t.Fatalf("%s: value path %+v, witness path %+v", name, got, want)
 		}
@@ -141,6 +143,7 @@ func TestValueMatchesWitness(t *testing.T) {
 			t.Fatalf("%s: %d closed-form + %d pruned > %d exact objects",
 				name, value.ClosedFormObjects, value.PrunedObjects, value.ExactObjects)
 		}
+		return value
 	}
 	for i, in := range zooInstances(t) {
 		check(fmt.Sprintf("zoo%d", i), in)
@@ -149,9 +152,13 @@ func TestValueMatchesWitness(t *testing.T) {
 		tp := c.mk()
 		g := tp.Graph()
 		m := graph.FuncMetric(tp.Dist)
+		bounded := 0
 		for seed := int64(1); seed <= 20; seed++ {
 			in := tm.UniformK(c.w, c.k).Generate(rand.New(rand.NewSource(seed)), g, m, g.Nodes(), tm.PlaceAtRandomUser)
-			check(c.name, in)
+			bounded += check(c.name, in).BoundedObjects
+		}
+		if bounded == 0 {
+			t.Errorf("%s: no object above tsp.ExactLimit over 20 seeds", c.name)
 		}
 	}
 }
@@ -164,7 +171,7 @@ func TestValuePathLayers(t *testing.T) {
 	for _, tp := range []metricTopology{topology.NewLine(64), topology.NewClique(64)} {
 		g := tp.Graph()
 		in := tm.UniformK(8, 2).Generate(r, g, graph.FuncMetric(tp.Dist), g.Nodes(), tm.PlaceAtRandomUser)
-		b := ComputeOpts(in, Options{})
+		b := Value(in)
 		if b.ClosedFormObjects != b.ExactObjects || b.ExactObjects == 0 {
 			t.Errorf("%s: %d of %d exact objects closed-form", g.Name(), b.ClosedFormObjects, b.ExactObjects)
 		}
@@ -174,11 +181,11 @@ func TestValuePathLayers(t *testing.T) {
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 
-// TestComputeOptsRecyclesSolver: once warm, the value path reuses a
+// TestValueRecyclesSolver: once warm, the value path reuses a
 // pooled solver's Held–Karp table instead of allocating one per call. The
 // instance's one object has 15 walk sites on a 12×12 grid and its bracket
 // does not close, so every call solves it with a 3.75 MiB table.
-func TestComputeOptsRecyclesSolver(t *testing.T) {
+func TestValueRecyclesSolver(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
@@ -190,7 +197,7 @@ func TestComputeOptsRecyclesSolver(t *testing.T) {
 		txns[i] = tm.Txn{Node: graph.NodeID(perm[i]), Objects: []tm.ObjectID{0}}
 	}
 	in := tm.NewInstance(g, graph.FuncMetric(tp.Dist), 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
-	b := ComputeOpts(in, Options{})
+	b := Value(in)
 	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects; solved != 1 {
 		t.Fatalf("%d objects went through Held–Karp, want 1 (%+v)", solved, b)
 	}
@@ -198,11 +205,41 @@ func TestComputeOptsRecyclesSolver(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		ComputeOpts(in, Options{})
+		Value(in)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 256<<10 {
-		t.Fatalf("ComputeOpts allocated %d B per warm call, want < 256 KiB", per)
+		t.Fatalf("Value allocated %d B per warm call, want < 256 KiB", per)
+	}
+}
+
+// TestValueSkipsWalkUpperEnd: an object with more than tsp.ExactLimit
+// walk sites costs the value path its MST alone, q(q+1)/2 metric queries
+// over home and q sites, and no upper-end heuristic. The instance has 21
+// transactions on distinct nodes of a 12×12 grid requesting one object
+// homed at one of them, so q = 20.
+func TestValueSkipsWalkUpperEnd(t *testing.T) {
+	tp := topology.NewSquareGrid(12)
+	g := tp.Graph()
+	calls := 0
+	m := graph.FuncMetric(func(u, v graph.NodeID) int64 {
+		calls++
+		return tp.Dist(u, v)
+	})
+	perm := rand.New(rand.NewSource(1)).Perm(g.NumNodes())
+	txns := make([]tm.Txn, 21)
+	for i := range txns {
+		txns[i] = tm.Txn{Node: graph.NodeID(perm[i]), Objects: []tm.ObjectID{0}}
+	}
+	in := tm.NewInstance(g, m, 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
+	calls = 0
+	b := Value(in)
+	if b.BoundedObjects != 1 {
+		t.Fatalf("%d bounded objects, want 1 (%+v)", b.BoundedObjects, b)
+	}
+	const q = 20
+	if calls > q*(q+1)/2 {
+		t.Fatalf("Value made %d metric queries, want ≤ %d (the MST over home and %d sites)", calls, q*(q+1)/2, q)
 	}
 }
 
@@ -226,7 +263,7 @@ func FuzzBoundSound(f *testing.F) {
 		w := 1 + r.Intn(4)
 		in := tm.UniformK(w, 1+r.Intn(min(w, 2))).Generate(r, g, nil, g.Nodes(), tm.PlaceAtRandomUser)
 
-		value, witness := ComputeOpts(in, Options{}), Compute(in)
+		value, witness := Value(in), Compute(in)
 		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
 			t.Fatalf("value path %+v, witness path %+v", got, want)
 		}

@@ -16,8 +16,8 @@
 // the table (2^q·q int64 cells, 8 MiB at q = 16) needs no initialisation.
 // It lives on a reusable Solver; callers that compute many bounds recycle
 // solvers through a sync.Pool, and a pooled solver keeps its tables until
-// the GC empties the pool. The package-level Walk and Tour remain as
-// convenience wrappers over a throwaway Solver.
+// the GC empties the pool. Every bound is a Solver method; a one-off
+// caller uses a zero Solver.
 package tsp
 
 import (
@@ -41,14 +41,14 @@ type Bounds struct {
 	Exact bool
 }
 
-// Solver computes Walk, Bracket and Tour bounds with reusable scratch:
-// the Held–Karp table, the transposed pairwise-distance matrix, the
-// bracket buffers and an epoch-stamped dedupe buffer all persist across
-// calls, so solving many site sets (one per object of an instance, or
-// many instances through a pool) allocates only on high-water-mark
-// growth. Tours above ExactLimit run on the same bracket scratch. A
-// Solver is not safe for concurrent use; parallel callers keep one per
-// worker. The zero value is ready to use.
+// Solver computes Walk, WalkLB, Bracket and Tour bounds with reusable
+// scratch: the Held–Karp table, the transposed pairwise-distance matrix,
+// the bracket buffers and an epoch-stamped dedupe buffer all persist
+// across calls, so solving many site sets (one per object of an
+// instance, or many instances through a pool) allocates only on
+// high-water-mark growth. Tours above ExactLimit run on the same
+// bracket scratch. A Solver is not safe for concurrent use; parallel
+// callers keep one per worker. The zero value is ready to use.
 type Solver struct {
 	dp    []int64        // Held–Karp table, 2^q·q cells
 	dt    []int64        // pairwise distances, transposed
@@ -70,8 +70,7 @@ func NewSolver() *Solver { return &Solver{} }
 
 // Walk bounds the shortest walk that starts at home and visits every node
 // in sites (an open Hamiltonian path on the metric completion, fixed
-// start). Duplicate sites and sites equal to home are harmless. Results
-// are identical to the package-level Walk.
+// start). Duplicate sites and sites equal to home are harmless.
 func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
 	sites = s.Distinct(sites, home)
 	q := len(sites)
@@ -105,13 +104,21 @@ func (s *Solver) Bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID
 
 // bracket computes Bracket's bounds over distinct sites ≠ home.
 func (s *Solver) bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) (lb, ub int64) {
-	s.all = append(append(s.all[:0], home), sites...)
-	lb = s.mstWeight(m, s.all)
+	lb = s.WalkLB(m, home, sites)
 	ub = pathLen(m, home, s.heuristicPath(m, home, sites))
 	return lb, min(ub, 2*lb)
 }
 
-// mstWeight is MSTWeight on the solver's Prim scratch.
+// WalkLB returns the low end of Walk's bracket alone: the MST weight over
+// home ∪ sites, in q(q+1)/2 metric queries for q sites. A duplicate site
+// or one equal to home joins the tree at distance 0, so it leaves the
+// weight unchanged but costs queries; pass distinct sites.
+func (s *Solver) WalkLB(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
+	s.all = append(append(s.all[:0], home), sites...)
+	return s.mstWeight(m, s.all)
+}
+
+// mstWeight is the MST weight over nodes on the solver's Prim scratch.
 func (s *Solver) mstWeight(m graph.Metric, nodes []graph.NodeID) int64 {
 	s.key = growI64(s.key, len(nodes))
 	if cap(s.done) < len(nodes) {
@@ -130,7 +137,6 @@ func (s *Solver) heuristicPath(m graph.Metric, start graph.NodeID, sites []graph
 
 // Tour bounds the optimal closed TSP tour through all sites (no fixed
 // start). The paper's Theorem 6 measures objects' TSP tour lengths.
-// Results are identical to the package-level Tour.
 func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 	sites = s.Distinct(sites, -1)
 	q := len(sites)
@@ -150,28 +156,9 @@ func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 	return Bounds{LB: mst, UB: min(ub, 2*mst)}
 }
 
-// Walk bounds the shortest home-rooted walk through sites with a
-// throwaway Solver. Callers solving many site sets should hold a Solver.
-func Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
-	var s Solver
-	return s.Walk(m, home, sites)
-}
-
-// Tour bounds the optimal closed tour through sites with a throwaway
-// Solver. Callers solving many site sets should hold a Solver.
-func Tour(m graph.Metric, sites []graph.NodeID) Bounds {
-	var s Solver
-	return s.Tour(m, sites)
-}
-
-// MSTWeight returns the minimum spanning tree weight over sites under
-// metric m, via Prim's algorithm in O(q²) time and O(q) space.
-func MSTWeight(m graph.Metric, sites []graph.NodeID) int64 {
-	return primWeight(m, sites, make([]int64, len(sites)), make([]bool, len(sites)))
-}
-
-// primWeight is MSTWeight over caller-provided scratch: best and inTree
-// have len(sites) cells, overwritten.
+// primWeight returns the minimum spanning tree weight over sites under
+// metric m, via Prim's algorithm in O(q²) time, on caller-provided
+// scratch: best and inTree have len(sites) cells, overwritten.
 func primWeight(m graph.Metric, sites []graph.NodeID, best []int64, inTree []bool) int64 {
 	q := len(sites)
 	if q <= 1 {

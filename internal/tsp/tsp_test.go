@@ -35,7 +35,7 @@ func (side gridMetric) Dist(u, v graph.NodeID) int64 {
 func TestWalkOnLine(t *testing.T) {
 	m := lineMetric{}
 	// home 5, sites 2 and 9: best is 5→2→9 or 5→9→2: min(3+7, 4+7) = 10.
-	b := Walk(m, 5, []graph.NodeID{2, 9})
+	b := new(Solver).Walk(m, 5, []graph.NodeID{2, 9})
 	if !b.Exact || b.LB != 10 || b.UB != 10 {
 		t.Fatalf("Walk = %+v, want exact 10", b)
 	}
@@ -43,13 +43,13 @@ func TestWalkOnLine(t *testing.T) {
 
 func TestWalkTrivialCases(t *testing.T) {
 	m := lineMetric{}
-	if b := Walk(m, 3, nil); !b.Exact || b.LB != 0 {
+	if b := new(Solver).Walk(m, 3, nil); !b.Exact || b.LB != 0 {
 		t.Fatalf("empty walk = %+v", b)
 	}
-	if b := Walk(m, 3, []graph.NodeID{3}); !b.Exact || b.LB != 0 {
+	if b := new(Solver).Walk(m, 3, []graph.NodeID{3}); !b.Exact || b.LB != 0 {
 		t.Fatalf("walk to home only = %+v", b)
 	}
-	if b := Walk(m, 3, []graph.NodeID{7, 7, 3}); !b.Exact || b.LB != 4 {
+	if b := new(Solver).Walk(m, 3, []graph.NodeID{7, 7, 3}); !b.Exact || b.LB != 4 {
 		t.Fatalf("walk with dups = %+v, want 4", b)
 	}
 }
@@ -57,14 +57,14 @@ func TestWalkTrivialCases(t *testing.T) {
 func TestTourOnLine(t *testing.T) {
 	m := lineMetric{}
 	// Tour over {1, 4, 9}: span is 8, closed tour = 16.
-	b := Tour(m, []graph.NodeID{4, 1, 9})
+	b := new(Solver).Tour(m, []graph.NodeID{4, 1, 9})
 	if !b.Exact || b.LB != 16 {
 		t.Fatalf("Tour = %+v, want exact 16", b)
 	}
-	if b := Tour(m, []graph.NodeID{5}); b.LB != 0 || !b.Exact {
+	if b := new(Solver).Tour(m, []graph.NodeID{5}); b.LB != 0 || !b.Exact {
 		t.Fatalf("singleton tour = %+v", b)
 	}
-	if b := Tour(m, []graph.NodeID{2, 6}); b.LB != 8 || !b.Exact {
+	if b := new(Solver).Tour(m, []graph.NodeID{2, 6}); b.LB != 8 || !b.Exact {
 		t.Fatalf("pair tour = %+v, want 8", b)
 	}
 }
@@ -72,10 +72,10 @@ func TestTourOnLine(t *testing.T) {
 func TestMSTWeightHandComputed(t *testing.T) {
 	m := lineMetric{}
 	// Sites 0, 4, 10: MST edges 0-4 (4) and 4-10 (6).
-	if w := MSTWeight(m, []graph.NodeID{10, 0, 4}); w != 10 {
-		t.Fatalf("MSTWeight = %d, want 10", w)
+	if w := new(Solver).WalkLB(m, 10, []graph.NodeID{0, 4}); w != 10 {
+		t.Fatalf("WalkLB = %d, want 10", w)
 	}
-	if w := MSTWeight(m, []graph.NodeID{3}); w != 0 {
+	if w := new(Solver).WalkLB(m, 3, nil); w != 0 {
 		t.Fatalf("single-site MST = %d", w)
 	}
 }
@@ -135,7 +135,7 @@ func TestHeldKarpMatchesBruteForceProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g, sites := randomGraphMetric(r, 4+r.Intn(10))
 		home := graph.NodeID(r.Intn(g.NumNodes()))
-		b := Walk(g, home, sites)
+		b := new(Solver).Walk(g, home, sites)
 		if !b.Exact {
 			return false
 		}
@@ -148,7 +148,7 @@ func TestHeldKarpMatchesBruteForceProperty(t *testing.T) {
 		}
 		// Tours: randomGraphMetric draws at most 7 sites.
 		uniq := dedupe(sites, -1)
-		tour := Tour(g, sites)
+		tour := new(Solver).Tour(g, sites)
 		want = 0
 		if len(uniq) > 1 {
 			want = bruteWalk(g, uniq[0], uniq[1:], true)
@@ -166,7 +166,7 @@ func TestTourBoundsOrderingProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, sites := randomGraphMetric(r, 4+r.Intn(12))
-		b := Tour(g, sites)
+		b := new(Solver).Tour(g, sites)
 		if b.LB > b.UB {
 			return false
 		}
@@ -174,7 +174,7 @@ func TestTourBoundsOrderingProperty(t *testing.T) {
 		if len(uniq) < 2 {
 			return b.LB == 0
 		}
-		mst := MSTWeight(g, uniq)
+		mst := new(Solver).WalkLB(g, uniq[0], uniq[1:])
 		return b.LB >= mst && b.UB <= 2*mst+1 || b.Exact
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -193,7 +193,7 @@ func TestLargeSetUsesBounds(t *testing.T) {
 	for i := range sites {
 		sites[i] = graph.NodeID(r.Intn(60))
 	}
-	w := Walk(g, 0, sites)
+	w := new(Solver).Walk(g, 0, sites)
 	if w.Exact {
 		t.Fatal("large walk claimed exact")
 	}
@@ -201,14 +201,14 @@ func TestLargeSetUsesBounds(t *testing.T) {
 		t.Fatalf("large walk bounds broken: %+v", w)
 	}
 	uniq := dedupe(sites, 0)
-	mst := MSTWeight(g, append([]graph.NodeID{0}, uniq...))
+	mst := new(Solver).WalkLB(g, 0, uniq)
 	if w.LB != mst {
 		t.Fatalf("large walk LB %d != MST %d", w.LB, mst)
 	}
 	if w.UB > 2*mst {
 		t.Fatalf("large walk UB %d exceeds 2·MST %d", w.UB, 2*mst)
 	}
-	tour := Tour(g, sites)
+	tour := new(Solver).Tour(g, sites)
 	if tour.Exact || tour.LB > tour.UB {
 		t.Fatalf("large tour bounds broken: %+v", tour)
 	}
