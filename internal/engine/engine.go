@@ -331,11 +331,14 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	}
 	t0 = time.Now()
 	var simRes *sim.Result
+	var travel []int64 // per-object, from the verifier that walked it
 	switch job.Verify {
 	case VerifyFull, VerifyFast:
-		if err := rep.Schedule.Validate(in); err != nil {
+		checker := schedule.NewChainChecker(in.Home)
+		if err := checker.Check(in, rep.Schedule); err != nil {
 			return fail(StageVerify, time.Since(t0), fmt.Errorf("%s schedule infeasible: %w", rep.Algorithm, err))
 		}
+		travel = checker.Travel()
 	case VerifyOff:
 		// Trust the scheduler.
 	default:
@@ -349,6 +352,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 		if err != nil {
 			return fail(StageVerify, time.Since(t0), fmt.Errorf("simulator rejected %s schedule: %w", rep.Algorithm, err))
 		}
+		travel = simRes.ObjectDistance
 		if rep.Fault = simRes.Fault; rep.Fault != nil {
 			publishFault(col.Registry(), rep.Fault)
 		}
@@ -387,7 +391,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	emit(StageMeasure, rep.Timing.Measure, nil, nil)
 
 	rep.Timing.Total = time.Since(start)
-	recordRun(col, idx, job.Name, rep.Algorithm, in, rep.Schedule, simRes)
+	recordRun(col, idx, job.Name, rep.Algorithm, in, rep.Schedule, simRes, travel)
 	emit(StageDone, rep.Timing.Total, nil, rep)
 	return rep, nil
 }

@@ -106,7 +106,8 @@ func publishFault(reg *obs.Registry, fr *faults.Report) {
 // schedule under the same synchronous timing semantics the simulator
 // enforces, so traces do not depend on the verify policy. When simRes
 // carries a recorded event stream, the spans come from those events.
-func recordRun(col *obs.Collector, job int, name, algorithm string, in *tm.Instance, s *schedule.Schedule, simRes *sim.Result) {
+// objTravel is the Verify stage's per-object walk; nil walks s.Travel.
+func recordRun(col *obs.Collector, job int, name, algorithm string, in *tm.Instance, s *schedule.Schedule, simRes *sim.Result, objTravel []int64) {
 	reg := col.Registry()
 	if reg == nil {
 		return
@@ -127,10 +128,7 @@ func recordRun(col *obs.Collector, job int, name, algorithm string, in *tm.Insta
 
 	travel := reg.Histogram("object_travel_steps", nil)
 	if !col.Tracing() {
-		var objTravel []int64
-		if simRes != nil {
-			objTravel = simRes.ObjectDistance
-		} else {
+		if objTravel == nil {
 			objTravel = s.Travel(in)
 		}
 		for _, d := range objTravel {

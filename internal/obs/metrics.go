@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,6 +198,9 @@ func key(name string, labels []string) string {
 	if len(labels) == 0 {
 		return name
 	}
+	if len(labels) == 2 { // one concatenation for the per-event hot keys
+		return name + "{" + labels[0] + "=" + labels[1] + "}"
+	}
 	type kv struct{ k, v string }
 	pairs := make([]kv, 0, (len(labels)+1)/2)
 	for i := 0; i+1 < len(labels); i += 2 {
@@ -205,7 +209,7 @@ func key(name string, labels []string) string {
 	if len(labels)%2 == 1 { // dangling key: keep it visible rather than drop it
 		pairs = append(pairs, kv{labels[len(labels)-1], ""})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	slices.SortFunc(pairs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	var sb strings.Builder
 	sb.WriteString(name)
 	sb.WriteByte('{')

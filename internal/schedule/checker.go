@@ -21,21 +21,30 @@ import (
 // composition; Validate is the one-window case.
 type ChainChecker struct {
 	// relT / relN track each object's release step and node after the
-	// windows checked so far (the virtual time-0 holder initially).
-	relT []int64
-	relN []graph.NodeID
+	// windows checked so far (the virtual time-0 holder initially), and
+	// travel its summed handoff distance (nil in Validate's one-shot check).
+	relT   []int64
+	relN   []graph.NodeID
+	travel []int64
 	// nodeLast is the last verified commit step per node (0 = none).
 	nodeLast []int64
+	order    []tm.TxnID // Check's sweep scratch
 }
 
 // NewChainChecker starts a checker for a sequence whose objects begin at
 // the given homes.
 func NewChainChecker(home []graph.NodeID) *ChainChecker {
 	return &ChainChecker{
-		relT: make([]int64, len(home)),
-		relN: append([]graph.NodeID(nil), home...),
+		relT:   make([]int64, len(home)),
+		relN:   append([]graph.NodeID(nil), home...),
+		travel: make([]int64, len(home)),
 	}
 }
+
+// Travel returns each object's summed handoff distance over the windows
+// checked so far — Check's sweep is that walk — so after feasible windows
+// it is the sum of their Schedule.Travel from the homes held at each cut.
+func (c *ChainChecker) Travel() []int64 { return c.travel }
 
 // Check validates one window's schedule against the chained state and,
 // when feasible, advances the state past it; distances come from in.Dist.
@@ -49,7 +58,8 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 	if in.NumObjects != len(c.relT) {
 		return fmt.Errorf("schedule: instance has %d objects, checker tracks %d", in.NumObjects, len(c.relT))
 	}
-	order := make([]tm.TxnID, len(s.Times))
+	order := slices.Grow(c.order[:0], len(s.Times))[:len(s.Times)]
+	c.order = order
 	for i, t := range s.Times {
 		if t < 1 {
 			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
@@ -82,6 +92,8 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 			if need := c.relT[o] + in.Dist(c.relN[o], node); t < need {
 				return fmt.Errorf("schedule: object %d released at step %d on node %d cannot reach transaction %d (node %d) by step %d",
 					o, c.relT[o], c.relN[o], id, node, t)
+			} else if c.travel != nil {
+				c.travel[o] += need - c.relT[o] // the handoff distance
 			}
 			c.relT[o], c.relN[o] = t, node
 		}

@@ -3,6 +3,7 @@ package schedule_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dtmsched/internal/baseline"
@@ -22,7 +23,10 @@ import (
 // verifiers, schedule.Validate (the ChainChecker) and the step-by-step
 // simulator sim.Run. Every scheduler family's output on a tiny seeded
 // instance must pass both, with CommCost equal to the simulator's
-// measured communication cost and Makespan equal to the schedule's; a
+// measured communication cost, every object's checker travel equal to
+// Schedule.Travel and to the simulator's, and Makespan equal to the
+// schedule's; chained over a window sequence, the checker's travel must
+// sum to the windows' CommCost against the homes each cut held; a
 // mutated copy (one commit pulled a step earlier, or the times of two
 // conflicting transactions swapped) must get the same verdict from both.
 // On the scheduler outputs the simulator is also checked against the
@@ -60,17 +64,37 @@ func FuzzVerifiersAgree(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := replay(seq, res); err != nil {
-				t.Fatalf("%s: chained checker rejects: %v", res.Mode, err)
-			}
-			// Flattened, a node hosts one transaction per window.
+			// Chained, the checker walks each object's handoffs across
+			// windows once; each window's own CommCost starts from the
+			// homes the release chain held at its cut. Flattened, a node
+			// hosts one transaction per window.
+			checker := schedule.NewChainChecker(seq.Home)
+			chain := schedule.NewChain(topo, seq.Home, g.NumNodes())
 			var txns []tm.Txn
+			var perWindow int64
 			flat := &schedule.Schedule{}
 			for wi, win := range seq.Windows {
-				for _, txn := range win.Txns {
-					txns = append(txns, tm.Txn{Node: txn.Node, Objects: txn.Objects})
+				ws := res.PerWindow[wi]
+				if err := checker.Check(win, ws); err != nil {
+					t.Fatalf("%s: chained checker rejects window %d: %v", res.Mode, wi, err)
 				}
-				flat.Times = append(flat.Times, res.PerWindow[wi].Times...)
+				shadow := make([]tm.Txn, len(win.Txns))
+				for i, txn := range win.Txns {
+					shadow[i] = tm.Txn{Node: txn.Node, Objects: txn.Objects}
+					txns = append(txns, shadow[i])
+				}
+				perWindow += ws.CommCost(tm.NewInstance(g, topo, w, shadow, chain.Homes()))
+				for i, txn := range win.Txns {
+					chain.Commit(txn.Node, txn.Objects, ws.Times[i])
+				}
+				flat.Times = append(flat.Times, ws.Times...)
+			}
+			var chained int64
+			for _, d := range checker.Travel() {
+				chained += d
+			}
+			if chained != perWindow {
+				t.Fatalf("%s: chained checker travel %d, per-window CommCost %d", res.Mode, chained, perWindow)
 			}
 			agree(t, res.Mode, tm.NewInstance(g, topo, w, txns, seq.Home), flat, int(pick), swap)
 		}
@@ -82,7 +106,8 @@ func FuzzVerifiersAgree(f *testing.F) {
 // verdict on a mutated copy.
 func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pick int, swap bool) {
 	t.Helper()
-	if err := s.Validate(in); err != nil {
+	checker := schedule.NewChainChecker(in.Home)
+	if err := checker.Check(in, s); err != nil {
 		t.Fatalf("%s: Validate rejects: %v", name, err)
 	}
 	res, err := sim.Run(in, s, sim.Options{})
@@ -91,6 +116,9 @@ func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pic
 	}
 	if c := s.CommCost(in); c != res.CommCost {
 		t.Fatalf("%s: CommCost %d, sim measured %d", name, c, res.CommCost)
+	}
+	if walk, travel := checker.Travel(), s.Travel(in); !slices.Equal(walk, travel) || !slices.Equal(travel, res.ObjectDistance) {
+		t.Fatalf("%s: per-object travel: checker %v, Schedule.Travel %v, sim %v", name, walk, travel, res.ObjectDistance)
 	}
 	if m := s.Makespan(); m != res.Makespan {
 		t.Fatalf("%s: Makespan %d, sim measured %d", name, m, res.Makespan)

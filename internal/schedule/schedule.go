@@ -60,9 +60,9 @@ func (s *Schedule) orderInto(buf []tm.TxnID, in *tm.Instance, o tm.ObjectID) []t
 }
 
 // Travel returns each object's travel under s: the summed distance from
-// its home through its requesters' nodes in execution order. It is the
-// one per-object walk behind CommCost, the collector's travel histogram,
-// and the analysis reports.
+// its home through its requesters' nodes in execution order. It backs
+// CommCost and the analysis reports; a verified run reads the same walk
+// from its ChainChecker.Travel instead of repeating it.
 func (s *Schedule) Travel(in *tm.Instance) []int64 {
 	travel := make([]int64, in.NumObjects)
 	var order []tm.TxnID
@@ -98,10 +98,11 @@ func (s *Schedule) CommCost(in *tm.Instance) int64 {
 //   - transactions sharing a node commit at distinct steps.
 //
 // It is a fresh ChainChecker run over the single window s, starting from
-// in.Home at time 0. It returns nil for feasible schedules and a
-// descriptive error otherwise.
+// in.Home at time 0 and keeping no Travel. It returns nil for feasible
+// schedules and a descriptive error otherwise.
 func (s *Schedule) Validate(in *tm.Instance) error {
-	return NewChainChecker(in.Home).Check(in, s)
+	c := &ChainChecker{relT: make([]int64, len(in.Home)), relN: slices.Clone(in.Home)}
+	return c.Check(in, s)
 }
 
 // Shift adds delta to every execution time; useful when composing phase

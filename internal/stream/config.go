@@ -45,8 +45,8 @@ func (p CancelPolicy) String() string {
 // Validate checks the configuration without starting a run. Zero values
 // that mean "use the default" (MaxWindow, QueueCap, PipelineDepth,
 // MaxRequeue, RequeueBackoff, the breaker thresholds) stay valid;
-// negative values, missing workload pieces, and inverted thresholds are
-// rejected with a *ConfigError naming the field.
+// negative or NaN values, missing workload pieces, and inverted thresholds
+// are rejected with a *ConfigError naming the field.
 func (cfg *Config) Validate() error {
 	if cfg.G == nil {
 		return &ConfigError{"G", "nil graph"}
@@ -93,11 +93,11 @@ func (cfg *Config) Validate() error {
 	if cfg.BreakerWindow < 0 {
 		return &ConfigError{"BreakerWindow", fmt.Sprintf("negative rolling window %d", cfg.BreakerWindow)}
 	}
-	if cfg.InflationTrip < 0 {
-		return &ConfigError{"InflationTrip", fmt.Sprintf("negative trip threshold %g", cfg.InflationTrip)}
+	if !(cfg.InflationTrip >= 0) { // NaN too: a NaN breaker never trips
+		return &ConfigError{"InflationTrip", fmt.Sprintf("trip threshold %g, need ≥ 0", cfg.InflationTrip)}
 	}
-	if cfg.InflationReset < 0 {
-		return &ConfigError{"InflationReset", fmt.Sprintf("negative reset threshold %g", cfg.InflationReset)}
+	if !(cfg.InflationReset >= 0) {
+		return &ConfigError{"InflationReset", fmt.Sprintf("reset threshold %g, need ≥ 0", cfg.InflationReset)}
 	}
 	if cfg.InflationTrip > 0 && cfg.InflationReset > 0 && cfg.InflationReset > cfg.InflationTrip {
 		return &ConfigError{"InflationReset",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,7 +107,7 @@ type Result struct {
 	Clock int64
 	// QueuePeak is the maximum queue depth observed after any admission.
 	QueuePeak int
-	// CommCost is the total object travel distance across all windows.
+	// CommCost is the total object travel distance: the checker's Travel, summed.
 	CommCost int64
 	// MeanResponse / MaxResponse aggregate commit − arrival over all
 	// committed transactions.
@@ -396,11 +397,14 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	var (
 		queue      []qitem
 		pending    *Item
+		slot       Item // pending's storage
 		pendingHit bool // pending already counted as blocked
 		srcDone    bool
 		lastArrive int64 = -1
 		clock      int64
 		totalResp  float64
+		cut        = make([]Item, 0, min(maxWindow, n)) // reused per window
+		nodeWindow = make([]int, n)                     // 1 + the window that last took each node
 	)
 
 	// admit pulls arrivals with Arrive ≤ upTo into the bounded queue in
@@ -425,16 +429,22 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				if it.Arrive < lastArrive {
 					return fmt.Errorf("stream: source emitted arrival %d after %d (must be non-decreasing)", it.Arrive, lastArrive)
 				}
+				if it.Node < 0 || int(it.Node) >= n {
+					return fmt.Errorf("stream: transaction %d on node %d outside [0,%d)", it.Seq, it.Node, n)
+				}
 				if len(it.Objects) == 0 {
 					return fmt.Errorf("stream: transaction %d requests no objects", it.Seq)
 				}
-				for _, o := range it.Objects {
+				for i, o := range it.Objects {
 					if o < 0 || int(o) >= cfg.NumObjects {
 						return fmt.Errorf("stream: transaction %d requests object %d outside [0,%d)", it.Seq, o, cfg.NumObjects)
 					}
+					if slices.Contains(it.Objects[:i], o) {
+						return fmt.Errorf("stream: transaction %d requests object %d twice", it.Seq, o)
+					}
 				}
 				lastArrive = it.Arrive
-				pending = &it
+				slot, pending = it, &slot
 				pendingHit = false
 			}
 			if pending.Arrive > upTo {
@@ -520,8 +530,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		// down at the cut step are requeued with exponential backoff in
 		// window-time (or until the node's known restart), and items
 		// that exhausted their requeue budget are shed.
-		cut := make([]Item, 0, maxWindow)
-		inWindow := make(map[graph.NodeID]bool, maxWindow)
+		cut = cut[:0]
 		rest := queue[:0]
 		var requeuedNow, shedNow int64
 		for _, q := range queue {
@@ -553,8 +562,8 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 					continue
 				}
 			}
-			if len(cut) < maxWindow && !inWindow[q.it.Node] {
-				inWindow[q.it.Node] = true
+			if len(cut) < maxWindow && nodeWindow[q.it.Node] != res.Windows+1 {
+				nodeWindow[q.it.Node] = res.Windows + 1
 				cut = append(cut, q.it)
 			} else {
 				rest = append(rest, q)
@@ -650,8 +659,8 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		// Window accounting: latency (cut → last commit), per-member
-		// response times, communication cost, and the determinism
-		// digest over (seq, commit) pairs.
+		// response times, and the determinism digest over (seq, commit)
+		// pairs; the checker above already walked communication cost.
 		for i, it := range cut {
 			r := s.Times[in.Txns[i].ID] - it.Arrive
 			m.response().Observe(r)
@@ -661,7 +670,6 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			hash64(int64(it.Seq), s.Times[in.Txns[i].ID])
 		}
-		res.CommCost += s.CommCost(in)
 		m.windows().Inc()
 		m.windowSize().Observe(int64(len(cut)))
 		m.windowLatency().Observe(windowEnd - clock)
@@ -692,6 +700,9 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Committed = committed
 	res.Clock = clock
+	for _, d := range checker.Travel() {
+		res.CommCost += d
+	}
 	if res.Committed > 0 {
 		res.MeanResponse = totalResp / float64(res.Committed)
 	}

@@ -16,24 +16,27 @@ import (
 	"dtmsched/internal/xrand"
 )
 
-// TestServeZeroFaultDigestPinned pins the fault-free serving digest:
-// the fault-tolerance layer must be byte-invisible when no injector is
-// configured — same digest with a nil injector, an explicitly empty
-// plan, or fault knobs set without an injector.
+// TestServeZeroFaultDigestPinned pins the fault-free serving digest and
+// communication cost: the fault-tolerance layer must be byte-invisible
+// when no injector is configured — same digest with a nil injector, an
+// explicitly empty plan, or fault knobs set without an injector — and
+// the cost, summed from the cross-window checker's travel, must hold at
+// every pipeline depth.
 func TestServeZeroFaultDigestPinned(t *testing.T) {
 	pins := []struct {
-		name string
-		mk   func() Config
-		want uint64
+		name     string
+		mk       func() Config
+		want     uint64
+		wantComm int64
 	}{
 		{"clique24", func() Config {
 			cfg := serveConfig(t, 24, 8, 2, 150, 0.5, 41)
 			cfg.PipelineDepth = 3
 			return cfg
-		}, 0xf3776ca50e2a89b1},
+		}, 0xf3776ca50e2a89b1, 287},
 		{"clique16", func() Config {
 			return serveConfig(t, 16, 6, 2, 80, 0.4, 42)
-		}, 0xeae21719957f6c2c},
+		}, 0xeae21719957f6c2c, 152},
 	}
 	for _, p := range pins {
 		base, err := Serve(context.Background(), p.mk())
@@ -42,6 +45,18 @@ func TestServeZeroFaultDigestPinned(t *testing.T) {
 		}
 		if base.Digest != p.want {
 			t.Errorf("%s: zero-fault digest %016x, want pinned %016x", p.name, base.Digest, p.want)
+		}
+		for _, depth := range []int{1, 2, 4} {
+			cfg := p.mk()
+			cfg.PipelineDepth = depth
+			res, err := Serve(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s depth %d: %v", p.name, depth, err)
+			}
+			if res.CommCost != p.wantComm || res.Digest != p.want {
+				t.Errorf("%s depth %d: comm cost %d digest %016x, want pinned %d %016x",
+					p.name, depth, res.CommCost, res.Digest, p.wantComm, p.want)
+			}
 		}
 		empty := p.mk()
 		empty.Faults = faults.MustFromFaults() // empty plan, not nil
@@ -268,6 +283,8 @@ func TestServeConfigValidate(t *testing.T) {
 		{"neg-breaker", "BreakerWindow", func(c *Config) { c.BreakerWindow = -1 }},
 		{"neg-trip", "InflationTrip", func(c *Config) { c.InflationTrip = -0.5 }},
 		{"neg-reset", "InflationReset", func(c *Config) { c.InflationReset = -0.5 }},
+		{"nan-trip", "InflationTrip", func(c *Config) { c.InflationTrip = math.NaN() }},
+		{"nan-reset", "InflationReset", func(c *Config) { c.InflationReset = math.NaN() }},
 		{"inverted-thresholds", "InflationReset", func(c *Config) {
 			c.InflationTrip = 1.2
 			c.InflationReset = 1.5

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dtmsched/internal/engine"
@@ -242,6 +243,26 @@ func TestServeConfigAndSourceErrors(t *testing.T) {
 	bad.Source = sliceSource{{Seq: 0, Node: base.G.Nodes()[0], Objects: nil, Arrive: 0}}.source()
 	if _, err := Serve(context.Background(), bad); err == nil {
 		t.Fatal("empty object set accepted")
+	}
+	// A bad node or a repeated object is the source's fault, named at
+	// admission: neither may panic in the cutter or reach the checker
+	// as an infeasible window.
+	for _, tc := range []struct {
+		name string
+		it   Item
+		want string
+	}{
+		{"node past the last", Item{Seq: 3, Node: graph.NodeID(base.G.NumNodes()), Objects: []tm.ObjectID{0}},
+			"transaction 3 on node 8 outside [0,8)"},
+		{"negative node", Item{Seq: 4, Node: -1, Objects: []tm.ObjectID{0}}, "transaction 4 on node -1 outside [0,8)"},
+		{"repeated object", Item{Seq: 5, Node: base.G.Nodes()[1], Objects: []tm.ObjectID{1, 1}},
+			"transaction 5 requests object 1 twice"},
+	} {
+		bad = base
+		bad.Source = sliceSource{tc.it}.source()
+		if _, err := Serve(context.Background(), bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -159,9 +159,17 @@ echo "== streaming service guards =="
 go test ./internal/schedule ./internal/windows -run 'TestChainChecker' -count=1
 go test -race ./internal/stream -count=1
 
+echo "== serving allocation guard =="
+# The serving loop must allocate nothing per transaction: a fixed
+# 20k-transaction grid16 stream may cost at most 1.5 mallocs per
+# committed transaction, since per-window work spreads over ~56 of them.
+go test ./internal/stream -run 'TestServeAllocsPerTxn' -count=1
+
 echo "== verifier differential fuzz smoke =="
 # schedule.Validate and the step-by-step simulator must agree on every
-# scheduler family's output and on mutated copies of it.
+# scheduler family's output and on mutated copies of it, and the
+# checker's per-object travel must equal Schedule.Travel and the
+# simulator's, alone and chained across windows.
 go test ./internal/schedule -run '^$' -fuzz FuzzVerifiersAgree -fuzztime 10s
 
 echo "== certified-bound soundness fuzz smoke =="
