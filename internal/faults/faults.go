@@ -14,8 +14,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dtmsched/internal/graph"
@@ -173,7 +175,13 @@ type Plan struct {
 // validated: interval kinds need From ≥ 0 and To > From, LinkSlow needs
 // Factor ≥ 2, MoveDrop needs Seq ≥ 0.
 func FromFaults(fs ...Fault) (*Plan, error) {
+	return fromOwned(slices.Clone(fs))
+}
+
+// fromOwned is FromFaults on a fault list the plan may keep as its own.
+func fromOwned(fs []Fault) (*Plan, error) {
 	p := &Plan{
+		faults:  fs,
 		links:   map[linkKey][]linkSpan{},
 		crashes: map[graph.NodeID][]span{},
 		drops:   map[dropKey]struct{}{},
@@ -215,7 +223,6 @@ func MustFromFaults(fs ...Fault) *Plan {
 
 // add indexes one validated fault.
 func (p *Plan) add(f Fault) {
-	p.faults = append(p.faults, f)
 	switch f.Kind {
 	case LinkSlow:
 		k := mkLinkKey(f.U, f.V)
@@ -231,33 +238,32 @@ func (p *Plan) add(f Fault) {
 }
 
 // finish sorts the lookup structures and collects the epoch boundaries.
+// Link spans sort by start alone: LinkFactor's answer does not depend on
+// the order of spans that share one (mulFactor saturates the same in any
+// order, and a down span dominates).
 func (p *Plan) finish() {
-	set := map[int64]struct{}{}
-	for k := range p.links {
-		spans := p.links[k]
-		sort.Slice(spans, func(i, j int) bool { return spans[i].from < spans[j].from })
-		for _, s := range spans {
-			set[s.from] = struct{}{}
-			if s.to != Forever {
-				set[s.to] = struct{}{}
-			}
+	bounds := make([]int64, 0, 2*len(p.faults)) // ≤ 2 per interval fault
+	add := func(s span) {
+		bounds = append(bounds, s.from)
+		if s.to != Forever {
+			bounds = append(bounds, s.to)
 		}
 	}
-	for v := range p.crashes {
-		spans := mergeSpans(p.crashes[v])
+	for _, spans := range p.links {
+		slices.SortFunc(spans, func(a, b linkSpan) int { return cmp.Compare(a.from, b.from) })
+		for _, s := range spans {
+			add(s.span)
+		}
+	}
+	for v, spans := range p.crashes {
+		spans = mergeSpans(spans)
 		p.crashes[v] = spans
 		for _, s := range spans {
-			set[s.from] = struct{}{}
-			if s.to != Forever {
-				set[s.to] = struct{}{}
-			}
+			add(s)
 		}
 	}
-	p.boundaries = make([]int64, 0, len(set))
-	for b := range set {
-		p.boundaries = append(p.boundaries, b)
-	}
-	sort.Slice(p.boundaries, func(i, j int) bool { return p.boundaries[i] < p.boundaries[j] })
+	slices.Sort(bounds)
+	p.boundaries = slices.Compact(bounds)
 }
 
 // mergeSpans merges overlapping or touching intervals.
@@ -265,7 +271,7 @@ func mergeSpans(spans []span) []span {
 	if len(spans) <= 1 {
 		return spans
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].from < spans[j].from })
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
 	out := spans[:1]
 	for _, s := range spans[1:] {
 		last := &out[len(out)-1]

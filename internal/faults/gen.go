@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dtmsched/internal/graph"
@@ -120,7 +121,7 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 	}
 	root := xrand.NewKey(cfg.Seed).Label("faults")
 	rng := rand.New(xrand.NewJumpSource(0))
-	var fs []Fault
+	fs := make([]Fault, 0, expectedFaults(cfg, chunk, g))
 	draw := func(r float64, kind string, a, b int64, f Fault) {
 		if r <= 0 {
 			return
@@ -161,7 +162,7 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 			draw(cfg.CrashRate, "crash", int64(v), 0, Fault{Kind: NodeCrash, Node: graph.NodeID(v)})
 		}
 	}
-	p, err := FromFaults(fs...)
+	p, err := fromOwned(fs)
 	if err != nil {
 		return nil, err
 	}
@@ -169,6 +170,22 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 	p.dropSeed = xrand.Derive(cfg.Seed, "faults", "drop")
 	return p, nil
 }
+
+// expectedFaults sizes New's fault list: the expected number of hits over
+// every (site, chunk) draw plus four standard deviations, so the list
+// almost never grows, capped at maxFaultHint so an absurd config does not
+// reserve memory its draws would never fill.
+func expectedFaults(cfg Config, chunk int64, g *graph.Graph) int {
+	if !cfg.rated() {
+		return 0
+	}
+	chunks := float64((cfg.Horizon + chunk - 1) / chunk)
+	mean := chunks * (float64(g.NumEdges())*(cfg.LinkDownRate+cfg.LinkSlowRate) + float64(g.NumNodes())*cfg.CrashRate)
+	return int(min(mean+4*math.Sqrt(mean)+1, maxFaultHint))
+}
+
+// maxFaultHint caps expectedFaults.
+const maxFaultHint = 1 << 20
 
 // MustNew is New for tests and examples that treat a bad config as a
 // programming error.

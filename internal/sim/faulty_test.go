@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"dtmsched/internal/core"
 	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
@@ -397,11 +399,12 @@ func survivingGraph(in *tm.Instance, inj faults.Injector, step int64) *graph.Gra
 	return g
 }
 
-// TestFaultDistMatchesSurvivingSubgraph checks the goal-directed reroute
-// search against Dijkstra/BFS on the explicitly built surviving subgraph,
+// TestFaultDistMatchesSurvivingSubgraph checks the two-stage reroute
+// query against Dijkstra/BFS on the explicitly built surviving subgraph,
 // for every node pair at every step of random plans: equal distances, and
 // a partition (crashed endpoints included) exactly where the reference
-// reports Inf.
+// reports Inf. The A* stage alone must match too, and each stage must
+// answer some of the queries.
 func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 	topos := []struct {
 		name   string
@@ -445,7 +448,7 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 				"composed": faults.Compose(background, faults.MustFromFaults(script...)),
 			} {
 				env := newFaultEnv(in, schedule.New(0), inj)
-				var queries, partitioned int
+				var queries, partitioned, viaDAG, viaSearch int
 				wrapped := false
 				for step := int64(0); step <= horizon+2; step++ {
 					ref := survivingGraph(in, inj, step)
@@ -454,11 +457,27 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 							want := ref.Dist(u, v)
 							got, ok := env.dist(step, u, v)
 							queries++
-							if env.stamp == 1 && !wrapped {
+							if env.stamp != 0 && !wrapped {
 								// Wrap the stamp right after the first search, so
 								// its leftover marks would collide unless cleared.
 								env.stamp = ^uint32(0)
 								wrapped = true
+							}
+							if u != v && !crashed(inj, step, u) && !crashed(inj, step, v) {
+								// Both endpoints are up, so dist ran its stages:
+								// basePath answered if it finds a path, else search.
+								if env.basePath(step, u, v) {
+									viaDAG++
+									if want != in.Dist(u, v) {
+										t.Fatalf("%s: step %d, %d→%d: basePath found a path of base length %d, want %d",
+											name, step, u, v, in.Dist(u, v), want)
+									}
+								} else {
+									viaSearch++
+								}
+								if d, ok := env.search(step, u, v); ok != (want != graph.Inf) || ok && d != want {
+									t.Fatalf("%s: step %d, %d→%d: search (%d, %v), want %d", name, step, u, v, d, ok, want)
+								}
 							}
 							if want == graph.Inf {
 								partitioned++
@@ -476,8 +495,55 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 				if partitioned == 0 || partitioned == queries {
 					t.Fatalf("%s: %d of %d queries partitioned; the plan must exercise both outcomes", name, partitioned, queries)
 				}
+				if viaDAG == 0 || viaSearch == 0 {
+					t.Fatalf("%s: basePath answered %d queries, search %d; each stage must answer some", name, viaDAG, viaSearch)
+				}
 			}
 		})
+	}
+}
+
+// crashed reports whether inj has node v down at step.
+func crashed(inj faults.Injector, step int64, v graph.NodeID) bool {
+	_, d := inj.NodeDownUntil(v, step)
+	return d
+}
+
+// TestFaultDistBacktracks scripts grids where the DAG walk's first
+// choice from (0,0) toward (2,2) — right to (0,1), then right to (0,2) —
+// is blocked two hops in, so only a walk that backtracks finds the
+// healthy path of base length through (1,0). With (0,0)'s down link cut
+// as well, no such path survives, and the A* stage must find the detour.
+func TestFaultDistBacktracks(t *testing.T) {
+	grid := topology.NewSquareGrid(4)
+	g := grid.Graph()
+	in := tm.NewInstance(g, graph.FuncMetric(grid.Dist), 0, nil, nil)
+	u, v := grid.ID(0, 0), grid.ID(2, 2)
+	if first := g.Neighbors(u)[0].To; first != grid.ID(0, 1) {
+		t.Fatalf("first neighbor of (0,0) is node %d, want (0,1): the script no longer blocks the first DAG branch", first)
+	}
+	cut := func(r1, c1, r2, c2 int) faults.Fault {
+		return faults.Fault{Kind: faults.LinkDown, From: 0, To: 10, U: grid.ID(r1, c1), V: grid.ID(r2, c2)}
+	}
+	blocked := []faults.Fault{cut(0, 2, 1, 2), cut(0, 1, 1, 1)}
+	for _, tc := range []struct {
+		name   string
+		script []faults.Fault
+		viaDAG bool
+		want   int64
+	}{
+		{"backtrack", blocked, true, 4},
+		{"exhausted", append(slices.Clone(blocked), cut(0, 0, 1, 0)), false, 6},
+	} {
+		inj := faults.MustFromFaults(tc.script...)
+		env := newFaultEnv(in, schedule.New(0), inj)
+		got, ok := env.dist(5, u, v)
+		if ref := survivingGraph(in, inj, 5).Dist(u, v); !ok || got != tc.want || ref != tc.want {
+			t.Fatalf("%s: dist (%d, %v), reference %d; want %d", tc.name, got, ok, ref, tc.want)
+		}
+		if viaDAG := env.basePath(5, u, v); viaDAG != tc.viaDAG {
+			t.Fatalf("%s: basePath found a base-length path: %v, want %v", tc.name, viaDAG, tc.viaDAG)
+		}
 	}
 }
 
@@ -528,5 +594,37 @@ func TestRunFaultyAllocsIndependentOfBoundaries(t *testing.T) {
 	if oneAllocs != manyAllocs || oneBytes != manyBytes {
 		t.Fatalf("faulty Run cost grows with boundaries: %d allocs / %d B at %d boundaries, %d allocs / %d B at %d",
 			oneAllocs, oneBytes, len(one.Boundaries()), manyAllocs, manyBytes, len(many.Boundaries()))
+	}
+}
+
+// BenchmarkFaultyReplay replays one serving-sized window — 56
+// transactions on distinct grid16 nodes (w = 64, k = 2), greedily
+// scheduled — under the chaos plan the streaming service builds at rate
+// 0.1 (link outages and slowdowns at the rate, crashes at half of it,
+// drops at a quarter; 256-step chunks, 128-step mean outages). The
+// replay's reroute queries dominate its cost.
+func BenchmarkFaultyReplay(b *testing.B) {
+	grid := topology.NewSquareGrid(16)
+	g := grid.Graph()
+	rng := xrand.NewDerived(1, "faulty-replay")
+	nodes := g.Nodes()
+	rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	in := tm.UniformK(64, 2).Generate(rng, g, graph.FuncMetric(grid.Dist), nodes[:56], tm.PlaceRandom)
+	res, err := (&core.Greedy{}).Schedule(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rate, chunk = 0.1, 256
+	plan := faults.MustNew(faults.Config{
+		Seed: 1, Horizon: res.Makespan, Recur: chunk, MeanOutage: chunk / 2,
+		LinkDownRate: rate, LinkSlowRate: rate, CrashRate: rate / 2, DropRate: rate / 4,
+	}, g)
+	if fr := MustRun(in, res.Schedule, Options{Faults: plan}).Fault; fr.Reroutes == 0 {
+		b.Fatalf("the plan reroutes no move: %v", fr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MustRun(in, res.Schedule, Options{Faults: plan})
 	}
 }

@@ -443,6 +443,13 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 						return fmt.Errorf("stream: transaction %d requests object %d twice", it.Seq, o)
 					}
 				}
+				// The shadow instance's transactions need sorted object
+				// lists, and sorting must not reorder the source's slice:
+				// an unsorted list is sorted in a private copy.
+				if !slices.IsSorted(it.Objects) {
+					it.Objects = slices.Clone(it.Objects)
+					slices.Sort(it.Objects)
+				}
 				lastArrive = it.Arrive
 				slot, pending = it, &slot
 				pendingHit = false

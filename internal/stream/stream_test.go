@@ -266,6 +266,25 @@ func TestServeConfigAndSourceErrors(t *testing.T) {
 	}
 }
 
+// TestServeLeavesSourceObjectsUnchanged pins that admission sorts a
+// private copy of an unsorted object list: the source's slice must read
+// as it did before Serve.
+func TestServeLeavesSourceObjectsUnchanged(t *testing.T) {
+	cfg := serveConfig(t, 8, 4, 2, 50, 0.5, 48)
+	objs := []tm.ObjectID{3, 1}
+	cfg.Source = sliceSource{{Seq: 0, Node: cfg.G.Nodes()[0], Objects: objs}}.source()
+	res, err := Serve(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed != 1 {
+		t.Fatalf("committed %d of 1", res.Committed)
+	}
+	if !reflect.DeepEqual(objs, []tm.ObjectID{3, 1}) {
+		t.Fatalf("Serve reordered the source's objects to %v, want [3 1]", objs)
+	}
+}
+
 func TestServeContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

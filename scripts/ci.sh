@@ -79,14 +79,18 @@ go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count
 echo "== fault layer guards =="
 # sim.Run with a nil, empty, or nil-plan injector must allocate exactly
 # what a fault-free run does (the fault machinery is free when unused),
-# its goal-directed reroute search must equal the explicitly built
-# surviving subgraph's distances, a faulty replay must cost the same
-# however many boundaries the plan holds, fault plans
-# must be seed-deterministic, equal the per-chunk math/rand reference
-# fault for fault and cost no allocation per chunk, and the 3-rate ×
-# 2-topology fault matrix must recover deterministically under the race
-# detector.
-go test ./internal/sim -run 'TestRunEmptyInjectorAllocsLikeRun|TestFaultDistMatchesSurvivingSubgraph|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
+# its reroute query must equal the explicitly built surviving subgraph's
+# distances, with both of its stages (the healthy shortest-path DAG walk
+# and the A* fallback) answering queries and the walk backtracking out
+# of a blocked branch, a faulty replay must cost the same however many
+# boundaries the plan holds, fault plans must be seed-deterministic,
+# equal the per-chunk math/rand reference fault for fault and cost no
+# allocation per chunk, the 3-rate × 2-topology fault matrix must
+# recover deterministically under the race detector, and the
+# serving-window replay benchmark must at least compile and run (1
+# iteration smoke — the speedup is checked with -benchtime).
+go test ./internal/sim -run 'TestRunEmptyInjectorAllocsLikeRun|TestFaultDistMatchesSurvivingSubgraph|TestFaultDistBacktracks|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
+go test ./internal/sim -run '^$' -bench 'BenchmarkFaultyReplay' -benchtime 1x -count=1 >/dev/null
 go test -race ./internal/faults -run 'TestPlanSeedDeterminism' -count=1
 go test ./internal/faults -run 'TestNewMatchesReferenceGenerator|TestNewPlanAllocsIndependentOfChunks' -count=1
 go test -race ./internal/sim -run 'TestFaultMatrixSmoke' -count=1
