@@ -76,6 +76,8 @@ func publishLower(reg *obs.Registry, hit bool, wall time.Duration, b *lower.Boun
 	reg.Counter("lower_exact_objects_total").Add(int64(b.ExactObjects))
 	reg.Counter("lower_closed_form_objects_total").Add(int64(b.ClosedFormObjects))
 	reg.Counter("lower_pruned_objects_total").Add(int64(b.PrunedObjects))
+	reg.Counter("lower_certified_objects_total").Add(int64(b.CertifiedObjects))
+	reg.Counter("lower_dp_objects_total").Add(int64(b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects))
 	reg.Counter("lower_bounded_objects_total").Add(int64(b.BoundedObjects))
 	reg.Histogram("lower_compute_us", nil).Observe(wall.Microseconds())
 	reg.Histogram("lower_exact_objects", nil).Observe(int64(b.ExactObjects))

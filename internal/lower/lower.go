@@ -16,9 +16,9 @@
 //
 // The bound depends only on the instance, so the package provides two
 // computations and a cache: Value is the value path (closed-form tree
-// walks, MST low ends above tsp.ExactLimit, brackets, and Held–Karp only
-// for objects that could still raise the maximum; no tours and no walk
-// upper ends), Compute solves every object's walk and tour and keeps them
+// walks, MST low ends above tsp.ExactLimit, brackets, then a certificate
+// and Held–Karp only for objects that could still raise the maximum; no
+// tours and no walk upper ends), Compute solves every object's walk and tour and keeps them
 // as witnesses for the tour-gap experiments, and Oracle publishes one
 // Value per instance so repeated queries cost a pointer load. Both paths
 // agree on Value, MaxUse, MaxWalkLB and ExactObjects/BoundedObjects.
@@ -75,13 +75,16 @@ type Bound struct {
 	// with more sites, whose walk is only bounded: by the MST/heuristic
 	// bracket on the witness path, by the MST low end on the value path.
 	ExactObjects, BoundedObjects int
-	// ClosedFormObjects and PrunedObjects split ExactObjects on the
-	// value path: walks settled without Held–Karp (at most one site, the
-	// tree closed form, or a bracket whose ends meet), and walks whose
-	// bracket showed they cannot raise MaxWalkLB, so they were never
-	// solved. The rest went through Held–Karp. Both are zero on the
-	// witness path, which solves every object.
-	ClosedFormObjects, PrunedObjects int
+	// ClosedFormObjects, PrunedObjects and CertifiedObjects split
+	// ExactObjects on the value path: walks settled without Held–Karp
+	// (at most one site, the tree closed form, or a bracket whose ends
+	// meet), walks whose bracket or certificate high end showed they
+	// cannot raise MaxWalkLB, so they were never solved, and walks the
+	// certificate closed (tsp.Solver.WalkAbove). The rest,
+	// ExactObjects − ClosedFormObjects − PrunedObjects −
+	// CertifiedObjects, went through Held–Karp. All three are zero on
+	// the witness path, which solves every object.
+	ClosedFormObjects, PrunedObjects, CertifiedObjects int
 	// PerObject has one entry per object that is requested at all.
 	// Witness-only: empty on the value path.
 	PerObject []ObjectDetail

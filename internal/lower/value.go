@@ -10,7 +10,7 @@ import (
 )
 
 // candidate is an object whose walk bracket did not close: its exact walk
-// lies in [lo, hi] and only Held–Karp can tell where.
+// lies in [lo, hi] and only the certificate or Held–Karp can tell where.
 type candidate struct {
 	obj tm.ObjectID
 	hi  int64
@@ -19,9 +19,9 @@ type candidate struct {
 // Value is the value path: it returns the scalars of Compute that the
 // certified bound needs (Value, MaxUse, MaxWalkLB, ExactObjects,
 // BoundedObjects) without solving tours or computing walk upper ends,
-// and runs Held–Karp only for objects that might raise the longest walk.
-// Per requested object with walk set S (its distinct requester sites
-// other than home):
+// and decides exactly only the walks that might raise the longest one:
+// bracket → certificate → DP. Per requested object with walk set S (its
+// distinct requester sites other than home):
 //
 //  1. |S| > tsp.ExactLimit: the MST weight over home ∪ S
 //     (tsp.Solver.WalkLB), the witness path's low end;
@@ -29,14 +29,19 @@ type candidate struct {
 //  3. in.G is a tree: the exact walk is 2·Steiner(home ∪ S) minus the
 //     farthest site from home (treeWalk);
 //  4. otherwise the MST/heuristic bracket [lo, hi]: exact when lo == hi,
-//     else a Held–Karp candidate.
+//     else a candidate.
 //
 // The running maximum starts from every exact walk, every lo, and every
 // case-1 lower bound. Candidates are visited by hi descending (object ID
-// breaking ties) and solved only while hi exceeds the maximum: a skipped
-// object's walk is ≤ hi ≤ the maximum, so MaxWalkLB equals the witness
-// path's. The witness-only fields (MaxWalkUB, MaxTour*, PerObject) stay
-// zero.
+// breaking ties), and only while hi exceeds the maximum: a skipped
+// object's walk is ≤ hi ≤ the maximum. Each visited candidate goes to
+// tsp.Solver.WalkAbove with the maximum as its floor. Its certificate
+// prunes the walk when a local-search walk is no longer than the
+// maximum, and settles it when the integer 1-tree bound meets that
+// walk; only otherwise does Held–Karp run. Either way the maximum
+// becomes what the witness path's would be, so MaxWalkLB equals the
+// witness path's. The witness-only fields (MaxWalkUB, MaxTour*,
+// PerObject) stay zero.
 func Value(in *tm.Instance) Bound {
 	var (
 		b     Bound
@@ -100,7 +105,14 @@ func Value(in *tm.Instance) Bound {
 			break
 		}
 		sites = objectSites(in, in.Users(c.obj), sites[:0])
-		maxLB = max(maxLB, s.Walk(m, in.Home[c.obj], sites).LB)
+		walk, how := s.WalkAbove(m, in.Home[c.obj], sites, maxLB)
+		switch how {
+		case tsp.Pruned:
+			b.PrunedObjects++
+		case tsp.Certified:
+			b.CertifiedObjects++
+		}
+		maxLB = max(maxLB, walk)
 	}
 
 	b.MaxWalkLB = maxLB

@@ -139,9 +139,9 @@ func TestValueMatchesWitness(t *testing.T) {
 		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
 			t.Fatalf("%s: value path %+v, witness path %+v", name, got, want)
 		}
-		if value.ClosedFormObjects+value.PrunedObjects > value.ExactObjects {
-			t.Fatalf("%s: %d closed-form + %d pruned > %d exact objects",
-				name, value.ClosedFormObjects, value.PrunedObjects, value.ExactObjects)
+		if value.ClosedFormObjects+value.PrunedObjects+value.CertifiedObjects > value.ExactObjects {
+			t.Fatalf("%s: %d closed-form + %d pruned + %d certified > %d exact objects",
+				name, value.ClosedFormObjects, value.PrunedObjects, value.CertifiedObjects, value.ExactObjects)
 		}
 		return value
 	}
@@ -183,22 +183,23 @@ var raceEnabled bool
 
 // TestValueRecyclesSolver: once warm, the value path reuses a
 // pooled solver's Held–Karp table instead of allocating one per call. The
-// instance's one object has 15 walk sites on a 12×12 grid and its bracket
-// does not close, so every call solves it with a 3.75 MiB table.
+// instance's one object has 15 walk sites on a 12×12 grid, and neither its
+// bracket nor its certificate closes, so every call solves it with a
+// 3.75 MiB table.
 func TestValueRecyclesSolver(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
 	tp := topology.NewSquareGrid(12)
 	g := tp.Graph()
-	perm := rand.New(rand.NewSource(1)).Perm(g.NumNodes())
+	perm := rand.New(rand.NewSource(5)).Perm(g.NumNodes())
 	txns := make([]tm.Txn, 16)
 	for i := range txns {
 		txns[i] = tm.Txn{Node: graph.NodeID(perm[i]), Objects: []tm.ObjectID{0}}
 	}
 	in := tm.NewInstance(g, graph.FuncMetric(tp.Dist), 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
 	b := Value(in)
-	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects; solved != 1 {
+	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects; solved != 1 {
 		t.Fatalf("%d objects went through Held–Karp, want 1 (%+v)", solved, b)
 	}
 	const calls = 20
@@ -245,9 +246,9 @@ func TestValueSkipsWalkUpperEnd(t *testing.T) {
 
 // FuzzBoundSound checks the certified bound against ground truth on tiny
 // instances over random trees and random connected weighted graphs: the
-// value path must equal the witness path's scalars, and the bound must
-// not exceed the exact optimum, which must not exceed the greedy
-// makespan.
+// value path must equal the witness path's scalars, so must a leg that
+// forces every walk through the certificate, and the bound must not
+// exceed the exact optimum, which must not exceed the greedy makespan.
 func FuzzBoundSound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -267,6 +268,26 @@ func FuzzBoundSound(f *testing.F) {
 		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
 			t.Fatalf("value path %+v, witness path %+v", got, want)
 		}
+		// The certificate leg: every walk through tsp.Solver.WalkAbove
+		// with no floor to prune against, so each one is certified or
+		// solved, must be the witness path's walk, and the bound built
+		// from them must be the witness path's.
+		var s tsp.Solver
+		certBound := int64(witness.MaxUse)
+		for _, d := range witness.PerObject {
+			sites := objectSites(in, in.Users(d.Object), nil)
+			walk, how := s.WalkAbove(in.Metric, in.Home[d.Object], sites, -1)
+			if how == tsp.Pruned || !d.Walk.Exact || walk != d.Walk.LB {
+				t.Fatalf("object %d: certificate leg %d (outcome %d), witness walk %+v", d.Object, walk, how, d.Walk)
+			}
+			certBound = max(certBound, walk)
+		}
+		if certBound < 1 && in.NumTxns() > 0 {
+			certBound = 1
+		}
+		if certBound != witness.Value {
+			t.Fatalf("certificate leg bound %d, witness path %d", certBound, witness.Value)
+		}
 		greedy, err := (&core.Greedy{}).Schedule(in)
 		if err != nil {
 			t.Fatal(err)
@@ -280,4 +301,22 @@ func FuzzBoundSound(f *testing.F) {
 				value.Value, opt.Makespan, greedy.Makespan)
 		}
 	})
+}
+
+var valueSink Bound
+
+// BenchmarkValueGrid12 times the value path on one offline-certify-sized
+// grid12 instance (20 objects, two per transaction, seed 1) on a warm
+// solver pool: the instance whose walks the certificate mostly settles.
+func BenchmarkValueGrid12(b *testing.B) {
+	c := certifyCells[1]
+	tp := c.mk()
+	g := tp.Graph()
+	in := tm.UniformK(c.w, c.k).Generate(rand.New(rand.NewSource(1)), g, graph.FuncMetric(tp.Dist), g.Nodes(), tm.PlaceAtRandomUser)
+	valueSink = Value(in)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		valueSink = Value(in)
+	}
 }

@@ -9,6 +9,13 @@
 // sets are solved exactly with Held–Karp dynamic programming; larger sets
 // get certified bounds: MST weight ≤ optimal walk ≤ optimal tour ≤ 2·MST,
 // with a nearest-neighbor + 2-opt heuristic tightening the upper side.
+// Both run on one distance matrix per site set, filled once.
+//
+// A caller that only needs walks able to exceed a floor (the certified
+// bound's value path) takes them in three stages: the bracket above, then
+// WalkAbove's certificate (a multi-start 2-opt/Or-opt high end and the
+// Held–Karp 1-tree Lagrangian low end, certified in integers), and the
+// Held–Karp DP only when neither closes the walk.
 //
 // Held–Karp pulls each state from its predecessors, dp[S][j] = min over
 // i ∈ S∖{j} of dp[S∖{j}][i] + d(i, j): one table row read against one
@@ -41,12 +48,12 @@ type Bounds struct {
 	Exact bool
 }
 
-// Solver computes Walk, WalkLB, Bracket and Tour bounds with reusable
-// scratch: the Held–Karp table, the transposed pairwise-distance matrix,
-// the bracket buffers and an epoch-stamped dedupe buffer all persist
-// across calls, so solving many site sets (one per object of an
-// instance, or many instances through a pool) allocates only on
-// high-water-mark growth. Tours above ExactLimit run on the same
+// Solver computes Walk, WalkAbove, WalkLB, Bracket and Tour bounds with
+// reusable scratch: the Held–Karp table, the transposed pairwise-distance
+// matrix, the bracket and certificate buffers and an epoch-stamped dedupe
+// buffer all persist across calls, so solving many site sets (one per
+// object of an instance, or many instances through a pool) allocates only
+// on high-water-mark growth. Tours above ExactLimit run on the same
 // bracket scratch. A Solver is not safe for concurrent use; parallel
 // callers keep one per worker. The zero value is ready to use.
 type Solver struct {
@@ -57,12 +64,14 @@ type Solver struct {
 	epoch int64
 
 	// Bracket scratch: Prim keys and tree membership, the MST node
-	// list, and the nearest-neighbour pool and path.
+	// list, and the nearest-neighbour pool and path as matrix indices.
 	key  []int64
 	done []bool
 	all  []graph.NodeID
-	pool []graph.NodeID
-	path []graph.NodeID
+	pool []int32
+	path []int32
+
+	cert certScratch // WalkAbove's certificate
 }
 
 // NewSolver returns an empty solver; scratch grows on first use.
@@ -72,7 +81,11 @@ func NewSolver() *Solver { return &Solver{} }
 // in sites (an open Hamiltonian path on the metric completion, fixed
 // start). Duplicate sites and sites equal to home are harmless.
 func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
-	sites = s.Distinct(sites, home)
+	return s.walk(m, home, s.Distinct(sites, home))
+}
+
+// walk is Walk over distinct sites ≠ home.
+func (s *Solver) walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
 	q := len(sites)
 	switch {
 	case q == 0:
@@ -89,10 +102,11 @@ func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) B
 }
 
 // Bracket bounds the shortest walk from home through sites without
-// Held–Karp, in O(q²) metric queries on the solver's scratch: LB is the
-// MST weight over home ∪ sites, UB the shorter of a nearest-neighbour +
-// 2-opt path and the doubled MST. Exact reports LB == UB. It is the same
-// bracket Walk returns for sets above ExactLimit.
+// Held–Karp, in O(q²) metric queries (one distance matrix) on the
+// solver's scratch: LB is the MST weight over home ∪ sites, UB the
+// shorter of a nearest-neighbour + 2-opt path and the doubled MST. Exact
+// reports LB == UB. It is the same bracket Walk returns for sets above
+// ExactLimit.
 func (s *Solver) Bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
 	sites = s.Distinct(sites, home)
 	if len(sites) == 0 {
@@ -102,10 +116,11 @@ func (s *Solver) Bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID
 	return Bounds{LB: lb, UB: ub, Exact: lb == ub}
 }
 
-// bracket computes Bracket's bounds over distinct sites ≠ home.
+// bracket computes Bracket's bounds over distinct sites ≠ home, on the
+// distance matrix the heuristic path fills.
 func (s *Solver) bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) (lb, ub int64) {
-	lb = s.WalkLB(m, home, sites)
-	ub = pathLen(m, home, s.heuristicPath(m, home, sites))
+	ub, _ = s.heuristicPath(m, home, sites)
+	lb = s.matrixMST(len(sites) + 1)
 	return lb, min(ub, 2*lb)
 }
 
@@ -115,24 +130,42 @@ func (s *Solver) bracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID
 // weight unchanged but costs queries; pass distinct sites.
 func (s *Solver) WalkLB(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
 	s.all = append(append(s.all[:0], home), sites...)
-	return s.mstWeight(m, s.all)
+	nodes := s.all
+	return s.prim(len(nodes), func(u, i int) int64 { return m.Dist(nodes[u], nodes[i]) })
 }
 
-// mstWeight is the MST weight over nodes on the solver's Prim scratch.
-func (s *Solver) mstWeight(m graph.Metric, nodes []graph.NodeID) int64 {
-	s.key = growI64(s.key, len(nodes))
-	if cap(s.done) < len(nodes) {
-		s.done = make([]bool, len(nodes))
+// matrixMST is the MST weight over the n indices of the filled distance
+// matrix: the weight WalkLB computes over the same nodes, from the same
+// distances.
+func (s *Solver) matrixMST(n int) int64 {
+	dt := s.dt
+	return s.prim(n, func(u, i int) int64 { return dt[i*n+u] })
+}
+
+// prim is primWeight over n nodes on the solver's Prim scratch.
+func (s *Solver) prim(n int, w func(u, i int) int64) int64 {
+	s.key, s.done = grow(s.key, n), grow(s.done, n)
+	return primWeight(n, w, s.key, s.done)
+}
+
+// heuristicPath fills the distance matrix over start ∪ sites and runs
+// the nearest-neighbour + 2-opt path from start on it, leaving the path's
+// matrix indices in the solver's path buffer. It returns the path's
+// length and the index of its last site.
+func (s *Solver) heuristicPath(m graph.Metric, start graph.NodeID, sites []graph.NodeID) (length int64, last int32) {
+	s.fillPairwise(m, start, sites)
+	n := len(sites) + 1
+	s.pool = s.pool[:0]
+	for i := int32(1); i < int32(n); i++ {
+		s.pool = append(s.pool, i)
 	}
-	return primWeight(m, nodes, s.key, s.done[:len(nodes)])
-}
-
-// heuristicPath returns the nearest-neighbour + 2-opt path from start
-// through sites, in the solver's path buffer.
-func (s *Solver) heuristicPath(m graph.Metric, start graph.NodeID, sites []graph.NodeID) []graph.NodeID {
-	s.pool = append(s.pool[:0], sites...)
-	s.path = twoOptPath(m, start, nearestNeighborPath(m, start, s.pool, s.path[:0]))
-	return s.path
+	s.path = twoOptPath(s.dt, n, nearestNeighborPath(s.dt, n, s.pool, s.path[:0]))
+	var cur int32
+	for _, v := range s.path {
+		length += s.dt[int(v)*n+int(cur)]
+		cur = v
+	}
+	return length, cur
 }
 
 // Tour bounds the optimal closed TSP tour through all sites (no fixed
@@ -150,18 +183,18 @@ func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 		opt := s.heldKarpTour(m, sites)
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
-	mst := s.mstWeight(m, sites)
-	path := s.heuristicPath(m, sites[0], sites[1:])
-	ub := m.Dist(sites[0], path[len(path)-1]) + pathLen(m, sites[0], path)
+	ub, last := s.heuristicPath(m, sites[0], sites[1:])
+	ub += s.dt[int(last)*q] // d(sites[0], last site)
+	mst := s.matrixMST(q)
 	return Bounds{LB: mst, UB: min(ub, 2*mst)}
 }
 
-// primWeight returns the minimum spanning tree weight over sites under
-// metric m, via Prim's algorithm in O(q²) time, on caller-provided
-// scratch: best and inTree have len(sites) cells, overwritten.
-func primWeight(m graph.Metric, sites []graph.NodeID, best []int64, inTree []bool) int64 {
-	q := len(sites)
-	if q <= 1 {
+// primWeight returns the minimum spanning tree weight over n nodes,
+// via Prim's algorithm in O(n²) time: w(u, i) is the weight of the edge
+// from the node u just added to the tree to a node i outside it. It runs
+// on caller-provided scratch: best and inTree have n cells, overwritten.
+func primWeight(n int, w func(u, i int) int64, best []int64, inTree []bool) int64 {
+	if n <= 1 {
 		return 0
 	}
 	const inf = int64(math.MaxInt64)
@@ -173,20 +206,18 @@ func primWeight(m graph.Metric, sites []graph.NodeID, best []int64, inTree []boo
 	}
 	best[0] = 0
 	var total int64
-	for iter := 0; iter < q; iter++ {
+	for iter := 0; iter < n; iter++ {
 		u, bu := -1, inf
-		for i := 0; i < q; i++ {
+		for i := 0; i < n; i++ {
 			if !inTree[i] && best[i] < bu {
 				u, bu = i, best[i]
 			}
 		}
 		inTree[u] = true
 		total += bu
-		for i := 0; i < q; i++ {
+		for i := 0; i < n; i++ {
 			if !inTree[i] {
-				if d := m.Dist(sites[u], sites[i]); d < best[i] {
-					best[i] = d
-				}
+				best[i] = min(best[i], w(u, i))
 			}
 		}
 	}
@@ -219,11 +250,11 @@ func (s *Solver) Distinct(sites []graph.NodeID, skip graph.NodeID) []graph.NodeI
 	return out
 }
 
-// growI64 returns a length-n int64 buffer, reusing buf's storage when it
-// is large enough.
-func growI64(buf []int64, n int) []int64 {
+// grow returns a length-n buffer, reusing buf's storage when it is large
+// enough.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -234,7 +265,7 @@ func growI64(buf []int64, n int) []int64 {
 // one contiguous column.
 func (s *Solver) fillPairwise(m graph.Metric, home graph.NodeID, sites []graph.NodeID) {
 	n := len(sites) + 1
-	s.dt = growI64(s.dt, n*n)
+	s.dt = grow(s.dt, n*n)
 	at := func(i int) graph.NodeID {
 		if i == 0 {
 			return home
@@ -268,7 +299,7 @@ func (s *Solver) fillPairwise(m graph.Metric, home graph.NodeID, sites []graph.N
 func (s *Solver) heldKarp(q int) []int64 {
 	stride := q + 1
 	size := 1 << q
-	s.dp = growI64(s.dp, size*q)
+	s.dp = grow(s.dp, size*q)
 	dp := s.dp
 	for set := 1; set < size; set++ {
 		row := dp[set*q : (set+1)*q]
@@ -313,15 +344,17 @@ func (s *Solver) heldKarpTour(m graph.Metric, sites []graph.NodeID) int64 {
 	return slices.Min(row)
 }
 
-// nearestNeighborPath orders sites by repeatedly hopping to the closest
-// unvisited site, starting from home, and appends the order to out. It
-// consumes rest, a caller-owned copy of the sites.
-func nearestNeighborPath(m graph.Metric, home graph.NodeID, rest, out []graph.NodeID) []graph.NodeID {
-	cur := home
+// nearestNeighborPath orders matrix indices by repeatedly hopping to the
+// closest unvisited one, starting from index 0, and appends the order to
+// out. dt is the transposed distance matrix with stride n. It consumes
+// rest, a caller-owned index pool, swapping the pool's last entry into
+// each pick's place; ties go to the earliest pool entry.
+func nearestNeighborPath(dt []int64, n int, rest, out []int32) []int32 {
+	var cur int32
 	for len(rest) > 0 {
-		bi, bd := 0, m.Dist(cur, rest[0])
+		bi, bd := 0, dt[int(rest[0])*n+int(cur)]
 		for i := 1; i < len(rest); i++ {
-			if d := m.Dist(cur, rest[i]); d < bd {
+			if d := dt[int(rest[i])*n+int(cur)]; d < bd {
 				bi, bd = i, d
 			}
 		}
@@ -333,32 +366,34 @@ func nearestNeighborPath(m graph.Metric, home graph.NodeID, rest, out []graph.No
 	return out
 }
 
-// twoOptPath improves an open path (fixed start at home) by reversing
-// segments while any reversal shortens it.
-func twoOptPath(m graph.Metric, home graph.NodeID, path []graph.NodeID) []graph.NodeID {
-	n := len(path)
-	if n < 3 {
+// twoOptPath improves an open path of matrix indices (fixed start at
+// index 0) by reversing segments while any reversal shortens it, for at
+// most 32 rounds. dt is the transposed distance matrix with stride n.
+func twoOptPath(dt []int64, n int, path []int32) []int32 {
+	k := len(path)
+	if k < 3 {
 		return path
 	}
-	prev := func(i int) graph.NodeID {
+	d := func(u, v int32) int64 { return dt[int(v)*n+int(u)] }
+	prev := func(i int) int32 {
 		if i == 0 {
-			return home
+			return 0
 		}
 		return path[i-1]
 	}
 	improved := true
 	for rounds := 0; improved && rounds < 32; rounds++ {
 		improved = false
-		for i := 0; i < n-1; i++ {
-			for j := i + 1; j < n; j++ {
+		for i := 0; i < k-1; i++ {
+			for j := i + 1; j < k; j++ {
 				// Reverse path[i..j]: edges (prev(i), path[i]) and
 				// (path[j], path[j+1]) become (prev(i), path[j]) and
 				// (path[i], path[j+1]).
-				oldCost := m.Dist(prev(i), path[i])
-				newCost := m.Dist(prev(i), path[j])
-				if j+1 < n {
-					oldCost += m.Dist(path[j], path[j+1])
-					newCost += m.Dist(path[i], path[j+1])
+				oldCost := d(prev(i), path[i])
+				newCost := d(prev(i), path[j])
+				if j+1 < k {
+					oldCost += d(path[j], path[j+1])
+					newCost += d(path[i], path[j+1])
 				}
 				if newCost < oldCost {
 					for a, b := i, j; a < b; a, b = a+1, b-1 {
@@ -370,14 +405,4 @@ func twoOptPath(m graph.Metric, home graph.NodeID, path []graph.NodeID) []graph.
 		}
 	}
 	return path
-}
-
-func pathLen(m graph.Metric, home graph.NodeID, path []graph.NodeID) int64 {
-	var total int64
-	cur := home
-	for _, v := range path {
-		total += m.Dist(cur, v)
-		cur = v
-	}
-	return total
 }

@@ -217,12 +217,136 @@ func TestLargeSetUsesBounds(t *testing.T) {
 func TestTwoOptImprovesCrossing(t *testing.T) {
 	// On a line, the NN path from home=0 over {10, 1, 11, 2} may zigzag;
 	// 2-opt must bring it to the optimal monotone sweep.
-	m := lineMetric{}
-	path := []graph.NodeID{10, 1, 11, 2}
-	improved := twoOptPath(m, 0, append([]graph.NodeID(nil), path...))
-	if got := pathLen(m, 0, improved); got != 11 {
+	var s Solver
+	sites := []graph.NodeID{10, 1, 11, 2}
+	s.fillPairwise(lineMetric{}, 0, sites)
+	var path []graph.NodeID
+	for _, i := range twoOptPath(s.dt, len(sites)+1, []int32{1, 2, 3, 4}) {
+		path = append(path, sites[i-1])
+	}
+	if got := pathLen(lineMetric{}, 0, path); got != 11 {
 		t.Fatalf("2-opt path length = %d, want 11 (0→1→2→10→11)", got)
 	}
+}
+
+// refHeuristicPath is the metric form of the bracket's upper end, the
+// reference for the matrix search: nearest-neighbour from start over a
+// pool that loses each pick to a swap with its last entry, then 2-opt
+// for at most 32 rounds, every distance a metric query in the same
+// argument order.
+func refHeuristicPath(m graph.Metric, start graph.NodeID, sites []graph.NodeID) []graph.NodeID {
+	rest := slices.Clone(sites)
+	var path []graph.NodeID
+	for cur := start; len(rest) > 0; {
+		bi, bd := 0, m.Dist(cur, rest[0])
+		for i := 1; i < len(rest); i++ {
+			if d := m.Dist(cur, rest[i]); d < bd {
+				bi, bd = i, d
+			}
+		}
+		cur = rest[bi]
+		path = append(path, cur)
+		rest[bi] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
+	}
+	n := len(path)
+	if n < 3 {
+		return path
+	}
+	prev := func(i int) graph.NodeID {
+		if i == 0 {
+			return start
+		}
+		return path[i-1]
+	}
+	improved := true
+	for rounds := 0; improved && rounds < 32; rounds++ {
+		improved = false
+		for i := 0; i < n-1; i++ {
+			for j := i + 1; j < n; j++ {
+				oldCost := m.Dist(prev(i), path[i])
+				newCost := m.Dist(prev(i), path[j])
+				if j+1 < n {
+					oldCost += m.Dist(path[j], path[j+1])
+					newCost += m.Dist(path[i], path[j+1])
+				}
+				if newCost < oldCost {
+					slices.Reverse(path[i : j+1])
+					improved = true
+				}
+			}
+		}
+	}
+	return path
+}
+
+// TestHeuristicMatchesMetricReference pins the matrix form of the
+// bracket's upper end to the metric form it replaced: on grid, graph and
+// asymmetric metrics, for 2..60 sites, the matrix path visits the sites
+// in the reference's order, and Bracket and Tour (above ExactLimit) report
+// the reference's bounds.
+func TestHeuristicMatchesMetricReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const n = 80
+	g, _ := randomGraphMetric(r, n)
+	skew := make(graph.MatrixMetric, n)
+	for u := range skew {
+		skew[u] = make([]int64, n)
+		for v := range skew[u] {
+			if u != v {
+				skew[u][v] = 1 + r.Int63n(50)
+			}
+		}
+	}
+	var s Solver
+	for _, mt := range []struct {
+		name string
+		m    graph.Metric
+	}{{"grid", gridMetric(9)}, {"graph", g}, {"skew", skew}} {
+		for trial := 0; trial < 40; trial++ {
+			q := 2 + r.Intn(59)
+			nodes := make([]graph.NodeID, q+1)
+			for i, v := range r.Perm(n)[:q+1] {
+				nodes[i] = graph.NodeID(v)
+			}
+			home, sites := nodes[0], nodes[1:]
+			ref := refHeuristicPath(mt.m, home, sites)
+			length, last := s.heuristicPath(mt.m, home, sites)
+			for i, v := range s.path {
+				if sites[v-1] != ref[i] {
+					t.Fatalf("%s q=%d: step %d visits %d, reference %d", mt.name, q, i, sites[v-1], ref[i])
+				}
+			}
+			if want := pathLen(mt.m, home, ref); length != want || sites[last-1] != ref[len(ref)-1] {
+				t.Fatalf("%s q=%d: length %d ending at %d, reference %d ending at %d",
+					mt.name, q, length, sites[last-1], want, ref[len(ref)-1])
+			}
+			mst := new(Solver).WalkLB(mt.m, home, sites)
+			if got, want := s.Bracket(mt.m, home, sites), (Bounds{LB: mst, UB: min(pathLen(mt.m, home, ref), 2*mst)}); got.LB != want.LB || got.UB != want.UB {
+				t.Fatalf("%s q=%d: Bracket %+v, reference %+v", mt.name, q, got, want)
+			}
+			if q <= ExactLimit {
+				continue
+			}
+			tourRef := refHeuristicPath(mt.m, nodes[1], nodes[2:])
+			tourUB := mt.m.Dist(nodes[1], tourRef[len(tourRef)-1]) + pathLen(mt.m, nodes[1], tourRef)
+			tourMST := new(Solver).WalkLB(mt.m, nodes[1], nodes[2:])
+			if got := s.Tour(mt.m, sites); got.LB != tourMST || got.UB != min(tourUB, 2*tourMST) {
+				t.Fatalf("%s q=%d: Tour %+v, reference [%d, %d]", mt.name, q, got, tourMST, min(tourUB, 2*tourMST))
+			}
+		}
+	}
+}
+
+// pathLen is the length of the walk from home along path.
+func pathLen(m graph.Metric, home graph.NodeID, path []graph.NodeID) int64 {
+	var total int64
+	cur := home
+	for _, v := range path {
+		total += m.Dist(cur, v)
+		cur = v
+	}
+	return total
 }
 
 // dedupe removes duplicates and (when skip ≥ 0) any site equal to skip:
