@@ -199,3 +199,18 @@ func TestNewPlanAllocsIndependentOfChunks(t *testing.T) {
 		t.Fatalf("plan allocations grow with chunks: %v at 1 chunk, %v at 196", one, many)
 	}
 }
+
+// BenchmarkPlanGrid16 builds the plan of a long chaos stream on grid16:
+// horizon 50,000, 256-step chunks, rate 0.1 (link outages and slowdowns
+// at the rate, crashes at half of it, drops at a quarter, 128-step mean
+// outages).
+func BenchmarkPlanGrid16(b *testing.B) {
+	g := topology.NewSquareGrid(16).Graph()
+	const rate, chunk = 0.1, 256
+	cfg := Config{Seed: 1, Horizon: 50_000, Recur: chunk, MeanOutage: chunk / 2,
+		LinkDownRate: rate, LinkSlowRate: rate, CrashRate: rate / 2, DropRate: rate / 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MustNew(cfg, g)
+	}
+}

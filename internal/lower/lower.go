@@ -90,35 +90,43 @@ type Bound struct {
 	PerObject []ObjectDetail
 }
 
-// solvers recycles tsp.Solver scratch across bound computations, so a
-// computation that reaches Held–Karp reuses a table (2^q·q cells, 8 MiB
-// at q = 16) instead of allocating and zeroing a fresh one. A pooled
-// solver keeps its tables until the GC empties the pool.
-var solvers = sync.Pool{New: func() any { return tsp.NewSolver() }}
+// scratch is the pooled state of one bound computation: a tsp.Solver,
+// so a computation that reaches Held–Karp reuses a table (2^q·q cells,
+// 8 MiB at q = 16) instead of allocating and zeroing a fresh one, and the
+// slices Value and Compute refill per object, so a warm Value call
+// allocates nothing. Pooled scratch keeps its tables until the GC empties
+// the pool.
+type scratch struct {
+	s            *tsp.Solver
+	sites, terms []graph.NodeID
+	cands        []candidate
+	rank         []int32
+	stack        []graph.NodeID
+}
+
+var scratches = sync.Pool{New: func() any { return &scratch{s: tsp.NewSolver()} }}
 
 // Compute derives the certified bound for an instance with full
 // witnesses: it solves every requested object's walk and tour on one
 // pooled solver, in object order, and fills every field of Bound.
 // Callers that only need the scalar bound use Value.
 func Compute(in *tm.Instance) Bound {
-	var (
-		b     Bound
-		sites []graph.NodeID
-	)
-	s := solvers.Get().(*tsp.Solver)
-	defer solvers.Put(s)
+	var b Bound
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	s := sc.s
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
 		users := in.Users(oid)
 		if len(users) == 0 {
 			continue
 		}
-		sites = objectSites(in, users, sites[:0])
+		sc.sites = objectSites(in, users, sc.sites[:0])
 		d := ObjectDetail{
 			Object: oid,
 			Users:  len(users),
-			Walk:   s.Walk(in.Metric, in.Home[oid], sites),
-			Tour:   s.Tour(in.Metric, sites),
+			Walk:   s.Walk(in.Metric, in.Home[oid], sc.sites),
+			Tour:   s.Tour(in.Metric, sc.sites),
 		}
 		b.PerObject = append(b.PerObject, d)
 		if d.Walk.Exact {

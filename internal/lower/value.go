@@ -45,15 +45,13 @@ type candidate struct {
 func Value(in *tm.Instance) Bound {
 	var (
 		b     Bound
-		sites []graph.NodeID
-		terms []graph.NodeID
-		cands []candidate
 		maxLB int64
 	)
-	s := solvers.Get().(*tsp.Solver)
-	defer solvers.Put(s)
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	s, sites, terms, cands := sc.s, sc.sites, sc.terms, sc.cands[:0]
 	m := in.Metric
-	rank := treeRank(in.G)
+	rank := sc.treeRank(in.G)
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
 		users := in.Users(oid)
@@ -115,6 +113,7 @@ func Value(in *tm.Instance) Bound {
 		maxLB = max(maxLB, walk)
 	}
 
+	sc.sites, sc.terms, sc.cands = sites, terms, cands
 	b.MaxWalkLB = maxLB
 	b.Value = max(int64(b.MaxUse), maxLB)
 	if b.Value < 1 && in.NumTxns() > 0 {
@@ -134,17 +133,21 @@ func objectSites(in *tm.Instance, users []tm.TxnID, buf []graph.NodeID) []graph.
 
 // treeRank returns every node's DFS preorder rank when g is a tree
 // (n − 1 edges and connected), else nil. Any other edge count is
-// rejected in O(1).
-func treeRank(g *graph.Graph) []int32 {
+// rejected in O(1). The ranks and the DFS stack live on sc, so the
+// returned slice is valid until sc's next treeRank.
+func (sc *scratch) treeRank(g *graph.Graph) []int32 {
 	n := g.NumNodes()
 	if n == 0 || g.NumEdges() != n-1 {
 		return nil
 	}
-	rank := make([]int32, n)
+	if cap(sc.rank) < n {
+		sc.rank = make([]int32, n)
+	}
+	rank := sc.rank[:n]
 	for i := range rank {
 		rank[i] = -1
 	}
-	stack := make([]graph.NodeID, 1, n)
+	stack := append(sc.stack[:0], 0)
 	next := int32(0)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -160,6 +163,7 @@ func treeRank(g *graph.Graph) []int32 {
 			}
 		}
 	}
+	sc.stack = stack
 	if int(next) != n {
 		return nil
 	}

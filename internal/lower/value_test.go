@@ -71,7 +71,7 @@ func TestTreeWalkMatchesHeldKarp(t *testing.T) {
 	}
 	var s tsp.Solver
 	for _, tr := range trees {
-		rank := treeRank(tr.g)
+		rank := new(scratch).treeRank(tr.g)
 		if rank == nil {
 			t.Fatalf("%s: not recognised as a tree", tr.name)
 		}
@@ -105,7 +105,7 @@ func TestTreeRankRejectsNonTrees(t *testing.T) {
 		"clique":       topology.NewClique(5).Graph(),
 		"disconnected": cycle,
 	} {
-		if treeRank(g) != nil {
+		if new(scratch).treeRank(g) != nil {
 			t.Errorf("%s: accepted as a tree", name)
 		}
 	}
@@ -211,6 +211,26 @@ func TestValueRecyclesSolver(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 256<<10 {
 		t.Fatalf("Value allocated %d B per warm call, want < 256 KiB", per)
+	}
+}
+
+// TestValueWarmZeroAllocs: the value path's per-call slices and tree
+// ranks live on the pooled scratch, so once warm, Value allocates
+// nothing on every offline-certify cell shape: grid12 and cluster4x8
+// send candidates through the certificate, and line64, star4x8 and
+// fogcloud4x8 take the tree closed form.
+func TestValueWarmZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	for _, c := range certifyCells {
+		tp := c.mk()
+		g := tp.Graph()
+		in := tm.UniformK(c.w, c.k).Generate(rand.New(rand.NewSource(1)), g, graph.FuncMetric(tp.Dist), g.Nodes(), tm.PlaceAtRandomUser)
+		Value(in)
+		if allocs := testing.AllocsPerRun(5, func() { Value(in) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per warm Value, want 0", c.name, allocs)
+		}
 	}
 }
 

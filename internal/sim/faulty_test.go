@@ -606,13 +606,10 @@ func TestRunFaultyAllocsIndependentOfBoundaries(t *testing.T) {
 	}
 }
 
-// BenchmarkFaultyReplay replays one serving-sized window — 56
-// transactions on distinct grid16 nodes (w = 64, k = 2), greedily
-// scheduled — under the chaos plan the streaming service builds at rate
-// 0.1 (link outages and slowdowns at the rate, crashes at half of it,
-// drops at a quarter; 256-step chunks, 128-step mean outages). The
-// replay's reroute queries dominate its cost.
-func BenchmarkFaultyReplay(b *testing.B) {
+// servingWindow builds one serving-sized window — 56 transactions on
+// distinct grid16 nodes (w = 64, k = 2), greedily scheduled — and returns
+// it with its graph.
+func servingWindow(b *testing.B) (*graph.Graph, *tm.Instance, *core.Result) {
 	grid := topology.NewSquareGrid(16)
 	g := grid.Graph()
 	rng := xrand.NewDerived(1, "faulty-replay")
@@ -623,17 +620,52 @@ func BenchmarkFaultyReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g, in, res
+}
+
+// chaosPlan builds the chaos plan the streaming service builds at rate
+// 0.1 over horizon (link outages and slowdowns at the rate, crashes at
+// half of it, drops at a quarter; 256-step chunks, 128-step mean
+// outages).
+func chaosPlan(g *graph.Graph, horizon int64) *faults.Plan {
 	const rate, chunk = 0.1, 256
-	plan := faults.MustNew(faults.Config{
-		Seed: 1, Horizon: res.Makespan, Recur: chunk, MeanOutage: chunk / 2,
+	return faults.MustNew(faults.Config{
+		Seed: 1, Horizon: horizon, Recur: chunk, MeanOutage: chunk / 2,
 		LinkDownRate: rate, LinkSlowRate: rate, CrashRate: rate / 2, DropRate: rate / 4,
 	}, g)
-	if fr := MustRun(in, res.Schedule, Options{Faults: plan}).Fault; fr.Reroutes == 0 {
+}
+
+// benchReplay times sim.Run of one window under plan, after checking
+// that the plan reroutes at least one of its moves.
+func benchReplay(b *testing.B, in *tm.Instance, s *schedule.Schedule, plan *faults.Plan) {
+	if fr := MustRun(in, s, Options{Faults: plan}).Fault; fr.Reroutes == 0 {
 		b.Fatalf("the plan reroutes no move: %v", fr)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MustRun(in, res.Schedule, Options{Faults: plan})
+		MustRun(in, s, Options{Faults: plan})
 	}
+}
+
+// BenchmarkFaultyReplay replays one serving-sized window (servingWindow)
+// under a chaos plan (chaosPlan) spanning the window's makespan. The
+// replay's reroute queries dominate its cost.
+func BenchmarkFaultyReplay(b *testing.B) {
+	g, in, res := servingWindow(b)
+	benchReplay(b, in, res.Schedule, chaosPlan(g, res.Makespan))
+}
+
+// BenchmarkFaultyReplayLongPlan replays the same window shifted to the
+// middle of a 50,000-step chaos plan, the shape of a long chaos stream's.
+// Its lookups meet every site's faults over the whole horizon, which a
+// plan spanning one window's makespan never shows.
+func BenchmarkFaultyReplayLongPlan(b *testing.B) {
+	g, in, res := servingWindow(b)
+	const horizon = 50_000
+	shifted := &schedule.Schedule{Times: slices.Clone(res.Schedule.Times)}
+	for i := range shifted.Times {
+		shifted.Times[i] += horizon / 2
+	}
+	benchReplay(b, in, shifted, chaosPlan(g, horizon))
 }
