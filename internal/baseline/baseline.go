@@ -27,7 +27,10 @@ type Sequential struct{}
 func (Sequential) Name() string { return "baseline/sequential" }
 
 // Schedule implements core.Scheduler.
-func (Sequential) Schedule(in *tm.Instance) (*core.Result, error) {
+func (b Sequential) Schedule(in *tm.Instance) (*core.Result, error) { return core.Checked(b, in) }
+
+// ScheduleUnchecked implements core.Unchecked.
+func (Sequential) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	c := schedule.NewChain(in.Metric, in.Home, in.G.NumNodes())
 	s := schedule.New(in.NumTxns())
 	var clock int64
@@ -41,7 +44,7 @@ func (Sequential) Schedule(in *tm.Instance) (*core.Result, error) {
 		c.Commit(txn.Node, txn.Objects, step)
 		clock = step
 	}
-	return finishResult("baseline/sequential", in, s)
+	return newResult("baseline/sequential", s), nil
 }
 
 // List is FIFO list scheduling: each transaction, in priority order, takes
@@ -57,7 +60,10 @@ type List struct {
 func (List) Name() string { return "baseline/list" }
 
 // Schedule implements core.Scheduler.
-func (l List) Schedule(in *tm.Instance) (*core.Result, error) {
+func (l List) Schedule(in *tm.Instance) (*core.Result, error) { return core.Checked(l, in) }
+
+// ScheduleUnchecked implements core.Unchecked.
+func (l List) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	order := l.Order
 	if order == nil {
 		order = make([]tm.TxnID, in.NumTxns())
@@ -75,7 +81,7 @@ func (l List) Schedule(in *tm.Instance) (*core.Result, error) {
 		s.Times[id] = c.Earliest(txn.Node, txn.Objects)
 		c.Commit(txn.Node, txn.Objects, s.Times[id])
 	}
-	return finishResult("baseline/list", in, s)
+	return newResult("baseline/list", s), nil
 }
 
 // Random is List over a uniformly random priority order (randomized
@@ -88,7 +94,10 @@ type Random struct {
 func (Random) Name() string { return "baseline/random" }
 
 // Schedule implements core.Scheduler.
-func (r Random) Schedule(in *tm.Instance) (*core.Result, error) {
+func (r Random) Schedule(in *tm.Instance) (*core.Result, error) { return core.Checked(r, in) }
+
+// ScheduleUnchecked implements core.Unchecked.
+func (r Random) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	if r.Rng == nil {
 		return nil, fmt.Errorf("baseline: random scheduler needs an Rng")
 	}
@@ -97,7 +106,7 @@ func (r Random) Schedule(in *tm.Instance) (*core.Result, error) {
 		order[i] = tm.TxnID(i)
 	}
 	r.Rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	res, err := List{Order: order}.Schedule(in)
+	res, err := List{Order: order}.ScheduleUnchecked(in)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +114,8 @@ func (r Random) Schedule(in *tm.Instance) (*core.Result, error) {
 	return res, nil
 }
 
-func finishResult(name string, in *tm.Instance, s *schedule.Schedule) (*core.Result, error) {
-	if err := s.Validate(in); err != nil {
-		return nil, fmt.Errorf("baseline: %s produced an infeasible schedule: %w", name, err)
-	}
-	return &core.Result{Schedule: s, Makespan: s.Makespan(), Algorithm: name, Stats: map[string]int64{}}, nil
+func newResult(name string, s *schedule.Schedule) *core.Result {
+	return &core.Result{Schedule: s, Makespan: s.Makespan(), Algorithm: name, Stats: map[string]int64{}}
 }
 
 // DegreeOrder returns a transaction priority order by descending

@@ -68,7 +68,10 @@ func (cs *Cluster) Name() string {
 }
 
 // Schedule implements Scheduler.
-func (cs *Cluster) Schedule(in *tm.Instance) (*Result, error) {
+func (cs *Cluster) Schedule(in *tm.Instance) (*Result, error) { return Checked(cs, in) }
+
+// ScheduleUnchecked implements Unchecked.
+func (cs *Cluster) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	if cs.Topo == nil {
 		return nil, fmt.Errorf("core: cluster scheduler needs its topology")
 	}
@@ -100,7 +103,7 @@ func (cs *Cluster) Schedule(in *tm.Instance) (*Result, error) {
 
 func (cs *Cluster) approach1(in *tm.Instance) (*Result, error) {
 	g := &Greedy{}
-	r, err := g.Schedule(in)
+	r, err := g.ScheduleUnchecked(in)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +259,7 @@ func (cs *Cluster) approach2(in *tm.Instance) (*Result, error) {
 	r.Stats["zeta_cap"] = zeta
 	r.Stats["rounds"] = totalRounds
 	r.Stats["fallbacks"] = fallbacks
-	return validateResult(in, r)
+	return r, nil
 }
 
 // roundCap computes ζ = 2·40^k·⌈ln^(k+1) m⌉, clamped to a practical

@@ -65,11 +65,24 @@ func addBuildStats(stats map[string]int64, info depgraph.BuildInfo) {
 	stats["depgraph_edges"] += info.Edges
 }
 
-// validateResult is the shared post-condition every scheduler enforces
-// before returning.
-func validateResult(in *tm.Instance, r *Result) (*Result, error) {
+// Unchecked is implemented by schedulers whose Schedule is
+// ScheduleUnchecked followed by the Definition 1 check (Checked). A caller
+// that checks every schedule itself — the engine's Verify stage under
+// VerifyFull and VerifyFast — calls ScheduleUnchecked, so each schedule is
+// checked once; every other caller keeps Schedule's check.
+type Unchecked interface {
+	ScheduleUnchecked(in *tm.Instance) (*Result, error)
+}
+
+// Checked runs s.ScheduleUnchecked and then schedule.Validate on its
+// result: the shared post-condition of every scheduler's Schedule.
+func Checked(s Unchecked, in *tm.Instance) (*Result, error) {
+	r, err := s.ScheduleUnchecked(in)
+	if err != nil {
+		return nil, err
+	}
 	if err := r.Schedule.Validate(in); err != nil {
-		return nil, fmt.Errorf("core: %s produced an infeasible schedule: %w", r.Algorithm, err)
+		return nil, fmt.Errorf("%s produced an infeasible schedule: %w", r.Algorithm, err)
 	}
 	return r, nil
 }

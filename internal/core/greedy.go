@@ -52,7 +52,10 @@ type Greedy struct {
 func (g *Greedy) Name() string { return "greedy" }
 
 // Schedule implements Scheduler.
-func (g *Greedy) Schedule(in *tm.Instance) (*Result, error) {
+func (g *Greedy) Schedule(in *tm.Instance) (*Result, error) { return Checked(g, in) }
+
+// ScheduleUnchecked implements Unchecked.
+func (g *Greedy) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	h := depgraph.Build(in, nil)
 	order := h.OrderByNode(in)
 	switch {
@@ -76,7 +79,7 @@ func (g *Greedy) Schedule(in *tm.Instance) (*Result, error) {
 	r.Stats["gamma"] = h.WeightedDegree()
 	r.Stats["colors"] = maxOf(local)
 	addBuildStats(r.Stats, h.Info())
-	return validateResult(in, r)
+	return r, nil
 }
 
 func maxOf(xs []int64) int64 {

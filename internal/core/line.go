@@ -24,7 +24,10 @@ type Line struct {
 func (l *Line) Name() string { return "line" }
 
 // Schedule implements Scheduler.
-func (l *Line) Schedule(in *tm.Instance) (*Result, error) {
+func (l *Line) Schedule(in *tm.Instance) (*Result, error) { return Checked(l, in) }
+
+// ScheduleUnchecked implements Unchecked.
+func (l *Line) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	if l.Topo == nil {
 		return nil, fmt.Errorf("core: line scheduler needs its topology")
 	}
@@ -67,7 +70,7 @@ func (l *Line) Schedule(in *tm.Instance) (*Result, error) {
 	r.Stats["ell"] = ell
 	r.Stats["maxwalk"] = walk
 	r.Stats["bound4ell"] = 4*ell - 2
-	return validateResult(in, r)
+	return r, nil
 }
 
 // maxWalk computes ℓ exactly on the line: for each object the shortest

@@ -45,7 +45,10 @@ func (st *Star) Name() string {
 }
 
 // Schedule implements Scheduler.
-func (st *Star) Schedule(in *tm.Instance) (*Result, error) {
+func (st *Star) Schedule(in *tm.Instance) (*Result, error) { return Checked(st, in) }
+
+// ScheduleUnchecked implements Unchecked.
+func (st *Star) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	if st.Topo == nil {
 		return nil, fmt.Errorf("core: star scheduler needs its topology")
 	}
@@ -129,7 +132,7 @@ func (st *Star) run(in *tm.Instance, randomized bool) (*Result, error) {
 	r.Stats["eta"] = int64(eta)
 	r.Stats["rounds"] = totalRounds
 	r.Stats["fallbacks"] = fallbacks
-	return validateResult(in, r)
+	return r, nil
 }
 
 // randomizedPeriod runs Algorithm 1 style rounds over the segments of one

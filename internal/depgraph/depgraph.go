@@ -25,6 +25,7 @@ import (
 	"slices"
 	"time"
 
+	"dtmsched/internal/keysort"
 	"dtmsched/internal/tm"
 )
 
@@ -480,23 +481,83 @@ func (h *DepGraph) CheckColoring(times []int64) error {
 }
 
 // OrderByNode returns local indices sorted by the member transactions'
-// node IDs — the deterministic default order used by the schedulers.
+// node IDs — the default coloring order of the schedulers. The order among
+// members that share a node is whatever the unstable comparison sort
+// leaves: deterministic for a given member list, but not by ID. When every
+// member's node is distinct (a serving window, whose cutter admits one
+// transaction per node) and the nodes span a short range, the order is
+// unique and is read off node-indexed slots instead of sorted.
 func (h *DepGraph) OrderByNode(in *tm.Instance) []int {
 	order := make([]int, len(h.IDs))
-	for i := range order {
-		order[i] = i
+	if !h.orderDistinctNodes(in, order) {
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Compare(in.Txns[h.IDs[a]].Node, in.Txns[h.IDs[b]].Node)
+		})
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Compare(in.Txns[h.IDs[a]].Node, in.Txns[h.IDs[b]].Node)
-	})
 	return order
+}
+
+// orderDistinctNodes fills order by node when the members' nodes are
+// distinct and fit keysort's stack span, reporting whether it did: each
+// member marks its node's slot, and a scan of the slots emits the order.
+// It gives up at the first node marked twice, since ties must keep the
+// comparison sort's order.
+func (h *DepGraph) orderDistinctNodes(in *tm.Instance, order []int) bool {
+	if len(order) == 0 {
+		return true
+	}
+	lo, hi := in.Txns[h.IDs[0]].Node, in.Txns[h.IDs[0]].Node
+	for _, id := range h.IDs {
+		lo, hi = min(lo, in.Txns[id].Node), max(hi, in.Txns[id].Node)
+	}
+	span := int64(hi-lo) + 1
+	if span > keysort.StackSpan || !keysort.Fits(span, len(order)) {
+		return false
+	}
+	var slot [keysort.StackSpan]int32 // member index + 1; 0 = free
+	for i, id := range h.IDs {
+		v := in.Txns[id].Node - lo
+		if slot[v] != 0 {
+			return false
+		}
+		slot[v] = int32(i) + 1
+	}
+	k := 0
+	for _, m := range slot[:span] {
+		if m != 0 {
+			order[k] = int(m) - 1
+			k++
+		}
+	}
+	return true
 }
 
 // OrderByColor returns local indices sorted by (color[i], transaction ID)
 // — the deterministic list-scheduling order of the pipelined window and
-// streaming schedulers.
+// streaming schedulers. When IDs ascend (as Build's nil member list
+// gives) and the colors span a short range, a stable counting sort over
+// local indices yields that order; otherwise it is a comparison sort.
 func (h *DepGraph) OrderByColor(color []int64) []int {
 	order := make([]int, len(h.IDs))
+	if len(order) == 0 {
+		return order
+	}
+	lo, hi := color[0], color[0]
+	ascending := true
+	for i, c := range color {
+		lo, hi = min(lo, c), max(hi, c)
+		if i > 0 && h.IDs[i] < h.IDs[i-1] {
+			ascending = false
+		}
+	}
+	if span := hi - lo + 1; ascending && span <= keysort.StackSpan && keysort.Fits(span, len(order)) {
+		var counts [keysort.StackSpan + 1]int32
+		keysort.Stable(order, color, lo, counts[:span+1])
+		return order
+	}
 	for i := range order {
 		order[i] = i
 	}

@@ -293,7 +293,16 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	t0 = time.Now()
 	switch {
 	case job.Scheduler != nil:
-		res, err := job.Scheduler.Schedule(in)
+		// The Verify stage runs the Definition 1 check under VerifyFull
+		// and VerifyFast, so a scheduler that can skip its own runs
+		// unchecked there; under VerifyOff its own check is the only one.
+		var res *core.Result
+		var err error
+		if u, ok := job.Scheduler.(core.Unchecked); ok && (job.Verify == VerifyFull || job.Verify == VerifyFast) {
+			res, err = u.ScheduleUnchecked(in)
+		} else {
+			res, err = job.Scheduler.Schedule(in)
+		}
 		if err != nil {
 			return fail(StageSchedule, time.Since(t0), err)
 		}

@@ -7,7 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"dtmsched/internal/baseline"
+	"dtmsched/internal/core"
 	"dtmsched/internal/graph"
+	"dtmsched/internal/hier"
 	"dtmsched/internal/obs"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
@@ -231,5 +234,82 @@ func benchmarkRun(b *testing.B, col *obs.Collector) {
 		if _, err := Run(context.Background(), job); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Every scheduler family implements core.Unchecked, so every offline
+// engine job under VerifyFull or VerifyFast runs the Definition 1 check
+// once, in the Verify stage.
+var _ = []core.Unchecked{
+	&core.Greedy{}, &core.Line{}, &core.Grid{}, &core.Cluster{}, &core.Star{},
+	baseline.Sequential{}, baseline.List{}, baseline.Random{}, &hier.Scheduler{},
+}
+
+// corruptScheduler runs a real scheduler unchecked and then pulls every
+// transaction to step 1: an infeasible core result on any instance where
+// two transactions share an object. Its Schedule is core.Checked, as every
+// scheduler's is, and it counts the calls to each entry point.
+type corruptScheduler struct {
+	inner              core.Unchecked
+	checked, unchecked int
+}
+
+func (c *corruptScheduler) Name() string { return "corrupt" }
+
+func (c *corruptScheduler) Schedule(in *tm.Instance) (*core.Result, error) {
+	c.checked++
+	return core.Checked(c, in)
+}
+
+func (c *corruptScheduler) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
+	c.unchecked++
+	r, err := c.inner.ScheduleUnchecked(in)
+	if err != nil {
+		return nil, err
+	}
+	for i := range r.Schedule.Times {
+		r.Schedule.Times[i] = 1
+	}
+	r.Makespan = 1
+	return r, nil
+}
+
+// TestInfeasibleCoreResultRejected: an infeasible core result is rejected
+// on every path by exactly one check. Under VerifyFull and VerifyFast the
+// engine runs the scheduler unchecked and its Verify stage rejects; under
+// VerifyOff the scheduler's own check in Schedule does; a direct call
+// goes through that check too.
+func TestInfeasibleCoreResultRejected(t *testing.T) {
+	gen := cliqueGen(16, 4, 2, 3) // 16 transactions over 4 objects
+	for _, tc := range []struct {
+		mode    VerifyMode
+		stage   string
+		checked int
+	}{
+		{VerifyFull, "verify stage", 0},
+		{VerifyFast, "verify stage", 0},
+		{VerifyOff, "schedule stage", 1},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			s := &corruptScheduler{inner: &core.Greedy{}}
+			rep, err := Run(context.Background(), Job{Name: "corrupt", Gen: gen, Scheduler: s, Verify: tc.mode})
+			if err == nil || rep != nil {
+				t.Fatalf("infeasible core result passed: rep=%v err=%v", rep, err)
+			}
+			if !strings.Contains(err.Error(), tc.stage) || !strings.Contains(err.Error(), "infeasible") {
+				t.Errorf("error %q is not an infeasibility from the %s", err, tc.stage)
+			}
+			if s.checked != tc.checked || s.unchecked != 1 {
+				t.Errorf("Schedule ran %d times and ScheduleUnchecked %d, want %d and 1", s.checked, s.unchecked, tc.checked)
+			}
+		})
+	}
+
+	in, err := gen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&corruptScheduler{inner: &core.Greedy{}}).Schedule(in); err == nil || !strings.Contains(err.Error(), "infeasible schedule") {
+		t.Fatalf("direct Schedule call accepted an infeasible core result: %v", err)
 	}
 }

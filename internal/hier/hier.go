@@ -55,7 +55,11 @@ type shardOut struct {
 }
 
 // Schedule implements core.Scheduler.
-func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
+func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) { return core.Checked(s, in) }
+
+// ScheduleUnchecked implements core.Unchecked; it keeps the decomposition's
+// cross-check, which Definition 1 does not cover.
+func (s *Scheduler) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	if s.Topo == nil {
 		return nil, errors.New("hier: scheduler needs its fog–cloud topology")
 	}
@@ -156,9 +160,6 @@ func (s *Scheduler) Schedule(in *tm.Instance) (*core.Result, error) {
 	}
 	addBuildStats(r.Stats, mergeOut)
 
-	if err := sched.Validate(in); err != nil {
-		return nil, fmt.Errorf("hier: produced an infeasible schedule: %w", err)
-	}
 	if err := CrossCheck(d, in); err != nil {
 		return nil, fmt.Errorf("hier: decomposition fails the cross-check: %w", err)
 	}

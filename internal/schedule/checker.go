@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"dtmsched/internal/graph"
+	"dtmsched/internal/keysort"
 	"dtmsched/internal/tm"
 )
 
@@ -29,6 +30,7 @@ type ChainChecker struct {
 	// nodeLast is the last verified commit step per node (0 = none).
 	nodeLast []int64
 	order    []tm.TxnID // Check's sweep scratch
+	counts   []int32    // its step counts past keysort.StackSpan
 }
 
 // NewChainChecker starts a checker for a sequence whose objects begin at
@@ -58,8 +60,7 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 	if in.NumObjects != len(c.relT) {
 		return fmt.Errorf("schedule: instance has %d objects, checker tracks %d", in.NumObjects, len(c.relT))
 	}
-	order := slices.Grow(c.order[:0], len(s.Times))[:len(s.Times)]
-	c.order = order
+	var lo, hi int64
 	for i, t := range s.Times {
 		if t < 1 {
 			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
@@ -67,15 +68,15 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 		if n := int(in.Txns[i].Node) + 1; n > len(c.nodeLast) {
 			c.nodeLast = append(c.nodeLast, make([]int64, n-len(c.nodeLast))...)
 		}
-		order[i] = tm.TxnID(i)
+		if i == 0 || t < lo {
+			lo = t
+		}
+		hi = max(hi, t)
 	}
 
 	// Sweep the window in (time, ID) order: restricted to one object this
 	// is its handoff order, restricted to one node its commit order.
-	slices.SortFunc(order, func(a, b tm.TxnID) int {
-		return cmp.Or(cmp.Compare(s.Times[a], s.Times[b]), cmp.Compare(a, b))
-	})
-	for _, id := range order {
+	for _, id := range c.sweepOrder(s.Times, lo, hi) {
 		t, node := s.Times[id], in.Txns[id].Node
 		if last := c.nodeLast[node]; t <= last {
 			return fmt.Errorf("schedule: node %d commits transaction %d at step %d, not after step %d",
@@ -99,4 +100,33 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 		}
 	}
 	return nil
+}
+
+// sweepOrder returns the transaction IDs in (time, ID) order, given the
+// window's earliest and latest steps. A window's steps span about its
+// makespan, so they are counted by t − lo — on a stack array when the
+// span is short, as a serving window's is, on the checker's scratch when
+// it is long — and compared only when the span is wide against the
+// window, as an offline schedule's makespan can be.
+func (c *ChainChecker) sweepOrder(times []int64, lo, hi int64) []tm.TxnID {
+	order := slices.Grow(c.order[:0], len(times))[:len(times)]
+	c.order = order
+	span := hi - lo + 1
+	switch {
+	case !keysort.Fits(span, len(times)):
+		for i := range order {
+			order[i] = tm.TxnID(i)
+		}
+		slices.SortFunc(order, func(a, b tm.TxnID) int {
+			return cmp.Or(cmp.Compare(times[a], times[b]), cmp.Compare(a, b))
+		})
+	case span <= keysort.StackSpan:
+		var counts [keysort.StackSpan + 1]int32
+		keysort.Stable(order, times, lo, counts[:span+1])
+	default:
+		c.counts = slices.Grow(c.counts[:0], int(span)+1)[:span+1]
+		clear(c.counts)
+		keysort.Stable(order, times, lo, c.counts)
+	}
+	return order
 }

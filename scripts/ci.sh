@@ -172,8 +172,18 @@ echo "== streaming service guards =="
 # invariant), backpressure is exercised in both policies, the
 # cross-window chain checker (schedule.ChainChecker) accepts both
 # windows.Run modes and rejects corrupted schedules, and the
-# cutter/executor overlap is race-clean.
+# cutter/executor overlap is race-clean. The checker's sweep and the
+# conflict graph's node and color orders count integer keys: each must
+# equal its comparison-sort reference (seed corpora included) on both
+# sides of every fallback threshold, a warm grid16-window Check must
+# allocate nothing, each order must allocate only the slice it returns,
+# and the window benchmarks must at least compile and run (1-iteration
+# smokes).
 go test ./internal/schedule ./internal/windows -run 'TestChainChecker' -count=1
+go test ./internal/schedule -run 'TestCheckWarmZeroAllocs|TestSweepOrderMatchesReference|FuzzCountingOrder' -count=1
+go test ./internal/depgraph -run 'TestOrdersAllocateOneSlice|TestCountingOrderMatchesReference|FuzzCountingOrder' -count=1
+go test ./internal/schedule -run '^$' -bench 'BenchmarkChainCheckerWindow' -benchtime 1x -count=1 >/dev/null
+go test ./internal/depgraph -run '^$' -bench 'BenchmarkOrderByColor' -benchtime 1x -count=1 >/dev/null
 go test -race ./internal/stream -count=1
 
 echo "== serving allocation guard =="
