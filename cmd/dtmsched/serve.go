@@ -1,7 +1,7 @@
 // The serve subcommand runs the streaming scheduler service: a seeded
 // load generator injects transactions continuously, the service admits
 // them into a bounded queue (block or reject backpressure), cuts rolling
-// scheduling windows over the mutable conflict index, and executes each
+// scheduling windows, and executes each
 // window through the engine while the next one fills. The run drains
 // deterministically: the same seed and flags reproduce the admission
 // order, window cuts, commit steps, and the summary digest bit-for-bit.

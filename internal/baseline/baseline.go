@@ -11,7 +11,6 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dtmsched/internal/core"
 	"dtmsched/internal/schedule"
@@ -116,33 +115,6 @@ func (r Random) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 
 func newResult(name string, s *schedule.Schedule) *core.Result {
 	return &core.Result{Schedule: s, Makespan: s.Makespan(), Algorithm: name, Stats: map[string]int64{}}
-}
-
-// DegreeOrder returns a transaction priority order by descending
-// contention degree: each transaction is scored by the number of co-users
-// summed over its objects (ties broken by ascending ID), read off the
-// instance's shared ConflictIndex rather than re-derived from
-// Txns[].Objects. List scheduling in this order serves the most contended
-// transactions first — the "highest conflict first" contention manager of
-// the experimental TM literature, and the parallelism-oriented counterpart
-// of NearestOrder below.
-func DegreeOrder(in *tm.Instance) []tm.TxnID {
-	score := make([]int64, in.NumTxns())
-	index := in.Index()
-	for o := 0; o < in.NumObjects; o++ {
-		members := index.Members(tm.ObjectID(o))
-		for _, id := range members {
-			score[id] += int64(len(members) - 1)
-		}
-	}
-	order := make([]tm.TxnID, in.NumTxns())
-	for i := range order {
-		order[i] = tm.TxnID(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return score[order[a]] > score[order[b]]
-	})
-	return order
 }
 
 // NearestOrder returns a transaction priority order built by a

@@ -67,16 +67,14 @@ type Options struct {
 	// built graph is byte-identical for every worker count.
 	Workers int
 	// Index supplies the object → member-transaction source to read
-	// conflicts from. Nil uses the instance's own cached Index(). Callers
-	// with an evolving member set (the windows extension) pass their
-	// incrementally maintained *tm.ConflictIndex here; the hierarchical
-	// scheduler passes one tm.ShardView per subtree so each shard's build
-	// sees only its own members without copying the index.
+	// conflicts from. Nil uses the instance's own cached Index(). The
+	// hierarchical scheduler passes one tm.ShardView per subtree so each
+	// shard's build sees only its own members without copying the index.
 	//
 	// The build walks a member's objects from the instance and their
 	// member lists from Index, so a transaction listed under object o
-	// must request o (all three sources above satisfy this). A
-	// transaction missing from o's list gets no edges through o.
+	// must request o (both sources above satisfy this). A transaction
+	// missing from o's list gets no edges through o.
 	Index tm.MemberSource
 }
 

@@ -286,34 +286,20 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildExternalIndex: building against a caller-maintained
-// ConflictIndex (the windows extension's incremental reuse path) matches
-// building from the instance's own cached index.
+// TestBuildExternalIndex: building against a caller-supplied
+// ConflictIndex matches building from the instance's own cached index.
 func TestBuildExternalIndex(t *testing.T) {
 	in := pathInstance()
-	index := tm.NewConflictIndex(in.NumObjects)
-	for i := range in.Txns {
-		index.Add(in.Txns[i].ID, in.Txns[i].Objects)
-	}
+	index := tm.IndexTxns(in.NumObjects, in.Txns)
 	csrEqual(t, "external index", BuildOpts(in, nil, Options{Index: index}), Build(in, nil))
-
-	// Remove txn 2 (the hub) from the index: builds over the index must
-	// reflect the smaller member set even with ids = all.
-	index.Remove(2, in.Txns[2].Objects)
-	h := BuildOpts(in, nil, Options{Index: index})
-	if h.Degree(2) != 0 {
-		t.Fatalf("removed member still has degree %d", h.Degree(2))
-	}
-	if h.MaxDegree() != 1 {
-		t.Fatalf("MaxDegree = %d after hub removal, want 1", h.MaxDegree())
-	}
 }
 
 // FuzzBuildMatchesReference: the row build equals the map-of-maps
 // reference at 1–4 workers over a shuffled subset of the members (local
 // order ≠ ID order), over every shard of a partitioned index including the
-// cross shard, and over an external index with random members removed,
-// whose rows must come out empty. The top two bits of shape pick the
+// cross shard, and over an external index built from the transactions
+// with random members stripped of their objects, whose rows must come out
+// empty. The top two bits of shape pick the
 // instance: up to 26 transactions, 64–263 (rows span several bitset
 // words), or 8192–9191 with sparse rows (several summary words).
 func FuzzBuildMatchesReference(f *testing.F) {
@@ -362,21 +348,20 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			csrEqual(t, "shard", got, BuildReference(in, sids))
 		}
 
-		// The reference sees a removed member as requesting nothing.
-		index := tm.IndexTxns(in.NumObjects, in.Txns)
+		// The reference sees a stripped member as requesting nothing.
 		txns := slices.Clone(in.Txns)
 		for i := range txns {
 			if r.Intn(3) == 0 {
-				index.Remove(txns[i].ID, txns[i].Objects)
 				txns[i].Objects = nil
 			}
 		}
+		index := tm.IndexTxns(in.NumObjects, txns)
 		stripped := tm.NewInstance(in.G, in.Metric, in.NumObjects, txns, in.Home)
 		got := BuildOpts(in, ids, Options{Workers: workers, Index: index})
-		csrEqual(t, "removed", got, BuildReference(stripped, ids))
+		csrEqual(t, "stripped", got, BuildReference(stripped, ids))
 		for i, id := range ids {
 			if txns[id].Objects == nil && got.Degree(i) != 0 {
-				t.Fatalf("removed member %d has degree %d", id, got.Degree(i))
+				t.Fatalf("stripped member %d has degree %d", id, got.Degree(i))
 			}
 		}
 	})

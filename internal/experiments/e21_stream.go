@@ -18,8 +18,8 @@ func init() {
 
 // runE21 sweeps the streaming scheduler (internal/stream) over injection
 // rate × topology with the lossless Block policy: transactions arrive
-// from a seeded generator, rolling windows are cut over the mutable
-// conflict index, and the run drains completely. Utilization
+// from a seeded generator, rolling windows are cut and chained, and the
+// run drains completely. Utilization
 // (throughput / offered rate) shows where each topology saturates: the
 // clique sustains rates the line cannot, because the line's object
 // travel time caps its service rate — the streaming analogue of the

@@ -62,9 +62,6 @@ func NewNamed(name string, n int) *Graph {
 // Name returns the graph's descriptive name (may be empty).
 func (g *Graph) Name() string { return g.name }
 
-// SetName sets the graph's descriptive name.
-func (g *Graph) SetName(name string) { g.name = name }
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 

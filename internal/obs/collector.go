@@ -14,11 +14,6 @@ type Config struct {
 	// stage counters, but memory stays O(metrics) for arbitrarily large
 	// sweeps.
 	Traces bool
-	// WallClock includes wall-clock stage durations in trace exports.
-	// Off by default because wall times are the only non-deterministic
-	// field a trace could carry; leaving them out makes trace files
-	// byte-identical across runs and worker counts.
-	WallClock bool
 	// MaxTraceRuns caps the number of retained run traces (0 = no cap).
 	// Runs beyond the cap still feed the registry. The retained set is
 	// the lowest (job, name) keys, so it is deterministic under
@@ -91,7 +86,7 @@ func (c *Collector) Stage(job int, name, stage string, wall time.Duration, err e
 		return
 	}
 	r := c.run(job, name)
-	rec := stageRec{Stage: stage, WallUS: wall.Microseconds()}
+	rec := stageRec{Stage: stage}
 	if err != nil {
 		rec.Err = err.Error()
 	}

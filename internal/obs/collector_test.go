@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -68,27 +67,6 @@ func lineRun() (*ScheduleMetrics, []Move, []Exec) {
 	execs := []Exec{{Txn: 0, Node: 1, Step: 1}, {Txn: 1, Node: 3, Step: 3}, {Txn: 2, Node: 5, Step: 6}}
 	m := &ScheduleMetrics{Makespan: 6, ObjectTravel: []int64{5}, TotalTravel: 5, CriticalPath: []int{0, 1}}
 	return m, moves, execs
-}
-
-func TestWallClockOptIn(t *testing.T) {
-	m, moves, execs := lineRun()
-	c := NewCollectorConfig(Config{Traces: true, WallClock: true})
-	c.Stage(0, "j", "schedule", 2*time.Millisecond, nil)
-	c.AddRun(0, "j", "a", m.Makespan, m, moves, execs)
-	var jsonl bytes.Buffer
-	if err := c.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonl.String(), `"wall_us":2000`) {
-		t.Error("WallClock collector should export stage wall times")
-	}
-	var chrome bytes.Buffer
-	if err := c.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(chrome.String(), `"cat":"stage"`) {
-		t.Error("WallClock collector should export pipeline stage spans")
-	}
 }
 
 func TestMaxTraceRuns(t *testing.T) {

@@ -38,7 +38,7 @@ const (
 // Thresholds configures the regression judgment.
 type Thresholds struct {
 	// Time is the allowed relative increase on ClassTime metrics before
-	// a regression is declared (0.30 = +30%). Zero selects the default.
+	// a regression is declared (0.30 = +30%, the default).
 	Time float64
 	// Count is the allowed relative change on ClassCount metrics
 	// (default 0: exact reproduction expected).
@@ -53,11 +53,7 @@ type Thresholds struct {
 	MinTimeMS float64
 }
 
-// DefaultThresholds are the gate's defaults.
-func DefaultThresholds() Thresholds {
-	return Thresholds{Time: 0.30, Count: 0, MADFactor: 3, MinTimeMS: 1}
-}
-
+// normalized fills zero-valued fields with the gate's defaults.
 func (t Thresholds) normalized() Thresholds {
 	if t.Time <= 0 {
 		t.Time = 0.30
@@ -255,7 +251,7 @@ func mad(xs []float64, med float64) float64 {
 }
 
 // Compare judges new against old, grouping by fingerprint. Neither slice
-// is mutated. Zero-valued thresholds select DefaultThresholds fields.
+// is mutated. Zero-valued thresholds select the gate's defaults.
 func Compare(old, new []RunRecord, th Thresholds) *CompareReport {
 	th = th.normalized()
 	rep := &CompareReport{Thresholds: th}

@@ -96,7 +96,7 @@ func TestCollectorRecordRun(t *testing.T) {
 		}
 	}
 	if strings.Contains(jsonl.String(), "wall_us") {
-		t.Error("JSONL leaked wall-clock times without WallClock opt-in")
+		t.Error("JSONL leaked wall-clock times")
 	}
 	if err := c.WriteChromeTrace(&chrome); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,10 @@
 // JSON loadable in Perfetto or chrome://tracing.
 //
 // Exports are deterministic by construction: runs are ordered by (job,
-// name), spans are sorted by stable keys, and wall-clock durations are
-// omitted unless Config.WallClock opts in — so the same seed and job list
-// produce byte-identical trace files at every worker count.
+// name), spans are sorted by stable keys, and wall-clock durations (which
+// the registry's engine_stage_wall_us counters carry) are left out — so
+// the same seed and job list produce byte-identical trace files at every
+// worker count.
 package obs
 
 import (
@@ -101,9 +102,8 @@ func SortSpans(moves []Move, execs []Exec) {
 
 // stageRec is one pipeline stage completion within a run.
 type stageRec struct {
-	Stage  string
-	WallUS int64
-	Err    string
+	Stage string
+	Err   string
 }
 
 // runTrace is the full recorded trace of one engine job.
@@ -139,12 +139,11 @@ type jsonlRun struct {
 }
 
 type jsonlStage struct {
-	Ev     string `json:"ev"` // "stage"
-	Job    int    `json:"job"`
-	Name   string `json:"name"`
-	Stage  string `json:"stage"`
-	WallUS int64  `json:"wall_us,omitempty"`
-	Err    string `json:"err,omitempty"`
+	Ev    string `json:"ev"` // "stage"
+	Job   int    `json:"job"`
+	Name  string `json:"name"`
+	Stage string `json:"stage"`
+	Err   string `json:"err,omitempty"`
 }
 
 type jsonlMove struct {
@@ -187,11 +186,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 			return err
 		}
 		for _, st := range r.Stages {
-			rec := jsonlStage{Ev: "stage", Job: r.Job, Name: r.Name, Stage: st.Stage, Err: st.Err}
-			if c.cfg.WallClock {
-				rec.WallUS = st.WallUS
-			}
-			if err := enc.Encode(rec); err != nil {
+			if err := enc.Encode(jsonlStage{Ev: "stage", Job: r.Job, Name: r.Name, Stage: st.Stage, Err: st.Err}); err != nil {
 				return err
 			}
 		}
@@ -216,8 +211,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 }
 
 // chromeEvent is one Chrome trace-event record. One simulated step maps to
-// one microsecond of trace time; pipeline stage spans (WallClock mode) use
-// real microseconds on their own "pipeline" track.
+// one microsecond of trace time.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -229,8 +223,8 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Thread-ID layout within a job's process: tid 0 is the pipeline track,
-// 1+node are node tracks, objTidBase+object are object tracks.
+// Thread-ID layout within a job's process: tid 0 carries the process
+// name, 1+node are node tracks, objTidBase+object are object tracks.
 const objTidBase = 1 << 20
 
 // WriteChromeTrace writes all recorded runs as one Chrome trace-event file
@@ -247,15 +241,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		pid := r.Job
 		evs = append(evs, chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]any{"name": fmt.Sprintf("job %d: %s [%s]", r.Job, r.Name, r.Algorithm)}})
-		if c.cfg.WallClock && len(r.Stages) > 0 {
-			evs = append(evs, chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
-				Args: map[string]any{"name": "pipeline (wall µs)"}})
-			var ts int64
-			for _, st := range r.Stages {
-				evs = append(evs, chromeEvent{Name: st.Stage, Cat: "stage", Ph: "X", Ts: ts, Dur: st.WallUS, Pid: pid, Tid: 0})
-				ts += st.WallUS
-			}
-		}
 		nodeNamed := map[int64]bool{}
 		nameNode := func(node int) int64 {
 			tid := int64(1 + node)

@@ -50,9 +50,9 @@ func (c *ChainChecker) Travel() []int64 { return c.travel }
 
 // Check validates one window's schedule against the chained state and,
 // when feasible, advances the state past it; distances come from in.Dist.
-// The instance must share the sequence's object space (NumObjects). On
-// error the checker state is unspecified; a failed sequence should not be
-// checked further.
+// The instance must share the sequence's object space (NumObjects), and a
+// transaction on a node outside in.G is an error. On error the checker
+// state is unspecified; a failed sequence should not be checked further.
 func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 	if len(s.Times) != in.NumTxns() {
 		return fmt.Errorf("schedule: %d times for %d transactions", len(s.Times), in.NumTxns())
@@ -60,13 +60,17 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 	if in.NumObjects != len(c.relT) {
 		return fmt.Errorf("schedule: instance has %d objects, checker tracks %d", in.NumObjects, len(c.relT))
 	}
+	n := in.G.NumNodes()
+	if len(c.nodeLast) < n {
+		c.nodeLast = append(c.nodeLast, make([]int64, n-len(c.nodeLast))...)
+	}
 	var lo, hi int64
 	for i, t := range s.Times {
 		if t < 1 {
 			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
 		}
-		if n := int(in.Txns[i].Node) + 1; n > len(c.nodeLast) {
-			c.nodeLast = append(c.nodeLast, make([]int64, n-len(c.nodeLast))...)
+		if node := in.Txns[i].Node; node < 0 || int(node) >= n {
+			return fmt.Errorf("schedule: transaction %d on node %d outside [0,%d)", i, node, n)
 		}
 		if i == 0 || t < lo {
 			lo = t

@@ -94,3 +94,16 @@ func TestChainCheckerMismatchedShapes(t *testing.T) {
 		t.Fatal("times-length mismatch accepted")
 	}
 }
+
+func TestChainCheckerRejectsNodeOutOfRange(t *testing.T) {
+	topo := topology.NewClique(4)
+	g := topo.Graph()
+	for _, node := range []graph.NodeID{-1, 4} {
+		txns := []tm.Txn{{Node: node, Objects: []tm.ObjectID{0}}}
+		in := tm.NewInstance(g, graph.FuncMetric(topo.Dist), 1, txns, []graph.NodeID{0})
+		err := schedule.NewChainChecker(in.Home).Check(in, &schedule.Schedule{Times: []int64{5}})
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("node %d: got %v, want an out-of-range error", node, err)
+		}
+	}
+}

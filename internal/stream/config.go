@@ -44,9 +44,9 @@ func (p CancelPolicy) String() string {
 
 // Validate checks the configuration without starting a run. Zero values
 // that mean "use the default" (MaxWindow, QueueCap, PipelineDepth,
-// MaxRequeue, RequeueBackoff, the breaker thresholds) stay valid;
-// negative or NaN values, missing workload pieces, and inverted thresholds
-// are rejected with a *ConfigError naming the field.
+// MaxRequeue, the breaker settings) stay valid; negative or NaN values
+// and missing workload pieces are rejected with a *ConfigError naming the
+// field.
 func (cfg *Config) Validate() error {
 	if cfg.G == nil {
 		return &ConfigError{"G", "nil graph"}
@@ -87,21 +87,11 @@ func (cfg *Config) Validate() error {
 	if cfg.MaxRequeue < 0 {
 		return &ConfigError{"MaxRequeue", fmt.Sprintf("negative requeue budget %d", cfg.MaxRequeue)}
 	}
-	if cfg.RequeueBackoff < 0 {
-		return &ConfigError{"RequeueBackoff", fmt.Sprintf("negative backoff base %d", cfg.RequeueBackoff)}
-	}
 	if cfg.BreakerWindow < 0 {
 		return &ConfigError{"BreakerWindow", fmt.Sprintf("negative rolling window %d", cfg.BreakerWindow)}
 	}
 	if !(cfg.InflationTrip >= 0) { // NaN too: a NaN breaker never trips
 		return &ConfigError{"InflationTrip", fmt.Sprintf("trip threshold %g, need ≥ 0", cfg.InflationTrip)}
-	}
-	if !(cfg.InflationReset >= 0) {
-		return &ConfigError{"InflationReset", fmt.Sprintf("reset threshold %g, need ≥ 0", cfg.InflationReset)}
-	}
-	if cfg.InflationTrip > 0 && cfg.InflationReset > 0 && cfg.InflationReset > cfg.InflationTrip {
-		return &ConfigError{"InflationReset",
-			fmt.Sprintf("reset %g above trip %g — the breaker could never close", cfg.InflationReset, cfg.InflationTrip)}
 	}
 	return nil
 }

@@ -64,19 +64,12 @@ type Config struct {
 	// MaxRequeue bounds how many times one transaction is pushed back
 	// before it is shed (0 = 3).
 	MaxRequeue int
-	// RequeueBackoff is the base requeue delay in window-time steps: the
-	// k-th requeue of a transaction waits base·2^(k−1) steps, or until
-	// its node's known restart if later (0 = 4).
-	RequeueBackoff int64
 	// InflationTrip is the circuit-breaker trip threshold on the rolling
 	// mean window inflation — committed window makespan over fault-free
 	// planned makespan, both relative to the cut step (0 = 1.5). While
-	// tripped, admission runs Reject regardless of Policy.
+	// tripped, admission runs Reject regardless of Policy; the breaker
+	// closes again once the rolling mean falls halfway back to 1.
 	InflationTrip float64
-	// InflationReset closes the breaker again once the rolling mean
-	// falls to it (0 = halfway between 1 and InflationTrip). Must not
-	// exceed InflationTrip.
-	InflationReset float64
 	// BreakerWindow is the rolling-mean length in executed windows
 	// (0 = 4).
 	BreakerWindow int
@@ -174,6 +167,11 @@ type qitem struct {
 	retryAt  int64 // earliest cut step this item is eligible again
 }
 
+// requeueBackoff is the base requeue delay in window-time steps: the k-th
+// requeue of a transaction waits requeueBackoff·2^(k−1) steps, or until
+// its node's known restart if later.
+const requeueBackoff int64 = 4
+
 // Serve drains the configured stream: admit → cut → schedule → execute
 // until the source is exhausted and every window has run. It returns the
 // deterministic run summary, or the first error (invalid configuration,
@@ -215,18 +213,11 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	if maxRequeue <= 0 {
 		maxRequeue = 3
 	}
-	backoffBase := cfg.RequeueBackoff
-	if backoffBase <= 0 {
-		backoffBase = 4
-	}
 	trip := cfg.InflationTrip
 	if trip <= 0 {
 		trip = 1.5
 	}
-	reset := cfg.InflationReset
-	if reset <= 0 {
-		reset = 1 + (trip-1)/2
-	}
+	reset := 1 + (trip-1)/2
 	breakerWin := cfg.BreakerWindow
 	if breakerWin <= 0 {
 		breakerWin = 4
@@ -386,12 +377,10 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Chained scheduling state: the release chain spans the whole stream,
-	// exactly as windows.Run chains homes across a finite sequence. The
-	// mutable conflict index is registered/deregistered per window so
-	// dependency graphs reuse its member-list capacity; the chain checker
-	// independently re-verifies every cut window's feasibility.
+	// exactly as windows.Run chains homes across a finite sequence; the
+	// chain checker independently re-verifies every cut window's
+	// feasibility.
 	chain := schedule.NewChain(metric, cfg.Home, cfg.G.NumNodes())
-	index := tm.NewConflictIndex(cfg.NumObjects)
 	checker := schedule.NewChainChecker(cfg.Home)
 
 	var (
@@ -558,7 +547,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 					if shift > 20 {
 						shift = 20
 					}
-					q.retryAt = clock + backoffBase<<shift
+					q.retryAt = clock + requeueBackoff<<shift
 					if restart != faults.Forever && restart > q.retryAt {
 						q.retryAt = restart
 					}
@@ -631,19 +620,10 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, chain.Homes())
 
-		// Dependency graph over the mutable index: register this
-		// window's members, build, deregister. Cross-window constraints
-		// ride on the chain, not on index edges, so the index only ever
-		// holds the window being cut (and retains member-list capacity
-		// across windows).
-		for i := range in.Txns {
-			index.Add(in.Txns[i].ID, in.Txns[i].Objects)
-		}
-		h := depgraph.BuildOpts(in, nil, depgraph.Options{Index: index})
+		// Dependency graph over the window instance's own index:
+		// cross-window constraints ride on the chain, not on H's edges.
+		h := depgraph.Build(in, nil)
 		local := h.GreedyColor(h.OrderByNode(in))
-		for i := range in.Txns {
-			index.Remove(in.Txns[i].ID, in.Txns[i].Objects)
-		}
 
 		// List-schedule in coloring order (colors, then IDs): each
 		// transaction takes the earliest step after the cut boundary

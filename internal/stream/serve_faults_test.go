@@ -223,7 +223,7 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 			Source:    NewGenerator(xrand.NewDerived(5, "stream", "gen"), g, tm.SingleObject(), 0.6, 160),
 			Verify:    engine.VerifyFast,
 			MaxWindow: 4, QueueCap: 6, Policy: Block,
-			BreakerWindow: 2, InflationTrip: 1.5, InflationReset: 1.2,
+			BreakerWindow: 2, InflationTrip: 1.5,
 			PipelineDepth: 2,
 			Faults: faults.MustFromFaults(
 				faults.Fault{Kind: faults.LinkDown, From: 1, To: 120, U: 3, V: 4},
@@ -279,16 +279,9 @@ func TestServeConfigValidate(t *testing.T) {
 		{"neg-deadline", "Deadline", func(c *Config) { c.Deadline = -time.Second }},
 		{"bad-cancel", "OnCancel", func(c *Config) { c.OnCancel = CancelPolicy(9) }},
 		{"neg-requeue", "MaxRequeue", func(c *Config) { c.MaxRequeue = -1 }},
-		{"neg-backoff", "RequeueBackoff", func(c *Config) { c.RequeueBackoff = -4 }},
 		{"neg-breaker", "BreakerWindow", func(c *Config) { c.BreakerWindow = -1 }},
 		{"neg-trip", "InflationTrip", func(c *Config) { c.InflationTrip = -0.5 }},
-		{"neg-reset", "InflationReset", func(c *Config) { c.InflationReset = -0.5 }},
 		{"nan-trip", "InflationTrip", func(c *Config) { c.InflationTrip = math.NaN() }},
-		{"nan-reset", "InflationReset", func(c *Config) { c.InflationReset = math.NaN() }},
-		{"inverted-thresholds", "InflationReset", func(c *Config) {
-			c.InflationTrip = 1.2
-			c.InflationReset = 1.5
-		}},
 	}
 	for _, tc := range cases {
 		cfg := mkBase()

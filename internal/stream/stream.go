@@ -2,10 +2,9 @@
 // scheduling service, addressing the paper's Section 9 open question of
 // continuous arrival: transactions are admitted from a seeded load
 // generator into a bounded queue with explicit backpressure, cut into
-// rolling scheduling windows over a mutable conflict index (the
-// register/deregister discipline of internal/windows generalized to an
-// unbounded sequence), list-scheduled against the chained object-release
-// state, and executed through the engine pipeline while the next window
+// rolling scheduling windows (the window chaining of internal/windows
+// generalized to an unbounded sequence), list-scheduled against the
+// chained object-release state, and executed through the engine pipeline while the next window
 // fills.
 //
 // All admission, cutting, and scheduling decisions happen on one

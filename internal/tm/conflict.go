@@ -2,41 +2,71 @@ package tm
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // ConflictIndex is the shared object → member-transaction index: for every
 // object o it lists, in ascending TxnID order, the transactions requesting
 // o (the paper's set A_i). It is the single source of conflict information
 // in the repo — the dependency-graph builder (internal/depgraph), the
-// multi-window extension (internal/windows), the online executor
-// (internal/online), and the baseline orderings (internal/baseline) all
-// consume it instead of re-deriving memberships from Txns[].Objects.
+// online executor (internal/online), and the baseline orderings
+// (internal/baseline) all consume it instead of re-deriving memberships
+// from Txns[].Objects.
 //
-// An index is either owned by an Instance (built once, read-only, shared
-// across concurrent engine jobs — see Instance.Index) or free-standing and
-// mutable: NewConflictIndex plus Add/Remove support workloads whose member
-// set evolves, such as the windows extension re-registering each window's
-// transactions instead of rebuilding the index from scratch.
+// The index is immutable compressed sparse row storage: one flat member
+// array, cut per object by one offsets array. An instance embeds its own
+// (see Instance.Index), built once and shared read-only across concurrent
+// engine jobs; IndexTxns builds a free-standing one over any transaction
+// set.
 type ConflictIndex struct {
-	members [][]TxnID
+	// off cuts members: object o's members are members[off[o]:off[o+1]].
+	off     []int32
+	members []TxnID
 }
 
-// NewConflictIndex returns an empty mutable index over numObjects objects.
-func NewConflictIndex(numObjects int) *ConflictIndex {
-	return &ConflictIndex{members: make([][]TxnID, numObjects)}
-}
-
-// IndexTxns bulk-builds the index of a transaction set: members appear in
-// ascending TxnID order because transactions are scanned in ID order.
+// IndexTxns builds the index of a transaction set, which must be in
+// ascending TxnID order.
 func IndexTxns(numObjects int, txns []Txn) *ConflictIndex {
-	ci := NewConflictIndex(numObjects)
+	ci := new(ConflictIndex)
+	ci.fill(numObjects, txns)
+	return ci
+}
+
+// fill builds the index in two allocations. A counting pass sizes each
+// object's member list, endOffsets turns the counts into end offsets, and
+// a backward pass over the transactions places each member just below its
+// object's end — so members come out ascending and the offsets finish as
+// start offsets, with no cursor array.
+func (ci *ConflictIndex) fill(numObjects int, txns []Txn) {
+	off := make([]int32, numObjects+1)
 	for i := range txns {
 		for _, o := range txns[i].Objects {
-			ci.members[o] = append(ci.members[o], txns[i].ID)
+			off[o]++
 		}
 	}
-	return ci
+	members := make([]TxnID, endOffsets(off))
+	for i := len(txns) - 1; i >= 0; i-- {
+		for _, o := range txns[i].Objects {
+			off[o]--
+			members[off[o]] = txns[i].ID
+		}
+	}
+	*ci = ConflictIndex{off: off, members: members}
+}
+
+// endOffsets turns the group counts off[:len(off)−1] into end offsets in
+// place, stores the total in the last cell, and returns it.
+func endOffsets(off []int32) int {
+	var total int
+	for g := range off[:len(off)-1] {
+		total += int(off[g])
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("tm: %d object requests overflow the index's int32 offsets", total))
+		}
+		off[g] = int32(total)
+	}
+	off[len(off)-1] = int32(total)
+	return total
 }
 
 // MemberSource is the read-only view of conflict membership that
@@ -58,58 +88,34 @@ var (
 )
 
 // NumObjects returns the number of objects the index covers.
-func (ci *ConflictIndex) NumObjects() int { return len(ci.members) }
+func (ci *ConflictIndex) NumObjects() int { return len(ci.off) - 1 }
 
 // Members returns the transactions requesting object o, in ascending ID
 // order. The returned slice is the index's own storage: callers must not
-// modify it, and must not retain it across Add/Remove.
-func (ci *ConflictIndex) Members(o ObjectID) []TxnID { return ci.members[o] }
+// modify it.
+func (ci *ConflictIndex) Members(o ObjectID) []TxnID { return ci.members[ci.off[o]:ci.off[o+1]] }
 
 // MaxUse returns ℓ = max_o |Members(o)|, zero for an empty index.
 func (ci *ConflictIndex) MaxUse() int {
 	maxUse := 0
-	for _, ms := range ci.members {
-		if len(ms) > maxUse {
-			maxUse = len(ms)
-		}
+	for o := 1; o < len(ci.off); o++ {
+		maxUse = max(maxUse, int(ci.off[o]-ci.off[o-1]))
 	}
 	return maxUse
 }
 
-// Add registers a transaction as a member of each listed object, keeping
-// member lists sorted. Adding an already-present member is a no-op, so
-// re-registration is idempotent.
-func (ci *ConflictIndex) Add(id TxnID, objects []ObjectID) {
-	for _, o := range objects {
-		ms := ci.members[o]
-		i := sort.Search(len(ms), func(i int) bool { return ms[i] >= id })
-		if i < len(ms) && ms[i] == id {
-			continue
-		}
-		ms = append(ms, 0)
-		copy(ms[i+1:], ms[i:])
-		ms[i] = id
-		ci.members[o] = ms
-	}
-}
-
 // PartitionedView regroups a ConflictIndex's member lists by shard
-// without copying instances: one flat backing array holds every (object,
-// shard) member group contiguously, so ShardView.Members is a
-// zero-allocation subslice lookup and building the view costs one pass
-// over the index. The hierarchical scheduler (internal/hier) builds one
-// view per decomposition and hands each shard's ShardView to the
-// dependency-graph builder in place of the full index.
-//
-// The view is a snapshot: later Add/Remove calls on the source index are
-// not reflected.
+// without copying instances. It is a ConflictIndex over (object, shard)
+// groups, so ShardView.Members is a zero-allocation subslice lookup and
+// building the view costs one pass over the index. The hierarchical
+// scheduler (internal/hier) builds one view per decomposition and hands
+// each shard's ShardView to the dependency-graph builder in place of the
+// full index.
 type PartitionedView struct {
-	shards     int
-	numObjects int
-	flat       []TxnID
-	// off indexes the flat array: the members of object o assigned to
-	// shard s occupy flat[off[o·shards+s]:off[o·shards+s+1]].
-	off []int32
+	shards int
+	// groups holds the members of object o assigned to shard s as its
+	// group o·shards+s.
+	groups ConflictIndex
 }
 
 // Partition splits the index's member lists into shards groups according
@@ -120,51 +126,40 @@ func (ci *ConflictIndex) Partition(shards int, shardOf []int) *PartitionedView {
 	if shards < 1 {
 		panic(fmt.Sprintf("tm: partition into %d shards", shards))
 	}
-	w := len(ci.members)
-	pv := &PartitionedView{shards: shards, numObjects: w, off: make([]int32, w*shards+1)}
-	var total int
-	for _, ms := range ci.members {
-		total += len(ms)
-	}
-	pv.flat = make([]TxnID, total)
-	// Counting pass: group sizes into off (shifted by one for the later
-	// prefix sum).
-	for o, ms := range ci.members {
-		for _, id := range ms {
+	w := ci.NumObjects()
+	off := make([]int32, w*shards+1)
+	for o := 0; o < w; o++ {
+		for _, id := range ci.Members(ObjectID(o)) {
 			s := shardOf[id]
 			if s < 0 || s >= shards {
 				panic(fmt.Sprintf("tm: transaction %d assigned to shard %d of %d", id, s, shards))
 			}
-			pv.off[o*shards+s+1]++
+			off[o*shards+s]++
 		}
 	}
-	for i := 1; i < len(pv.off); i++ {
-		pv.off[i] += pv.off[i-1]
-	}
-	// Scatter pass, stable within each group.
-	cur := make([]int32, w*shards)
-	copy(cur, pv.off[:w*shards])
-	for o, ms := range ci.members {
-		for _, id := range ms {
-			g := o*shards + shardOf[id]
-			pv.flat[cur[g]] = id
-			cur[g]++
+	// As in fill: place each group's members backwards from its end.
+	members := make([]TxnID, endOffsets(off))
+	for o := 0; o < w; o++ {
+		ms := ci.Members(ObjectID(o))
+		for k := len(ms) - 1; k >= 0; k-- {
+			g := o*shards + shardOf[ms[k]]
+			off[g]--
+			members[off[g]] = ms[k]
 		}
 	}
-	return pv
+	return &PartitionedView{shards: shards, groups: ConflictIndex{off: off, members: members}}
 }
 
 // Shards returns the number of shards the view was built with.
 func (pv *PartitionedView) Shards() int { return pv.shards }
 
 // NumObjects returns the number of objects the view covers.
-func (pv *PartitionedView) NumObjects() int { return pv.numObjects }
+func (pv *PartitionedView) NumObjects() int { return pv.groups.NumObjects() / pv.shards }
 
 // Members returns object o's members assigned to shard s, ascending by
 // ID. Zero-allocation; the slice aliases the view's storage.
 func (pv *PartitionedView) Members(s int, o ObjectID) []TxnID {
-	i := int(o)*pv.shards + s
-	return pv.flat[pv.off[i]:pv.off[i+1]]
+	return pv.groups.Members(o*ObjectID(pv.shards) + ObjectID(s))
 }
 
 // View returns shard s's MemberSource over the partitioned index.
@@ -183,22 +178,7 @@ type ShardView struct {
 }
 
 // NumObjects implements MemberSource.
-func (v ShardView) NumObjects() int { return v.pv.numObjects }
+func (v ShardView) NumObjects() int { return v.pv.NumObjects() }
 
 // Members implements MemberSource: object o's members within this shard.
 func (v ShardView) Members(o ObjectID) []TxnID { return v.pv.Members(v.shard, o) }
-
-// Remove deregisters a transaction from each listed object. Removing an
-// absent member is a no-op. The freed capacity is retained, so a
-// Remove/Add cycle over same-sized windows allocates nothing.
-func (ci *ConflictIndex) Remove(id TxnID, objects []ObjectID) {
-	for _, o := range objects {
-		ms := ci.members[o]
-		i := sort.Search(len(ms), func(i int) bool { return ms[i] >= id })
-		if i >= len(ms) || ms[i] != id {
-			continue
-		}
-		copy(ms[i:], ms[i+1:])
-		ci.members[o] = ms[:len(ms)-1]
-	}
-}

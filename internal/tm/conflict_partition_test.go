@@ -7,13 +7,14 @@ import (
 // partitionFixture builds an index over 4 objects and 6 transactions with
 // shard assignment {0,0,1,1,2,2}.
 func partitionFixture() (*ConflictIndex, []int) {
-	ci := NewConflictIndex(4)
-	ci.Add(0, []ObjectID{0, 1})
-	ci.Add(1, []ObjectID{0, 2})
-	ci.Add(2, []ObjectID{0, 1, 3})
-	ci.Add(3, []ObjectID{2})
-	ci.Add(4, []ObjectID{3})
-	ci.Add(5, []ObjectID{0, 3})
+	ci := IndexTxns(4, []Txn{
+		{ID: 0, Objects: []ObjectID{0, 1}},
+		{ID: 1, Objects: []ObjectID{0, 2}},
+		{ID: 2, Objects: []ObjectID{0, 1, 3}},
+		{ID: 3, Objects: []ObjectID{2}},
+		{ID: 4, Objects: []ObjectID{3}},
+		{ID: 5, Objects: []ObjectID{0, 3}},
+	})
 	return ci, []int{0, 0, 1, 1, 2, 2}
 }
 

@@ -44,75 +44,69 @@ func TestInstanceIndexBacksUsers(t *testing.T) {
 	}
 }
 
-func TestConflictIndexAddRemove(t *testing.T) {
-	ci := NewConflictIndex(2)
-	if ci.MaxUse() != 0 {
-		t.Fatalf("empty MaxUse = %d", ci.MaxUse())
-	}
-	// Out-of-order adds keep member lists sorted.
-	ci.Add(5, []ObjectID{0, 1})
-	ci.Add(1, []ObjectID{0})
-	ci.Add(3, []ObjectID{0})
-	if got := ci.Members(0); !slices.Equal(got, []TxnID{1, 3, 5}) {
-		t.Fatalf("Members(0) = %v", got)
-	}
-	// Idempotent re-add.
-	ci.Add(3, []ObjectID{0})
-	if got := ci.Members(0); !slices.Equal(got, []TxnID{1, 3, 5}) {
-		t.Fatalf("Members(0) after re-add = %v", got)
-	}
-	ci.Remove(3, []ObjectID{0})
-	if got := ci.Members(0); !slices.Equal(got, []TxnID{1, 5}) {
-		t.Fatalf("Members(0) after remove = %v", got)
-	}
-	// Removing an absent member is a no-op.
-	ci.Remove(3, []ObjectID{0, 1})
-	if got := ci.Members(1); !slices.Equal(got, []TxnID{5}) {
-		t.Fatalf("Members(1) = %v", got)
-	}
-	if ci.MaxUse() != 2 {
-		t.Fatalf("MaxUse = %d, want 2", ci.MaxUse())
-	}
-}
-
-// TestConflictIndexWindowCycle: deregistering one "window" of transactions
-// and registering another leaves the index identical to a fresh bulk build
-// — the reuse contract the windows extension depends on.
-func TestConflictIndexWindowCycle(t *testing.T) {
+// TestIndexTxnsMatchesReference: the CSR's member lists equal a naive
+// per-object scan on random instances, including objects no transaction
+// requests, transactions that request nothing, and an empty object space.
+func TestIndexTxnsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	const numObjects = 16
-	makeTxns := func() []Txn {
-		txns := make([]Txn, 12)
+	for trial := 0; trial < 200; trial++ {
+		numObjects := r.Intn(20) // 0 included
+		txns := make([]Txn, r.Intn(30))
 		for i := range txns {
-			objs := map[ObjectID]bool{}
-			for len(objs) < 1+r.Intn(3) {
-				objs[ObjectID(r.Intn(numObjects))] = true
-			}
 			txns[i].ID = TxnID(i)
-			for o := range objs {
-				txns[i].Objects = append(txns[i].Objects, o)
+			if numObjects == 0 || r.Intn(4) == 0 {
+				continue // requests nothing
+			}
+			for _, o := range r.Perm(numObjects)[:1+r.Intn(min(numObjects, 4))] {
+				txns[i].Objects = append(txns[i].Objects, ObjectID(o))
 			}
 			sortObjects(txns[i].Objects)
 		}
-		return txns
-	}
-	ci := NewConflictIndex(numObjects)
-	var prev []Txn
-	for window := 0; window < 5; window++ {
-		cur := makeTxns()
-		for i := range prev {
-			ci.Remove(prev[i].ID, prev[i].Objects)
+		ci := IndexTxns(numObjects, txns)
+		if ci.NumObjects() != numObjects {
+			t.Fatalf("trial %d: NumObjects = %d, want %d", trial, ci.NumObjects(), numObjects)
 		}
-		for i := range cur {
-			ci.Add(cur[i].ID, cur[i].Objects)
-		}
-		prev = cur
-		fresh := IndexTxns(numObjects, cur)
+		maxUse := 0
 		for o := 0; o < numObjects; o++ {
-			if !slices.Equal(ci.Members(ObjectID(o)), fresh.Members(ObjectID(o))) {
-				t.Fatalf("window %d object %d: reused index %v != fresh %v",
-					window, o, ci.Members(ObjectID(o)), fresh.Members(ObjectID(o)))
+			var want []TxnID
+			for i := range txns {
+				if txns[i].Uses(ObjectID(o)) {
+					want = append(want, txns[i].ID)
+				}
 			}
+			if got := ci.Members(ObjectID(o)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d object %d: Members = %v, want %v", trial, o, got, want)
+			}
+			maxUse = max(maxUse, len(want))
+		}
+		if ci.MaxUse() != maxUse {
+			t.Fatalf("trial %d: MaxUse = %d, want %d", trial, ci.MaxUse(), maxUse)
+		}
+	}
+}
+
+// TestInstanceIndexAllocs is the CI guard on the embedded index: building
+// an instance's index costs its offsets and its member array, at every
+// size.
+func TestInstanceIndexAllocs(t *testing.T) {
+	for _, n := range []int{2, 16, 1024, 16384} {
+		const runs = 20
+		ins := make([]*Instance, runs+1) // AllocsPerRun adds a warm-up run
+		g := graph.New(n)
+		for i := range ins {
+			txns := make([]Txn, n)
+			for j := range txns {
+				txns[j] = Txn{Node: graph.NodeID(j), Objects: []ObjectID{ObjectID(j / 2), ObjectID(n/2 + j/2)}}
+			}
+			ins[i] = NewInstance(g, nil, n, txns, make([]graph.NodeID, n))
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			ins[next].Index()
+			next++
+		})
+		if allocs != 2 {
+			t.Fatalf("%d transactions: Index() allocated %.1f times, want 2", n, allocs)
 		}
 	}
 }

@@ -8,6 +8,10 @@
 // every scheduler, plus workload generators for each scheduling problem the
 // paper studies (arbitrary k-subsets, uniform-random k-subsets, cluster-
 // local, hotspot/Zipf skew, and the Section 8 adversarial instances).
+// Each instance embeds its conflict index (ConflictIndex): the sets A_i of
+// transactions requesting each object, from which Section 2.3's
+// dependency graph is built, held as one immutable CSR that is built on
+// first use and shared read-only.
 package tm
 
 import (
@@ -57,7 +61,7 @@ type Instance struct {
 	Home []graph.NodeID
 
 	indexOnce sync.Once
-	index     *ConflictIndex // lazily built object → requesting-transaction index
+	index     ConflictIndex // lazily built object → requesting-transaction index
 
 	txnAtOnce sync.Once
 	txnAt     []TxnID // lazily built node → hosted-transaction index (-1 = none)
@@ -118,18 +122,13 @@ func (in *Instance) PrecomputeDistAuto(workers int) bool {
 }
 
 // Index returns the instance's ConflictIndex (object → requesting
-// transactions). It is built on first use and cached; the build is
-// synchronized so instances may be shared across concurrent engine jobs.
-// The returned index is owned by the instance and must be treated as
-// read-only — callers that need a mutable index (evolving member sets)
-// build their own with NewConflictIndex / IndexTxns.
+// transactions). It is built on first use, in two allocations whatever the
+// instance's size, and cached; the build is synchronized so instances may
+// be shared across concurrent engine jobs. The returned index is owned by
+// the instance and is read-only.
 func (in *Instance) Index() *ConflictIndex {
-	in.indexOnce.Do(in.buildIndex)
-	return in.index
-}
-
-func (in *Instance) buildIndex() {
-	in.index = IndexTxns(in.NumObjects, in.Txns)
+	in.indexOnce.Do(func() { in.index.fill(in.NumObjects, in.Txns) })
+	return &in.index
 }
 
 // Users returns the IDs of the transactions requesting object o (the

@@ -49,12 +49,6 @@ func (t *BTree) Graph() *graph.Graph { return t.g }
 // Kind reports KindLBTree's family (a tree).
 func (t *BTree) Kind() Kind { return KindLBTree }
 
-// Branching returns b.
-func (t *BTree) Branching() int { return t.b }
-
-// Depth returns the tree depth.
-func (t *BTree) Depth() int { return t.depth }
-
 // Parent returns the parent of v (the root's parent is the root itself).
 func (t *BTree) Parent(v graph.NodeID) graph.NodeID {
 	if v == 0 {

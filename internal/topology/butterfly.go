@@ -43,9 +43,6 @@ func (b *Butterfly) Kind() Kind { return KindButterfly }
 // Dim returns the butterfly dimension.
 func (b *Butterfly) Dim() int { return b.dim }
 
-// Levels returns dim+1, the number of levels.
-func (b *Butterfly) Levels() int { return b.dim + 1 }
-
 // Rows returns 2^dim, the number of rows.
 func (b *Butterfly) Rows() int { return 1 << b.dim }
 

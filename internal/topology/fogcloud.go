@@ -26,13 +26,12 @@ import (
 type FogCloud struct {
 	g      *graph.Graph
 	fanout []int
-	weight []int64
 
 	tierStart []int          // len tiers+1; tier t is [tierStart[t], tierStart[t+1])
 	parent    []graph.NodeID // parent[0] = 0 (the root is its own parent)
 	tier      []int32        // tier of each node
 	wroot     []int64        // weighted distance to the root
-	down      []int64        // down[t] = Σ weight[t:], the depth below a tier-t node
+	down      []int64        // down[t] = Σ linkWeight[t:], the depth below a tier-t node
 }
 
 // NewFogCloud builds the tree with the given per-tier fan-outs and link
@@ -68,14 +67,13 @@ func NewFogCloud(fanout []int, linkWeight []int64) *FogCloud {
 	fc := &FogCloud{
 		g:         g,
 		fanout:    append([]int(nil), fanout...),
-		weight:    append([]int64(nil), linkWeight...),
 		tierStart: tierStart,
 		parent:    make([]graph.NodeID, n),
 		tier:      make([]int32, n),
 		wroot:     make([]int64, n),
 		down:      make([]int64, tiers),
 	}
-	// down[t] = Σ_{j ≥ t} weight[j]; down[tiers-1] = 0 (leaves have no
+	// down[t] = Σ_{j ≥ t} linkWeight[j]; down[tiers-1] = 0 (leaves have no
 	// subtree below them).
 	for t := tiers - 2; t >= 0; t-- {
 		fc.down[t] = fc.down[t+1] + linkWeight[t]
@@ -129,10 +127,6 @@ func (f *FogCloud) Tiers() int { return len(f.fanout) + 1 }
 // Fanout returns the per-level fan-outs (tier t has fanout[t] children
 // per node).
 func (f *FogCloud) Fanout() []int { return append([]int(nil), f.fanout...) }
-
-// LinkWeights returns the per-level link weights (the tier t ↔ t+1 edge
-// weight).
-func (f *FogCloud) LinkWeights() []int64 { return append([]int64(nil), f.weight...) }
 
 // TierOf returns the tier of node u (0 = cloud root).
 func (f *FogCloud) TierOf(u graph.NodeID) int { return int(f.tier[u]) }
@@ -188,9 +182,6 @@ func (f *FogCloud) Dist(u, v graph.NodeID) int64 {
 	}
 	return f.wroot[u] + f.wroot[v] - 2*f.wroot[f.LCA(u, v)]
 }
-
-// Depth returns u's weighted distance to the cloud root.
-func (f *FogCloud) Depth(u graph.NodeID) int64 { return f.wroot[u] }
 
 // Diameter is realized between two deepest leaves diverging at the
 // highest branching tier t* (2·down[t*]), or along a root-to-leaf path

@@ -68,13 +68,6 @@ func (m *MultiGrid) Graph() *graph.Graph { return m.g }
 // Kind reports KindGrid: the multigrid generalizes the planar mesh.
 func (m *MultiGrid) Kind() Kind { return KindGrid }
 
-// Dims returns a copy of the per-dimension sizes.
-func (m *MultiGrid) Dims() []int {
-	out := make([]int, len(m.dims))
-	copy(out, m.dims)
-	return out
-}
-
 // Coord returns the mixed-radix coordinate of id.
 func (m *MultiGrid) Coord(id graph.NodeID) []int {
 	out := make([]int, len(m.dims))

@@ -86,14 +86,6 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 
 	chain := schedule.NewChain(seq.Metric, seq.Home, seq.G.NumNodes())
 
-	// One mutable conflict index is reused across the whole sequence:
-	// window i's members are deregistered and window i+1's registered in
-	// place, so the per-window dependency graphs are built without
-	// re-deriving object memberships (or reallocating member lists) from
-	// scratch each window.
-	index := tm.NewConflictIndex(seq.NumObjects)
-	var prev *tm.Instance
-
 	// An independent cross-check of the composed sequence: the checker
 	// re-derives the per-object handoff chains and per-node commit
 	// ordering from the schedules alone, so a bookkeeping bug in either
@@ -102,16 +94,7 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	checker := schedule.NewChainChecker(seq.Home)
 
 	for wi, in := range seq.Windows {
-		if prev != nil {
-			for i := range prev.Txns {
-				index.Remove(prev.Txns[i].ID, prev.Txns[i].Objects)
-			}
-		}
-		for i := range in.Txns {
-			index.Add(in.Txns[i].ID, in.Txns[i].Objects)
-		}
-		prev = in
-		h := depgraph.BuildOpts(in, nil, depgraph.Options{Index: index})
+		h := depgraph.Build(in, nil)
 		local := h.GreedyColor(h.OrderByNode(in))
 
 		s := schedule.New(in.NumTxns())

@@ -104,9 +104,6 @@ func GeometricGap(r *rand.Rand, rate float64) int64 {
 	return gap
 }
 
-// Perm fills a deterministic permutation of [0, n) using r.
-func Perm(r *rand.Rand, n int) []int { return r.Perm(n) }
-
 // SampleK returns k distinct integers from [0, n) chosen uniformly at
 // random (a uniform k-subset, as the Grid scheduling problem requires).
 // It panics if k > n. The result is in selection order, not sorted.

@@ -51,11 +51,13 @@ go test ./internal/graph -run '^$' -bench 'BenchmarkDistParallel' -benchtime 1x 
 echo "== conflict-graph layer guards =="
 # Warm CSR queries (Weight/Degree/Neighbors/CheckColoring) must stay
 # zero-alloc, and the parallel build must produce byte-identical CSR
-# storage at every worker count; BenchmarkDepGraphBuild (1k/10k builds at
-# each worker count against the map-based reference builder) must at
-# least compile and run (1 iteration smoke — the speedup is checked with
-# -benchtime).
+# storage at every worker count; an instance's conflict index must cost
+# exactly its two arrays at every size and match a per-object scan;
+# BenchmarkDepGraphBuild (1k/10k builds at each worker count against the
+# map-based reference builder) must at least compile and run (1 iteration
+# smoke — the speedup is checked with -benchtime).
 go test ./internal/depgraph -run 'TestWarmCSRQueriesZeroAlloc|TestBuildDeterministicAcrossWorkers' -count=1
+go test ./internal/tm -run 'TestInstanceIndexAllocs|TestIndexTxnsMatchesReference' -count=1
 go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev/null
 
 echo "== lower-bound oracle guards =="
