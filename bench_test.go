@@ -130,41 +130,32 @@ func cliqueMetricInstance(n, w, k int) *tm.Instance {
 	return tm.UniformK(w, k).Generate(xrand.New(1), g, metric, g.Nodes(), tm.PlaceAtRandomUser)
 }
 
-// BenchmarkDepGraphBuild measures the row-by-row CSR conflict-graph build
-// at 1k and 10k transactions against the retired map-of-maps builder (kept
-// as BuildReference). Rows are sparse (~14 neighbors out of n), so the
-// 10k instance is the regime where a build that scanned all ⌈n/64⌉ bitset
-// words per row would lose; workers=8 exercises the row-sharded fill.
+// BenchmarkDepGraphBuild measures the conflict-graph work at 1k and 10k
+// transactions: the map-of-maps reference H (BuildReference), the summary
+// pass the offline schedulers run, and the ranks pass in node order, which
+// is all a serving window needs. Neighbourhoods are sparse (~14 out of n),
+// as in every scheduler's member lists.
 func BenchmarkDepGraphBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		in := cliqueMetricInstance(n, n/4, 2)
-		in.Index() // warm the shared conflict index: benchmark the build, not indexing
+		in.Index() // warm the shared conflict index: benchmark the passes, not indexing
 		b.Run(fmt.Sprintf("n=%d/mapref", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				depgraph.BuildReference(in, nil)
 			}
 		})
-		for _, workers := range []int{1, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					depgraph.BuildOpts(in, nil, depgraph.Options{Workers: workers})
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkGreedyColor(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		in := cliqueInstance(n, n/4, 2)
-		h := depgraph.Build(in, nil)
-		order := h.OrderByNode(in)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/summary", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				h.GreedyColor(order)
+				depgraph.New(in, nil, in.Index()).Summarize()
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/ranks", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := depgraph.New(in, nil, in.Index())
+				h.Ranks(h.OrderByNode())
 			}
 		})
 	}

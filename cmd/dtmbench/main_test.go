@@ -34,7 +34,7 @@ func TestPublishPrefix(t *testing.T) {
 // snapshots record nothing.
 func TestLedgerRecordFromPipeline(t *testing.T) {
 	r := obs.NewRegistry()
-	h := r.Histogram("txn_latency_steps", nil)
+	h := r.Histogram("txn_latency_steps")
 	steps := r.Counter("sim_steps_total")
 	steps.Add(7)
 	r.Gauge("makespan_steps_max").Max(9)

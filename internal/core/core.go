@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dtmsched/internal/depgraph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 )
@@ -52,17 +51,6 @@ type Scheduler interface {
 	// returned schedule is feasible (schedule.Validate returns nil)
 	// whenever the error is nil.
 	Schedule(in *tm.Instance) (*Result, error)
-}
-
-// addBuildStats accumulates conflict-graph build instrumentation into a
-// scheduler's stats map under the depgraph_* keys the engine and the
-// observability layer read: build count, summed wall nanoseconds, and
-// summed distinct edges. Schedulers that build H several times (Grid per
-// tile, Star per period) call it once per build.
-func addBuildStats(stats map[string]int64, info depgraph.BuildInfo) {
-	stats["depgraph_builds"]++
-	stats["depgraph_build_ns"] += int64(info.Duration)
-	stats["depgraph_edges"] += info.Edges
 }
 
 // Unchecked is implemented by schedulers whose Schedule is

@@ -48,7 +48,7 @@ func TestGreedyOnCliqueWithinGammaPlusOne(t *testing.T) {
 	topo := topology.NewClique(24)
 	in := uniformOn(t, topo, 8, 2, 1)
 	res := mustSchedule(t, in, &Greedy{})
-	h := depgraph.Build(in, nil)
+	h := depgraph.New(in, nil, in.Index()).Summarize()
 	// All objects are homed at requesters, and on a clique the initial
 	// shift is ≤ 1, so makespan ≤ Γ + 2.
 	if res.Makespan > h.WeightedDegree()+2 {

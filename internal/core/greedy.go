@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"time"
 
 	"dtmsched/internal/depgraph"
 	"dtmsched/internal/tm"
@@ -56,12 +57,14 @@ func (g *Greedy) Schedule(in *tm.Instance) (*Result, error) { return Checked(g, 
 
 // ScheduleUnchecked implements Unchecked.
 func (g *Greedy) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
-	h := depgraph.Build(in, nil)
-	order := h.OrderByNode(in)
+	start := time.Now()
+	h := depgraph.New(in, nil, in.Index())
+	sum := h.Summarize()
+	order := h.OrderByNode()
 	switch {
 	case g.Order == OrderDegree:
 		sort.SliceStable(order, func(a, b int) bool {
-			return h.Degree(order[a]) > h.Degree(order[b])
+			return sum.Degree[order[a]] > sum.Degree[order[b]]
 		})
 	case g.Order == OrderRandom || (g.Order == OrderNode && g.Rng != nil):
 		if g.Rng == nil {
@@ -69,16 +72,17 @@ func (g *Greedy) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 		}
 		g.Rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	local := h.GreedyColor(order)
+	local := sum.Times(h.Ranks(order))
+	sum.Duration = time.Since(start)
 
 	c := newComposer(in)
 	c.appendBatch(h.IDs, local)
 	r := newResult(g.Name(), c.finish())
-	r.Stats["hmax"] = h.HMax()
-	r.Stats["maxdeg"] = int64(h.MaxDegree())
-	r.Stats["gamma"] = h.WeightedDegree()
+	r.Stats["hmax"] = sum.HMax
+	r.Stats["maxdeg"] = int64(sum.MaxDegree)
+	r.Stats["gamma"] = sum.WeightedDegree()
 	r.Stats["colors"] = maxOf(local)
-	addBuildStats(r.Stats, h.Info())
+	sum.AddStats(r.Stats)
 	return r, nil
 }
 

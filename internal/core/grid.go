@@ -84,13 +84,12 @@ func (g *Grid) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 		if len(ids) == 0 {
 			continue
 		}
-		h := depgraph.Build(in, ids)
-		local := h.GreedyColor(h.OrderByNode(in))
+		local, sum := depgraph.Color(in, ids, in.Index())
 		before := c.clock
 		c.appendBatch(ids, local)
 		internalSteps += c.clock - before
 		tilesUsed++
-		addBuildStats(r.Stats, h.Info())
+		sum.AddStats(r.Stats)
 	}
 	r.Schedule = c.finish()
 	r.Makespan = r.Schedule.Makespan()

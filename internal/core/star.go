@@ -117,9 +117,9 @@ func (st *Star) run(in *tm.Instance, randomized bool) (*Result, error) {
 			continue
 		}
 		if !randomized {
-			h := depgraph.Build(in, all)
-			c.appendBatch(all, h.GreedyColor(h.OrderByNode(in)))
-			addBuildStats(r.Stats, h.Info())
+			times, sum := depgraph.Color(in, all, in.Index())
+			c.appendBatch(all, times)
+			sum.AddStats(r.Stats)
 			continue
 		}
 		rounds, fb := st.randomizedPeriod(in, c, segs, bySeg)

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -28,57 +29,62 @@ func pathInstance() *tm.Instance {
 
 func TestBuildStructure(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, nil)
+	h := New(in, nil, in.Index())
 	if h.Len() != 5 {
 		t.Fatalf("Len = %d", h.Len())
 	}
+	s := h.Summarize()
 	// Conflicts: {0,1},{0,2},{1,2} via obj0; {2,4} via obj1.
-	if h.Degree(2) != 3 {
-		t.Fatalf("Degree(txn2) = %d, want 3", h.Degree(2))
+	if s.Degree[2] != 3 {
+		t.Fatalf("Degree(txn2) = %d, want 3", s.Degree[2])
 	}
-	if h.Degree(3) != 0 {
-		t.Fatalf("Degree(txn3) = %d, want 0", h.Degree(3))
+	if s.Degree[3] != 0 {
+		t.Fatalf("Degree(txn3) = %d, want 0", s.Degree[3])
 	}
-	if w := h.Weight(0, 2); w != 2 {
-		t.Fatalf("Weight(0,2) = %d, want 2 (distance on the line)", w)
+	if s.Edges != 4 {
+		t.Fatalf("Edges = %d, want 4", s.Edges)
 	}
-	if w := h.Weight(0, 4); w != 0 {
-		t.Fatalf("Weight(0,4) = %d, want 0 (no conflict)", w)
+	ref := BuildReference(in, nil)
+	if w := ref.adj[0][2]; w != 2 {
+		t.Fatalf("reference weight(0,2) = %d, want 2 (distance on the line)", w)
 	}
-	if h.HMax() != 2 {
-		t.Fatalf("HMax = %d, want 2", h.HMax())
+	if _, ok := ref.adj[0][4]; ok {
+		t.Fatal("reference has edge {0,4}, which share no object")
 	}
-	if h.MaxDegree() != 3 {
-		t.Fatalf("MaxDegree = %d", h.MaxDegree())
+	if s.HMax != 2 {
+		t.Fatalf("HMax = %d, want 2", s.HMax)
 	}
-	if h.WeightedDegree() != 6 {
-		t.Fatalf("WeightedDegree = %d, want 6", h.WeightedDegree())
+	if s.MaxDegree != 3 {
+		t.Fatalf("MaxDegree = %d", s.MaxDegree)
+	}
+	if s.WeightedDegree() != 6 {
+		t.Fatalf("WeightedDegree = %d, want 6", s.WeightedDegree())
 	}
 }
 
 func TestBuildSubset(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, []tm.TxnID{0, 1, 4})
+	h := New(in, []tm.TxnID{0, 1, 4}, in.Index())
 	if h.Len() != 3 {
 		t.Fatalf("subset Len = %d", h.Len())
 	}
 	// Only the {0,1} conflict survives (txn2 excluded).
-	if h.MaxDegree() != 1 {
-		t.Fatalf("subset MaxDegree = %d, want 1", h.MaxDegree())
+	s := h.Summarize()
+	if s.MaxDegree != 1 {
+		t.Fatalf("subset MaxDegree = %d, want 1", s.MaxDegree)
 	}
-	if h.HMax() != 1 {
-		t.Fatalf("subset HMax = %d, want 1", h.HMax())
+	if s.HMax != 1 {
+		t.Fatalf("subset HMax = %d, want 1", s.HMax)
 	}
 }
 
 func TestGreedyColorValidAndBounded(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, nil)
-	times := h.GreedyColor(nil)
-	if err := h.CheckColoring(times); err != nil {
+	times, s := Color(in, nil, in.Index())
+	if err := BuildReference(in, nil).CheckColoring(times); err != nil {
 		t.Fatalf("greedy coloring invalid: %v", err)
 	}
-	limit := h.WeightedDegree() + 1
+	limit := s.WeightedDegree() + 1
 	for i, tt := range times {
 		if tt > limit {
 			t.Fatalf("color %d of member %d exceeds Γ+1 = %d", tt, i, limit)
@@ -95,8 +101,7 @@ func TestGreedyColorConflictFree(t *testing.T) {
 		{Node: 1, Objects: []tm.ObjectID{1}},
 		{Node: 2, Objects: []tm.ObjectID{2}},
 	}, []graph.NodeID{0, 1, 2})
-	h := Build(in, nil)
-	times := h.GreedyColor(nil)
+	times, _ := Color(in, nil, in.Index())
 	for _, tt := range times {
 		if tt != 1 {
 			t.Fatalf("conflict-free instance should run entirely at step 1, got %v", times)
@@ -106,7 +111,7 @@ func TestGreedyColorConflictFree(t *testing.T) {
 
 func TestCheckColoringRejects(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, nil)
+	h := BuildReference(in, nil)
 	bad := []int64{1, 1, 2, 1, 5} // txns 0 and 1 conflict at distance 1, same color
 	if err := h.CheckColoring(bad); err == nil {
 		t.Fatal("CheckColoring accepted a clash")
@@ -121,19 +126,19 @@ func TestCheckColoringRejects(t *testing.T) {
 
 func TestGreedyColorPanicsOnBadOrder(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, nil)
+	h := New(in, nil, in.Index())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for short order")
 		}
 	}()
-	h.GreedyColor([]int{0, 1})
+	h.Ranks([]int{0, 1})
 }
 
 func TestOrderByNode(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, []tm.TxnID{4, 0, 2})
-	order := h.OrderByNode(in)
+	h := New(in, []tm.TxnID{4, 0, 2}, in.Index())
+	order := h.OrderByNode()
 	// Members are [4 0 2]; node order 0,2,4 → local indices [1 2 0].
 	want := []int{1, 2, 0}
 	for i := range want {
@@ -166,16 +171,13 @@ func TestGreedyColoringValidProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r)
-		h := Build(in, nil)
-		order := r.Perm(h.Len())
-		times := h.GreedyColor(order)
-		if h.CheckColoring(times) != nil {
+		h := New(in, nil, in.Index())
+		s := h.Summarize()
+		times := s.Times(h.Ranks(r.Perm(h.Len())))
+		if BuildReference(in, nil).CheckColoring(times) != nil {
 			return false
 		}
-		limit := h.WeightedDegree() + 1
-		if limit < 1 {
-			limit = 1
-		}
+		limit := max(s.WeightedDegree()+1, 1)
 		for _, tt := range times {
 			if tt > limit {
 				return false
@@ -188,20 +190,27 @@ func TestGreedyColoringValidProperty(t *testing.T) {
 	}
 }
 
-// TestWeightsSymmetricProperty: edge weights stored in both directions.
+// TestWeightsSymmetricProperty: H is undirected. The reference stores
+// each weight in both directions, and the summary's degrees count every
+// distinct edge from both ends.
 func TestWeightsSymmetricProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r)
-		h := Build(in, nil)
-		for i := 0; i < h.Len(); i++ {
-			for j := 0; j < h.Len(); j++ {
-				if h.Weight(i, j) != h.Weight(j, i) {
+		ref := BuildReference(in, nil)
+		for i, row := range ref.adj {
+			for j, w := range row {
+				if ref.adj[j][i] != w {
 					return false
 				}
 			}
 		}
-		return true
+		s := New(in, nil, in.Index()).Summarize()
+		var sum int64
+		for _, d := range s.Degree {
+			sum += int64(d)
+		}
+		return sum == 2*s.Edges
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -215,30 +224,42 @@ func minInt(a, b int) int {
 	return b
 }
 
-// csrEqual compares two graphs' flat CSR layouts byte for byte (offsets,
-// neighbor rows, weights) plus the derived aggregates.
-func csrEqual(t *testing.T, label string, a, b *DepGraph) {
+// matchReference checks both passes over h against ref, which must hold
+// the same members: per-member degree, Δ, h_max and edge count, then the
+// ranks in order (a permutation) against the reference coloring (times
+// equal, the coloring valid), and that ordering by rank is ordering by
+// time.
+func matchReference(t *testing.T, label string, h *DepGraph, ref *Reference, order []int) {
 	t.Helper()
-	if !slices.Equal(a.rowStart, b.rowStart) {
-		t.Fatalf("%s: rowStart differs", label)
+	s := h.Summarize()
+	mdeg, ends := 0, 0
+	for i, row := range ref.adj {
+		if int(s.Degree[i]) != len(row) {
+			t.Fatalf("%s: member %d has degree %d, want %d", label, i, s.Degree[i], len(row))
+		}
+		mdeg, ends = max(mdeg, len(row)), ends+len(row)
 	}
-	if !slices.Equal(a.nbr, b.nbr) {
-		t.Fatalf("%s: neighbor rows differ", label)
+	if s.MaxDegree != mdeg || s.HMax != ref.hmax || s.Edges != int64(ends/2) {
+		t.Fatalf("%s: Δ/h_max/edges = %d/%d/%d, want %d/%d/%d",
+			label, s.MaxDegree, s.HMax, s.Edges, mdeg, ref.hmax, ends/2)
 	}
-	if !slices.Equal(a.wt, b.wt) {
-		t.Fatalf("%s: edge weights differ", label)
+
+	ranks := h.Ranks(order)
+	times := s.Times(slices.Clone(ranks))
+	if want := ref.GreedyColor(order); !slices.Equal(times, want) {
+		t.Fatalf("%s: times %v, want %v", label, times, want)
 	}
-	if a.hmax != b.hmax || a.mdeg != b.mdeg {
-		t.Fatalf("%s: hmax/mdeg = %d/%d vs %d/%d", label, a.hmax, a.mdeg, b.hmax, b.mdeg)
+	if err := ref.CheckColoring(times); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	if a.NumEdges() != b.NumEdges() {
-		t.Fatalf("%s: edges = %d vs %d", label, a.NumEdges(), b.NumEdges())
+	if !slices.Equal(h.OrderByColor(ranks), h.OrderByColor(times)) {
+		t.Fatalf("%s: ordering by rank differs from ordering by time", label)
 	}
 }
 
-// TestBuildMatchesReference: the parallel CSR build and the pre-CSR
-// map-of-maps reference construct identical graphs on random instances,
-// for full and subset member sets.
+// TestBuildMatchesReference: both passes agree with the map-of-maps
+// reference on random instances, for full and subset member sets, in node
+// order and in a random order.
 func TestBuildMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -249,59 +270,37 @@ func TestBuildMatchesReference(t *testing.T) {
 				ids = append(ids, tm.TxnID(i))
 			}
 		}
-		want := BuildReference(in, ids)
-		got := BuildOpts(in, ids, Options{Workers: 1 + int(seed%4)})
-		csrEqual(t, "seed", got, want)
+		h := New(in, ids, in.Index())
+		order := h.OrderByNode()
+		if seed%2 == 1 {
+			order = r.Perm(h.Len())
+		}
+		matchReference(t, "seed", h, BuildReference(in, ids), order)
 	}
 }
 
-// TestBuildDeterministicAcrossWorkers: the same instance yields identical
-// CSR bytes, Γ, h_max, and greedy coloring at every worker count. Run
-// under -race this also exercises the parallel build for data races.
-func TestBuildDeterministicAcrossWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	// Large enough that the auto policy would genuinely parallelize.
-	n, w, k := 700, 150, 3
-	g := graph.New(n)
-	perm := r.Perm(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[r.Intn(i)]), 1+r.Int63n(4))
-	}
-	in := tm.UniformK(w, k).Generate(r, g, nil, g.Nodes(), tm.PlaceAtRandomUser)
-
-	base := BuildOpts(in, nil, Options{Workers: 1})
-	baseTimes := base.GreedyColor(base.OrderByNode(in))
-	if base.WeightedDegree() == 0 {
-		t.Fatal("degenerate instance: no conflicts")
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		h := BuildOpts(in, nil, Options{Workers: workers})
-		csrEqual(t, "workers", h, base)
-		if h.WeightedDegree() != base.WeightedDegree() {
-			t.Fatalf("workers=%d: Γ = %d, want %d", workers, h.WeightedDegree(), base.WeightedDegree())
-		}
-		if !slices.Equal(h.GreedyColor(h.OrderByNode(in)), baseTimes) {
-			t.Fatalf("workers=%d: greedy coloring differs", workers)
-		}
-	}
-}
-
-// TestBuildExternalIndex: building against a caller-supplied
-// ConflictIndex matches building from the instance's own cached index.
+// TestBuildExternalIndex: reading conflicts from a caller-supplied
+// ConflictIndex gives what the instance's own cached index gives.
 func TestBuildExternalIndex(t *testing.T) {
 	in := pathInstance()
-	index := tm.IndexTxns(in.NumObjects, in.Txns)
-	csrEqual(t, "external index", BuildOpts(in, nil, Options{Index: index}), Build(in, nil))
+	ext := New(in, nil, tm.IndexTxns(in.NumObjects, in.Txns))
+	own := New(in, nil, in.Index())
+	if !reflect.DeepEqual(ext.Summarize(), own.Summarize()) {
+		t.Fatal("summary differs between the external and the instance index")
+	}
+	if !slices.Equal(ext.Ranks(nil), own.Ranks(nil)) {
+		t.Fatal("ranks differ between the external and the instance index")
+	}
 }
 
-// FuzzBuildMatchesReference: the row build equals the map-of-maps
-// reference at 1–4 workers over a shuffled subset of the members (local
-// order ≠ ID order), over every shard of a partitioned index including the
-// cross shard, and over an external index built from the transactions
-// with random members stripped of their objects, whose rows must come out
-// empty. The top two bits of shape pick the
-// instance: up to 26 transactions, 64–263 (rows span several bitset
-// words), or 8192–9191 with sparse rows (several summary words).
+// FuzzBuildMatchesReference: both passes equal the map-of-maps reference
+// (matchReference) over a shuffled subset of the members (local order ≠
+// ID order), over every shard of a partitioned index including the cross
+// shard, and over an external index built from the transactions with
+// random members stripped of their objects, whose degrees must come out
+// zero. The top two bits of shape pick the instance: up to 26
+// transactions, 64–263, or 8192–9191 with sparse neighbourhoods; the low
+// bit picks node order or a random coloring order.
 func FuzzBuildMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -321,7 +320,6 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			in = randomInstance(r)
 		}
 		m := in.NumTxns()
-		workers := 1 + int(shape%4)
 		shuffled := func(keep func(i int) bool) []tm.TxnID {
 			ids := []tm.TxnID{}
 			for _, i := range r.Perm(m) {
@@ -331,9 +329,17 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			}
 			return ids
 		}
+		check := func(label string, h *DepGraph, ref *Reference) {
+			t.Helper()
+			order := h.OrderByNode()
+			if shape&1 != 0 {
+				order = r.Perm(h.Len())
+			}
+			matchReference(t, label, h, ref, order)
+		}
 
 		ids := shuffled(func(int) bool { return r.Intn(4) != 0 })
-		csrEqual(t, "subset", BuildOpts(in, ids, Options{Workers: workers}), BuildReference(in, ids))
+		check("subset", New(in, ids, in.Index()), BuildReference(in, ids))
 
 		// The last shard plays the hierarchical scheduler's cross shard.
 		shards := 2 + int(shape>>2)%4
@@ -344,8 +350,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		pv := in.Index().Partition(shards, shardOf)
 		for s := 0; s < shards; s++ {
 			sids := shuffled(func(i int) bool { return shardOf[i] == s })
-			got := BuildOpts(in, sids, Options{Workers: workers, Index: pv.View(s)})
-			csrEqual(t, "shard", got, BuildReference(in, sids))
+			check("shard", New(in, sids, pv.View(s)), BuildReference(in, sids))
 		}
 
 		// The reference sees a stripped member as requesting nothing.
@@ -355,46 +360,49 @@ func FuzzBuildMatchesReference(f *testing.F) {
 				txns[i].Objects = nil
 			}
 		}
-		index := tm.IndexTxns(in.NumObjects, txns)
 		stripped := tm.NewInstance(in.G, in.Metric, in.NumObjects, txns, in.Home)
-		got := BuildOpts(in, ids, Options{Workers: workers, Index: index})
-		csrEqual(t, "stripped", got, BuildReference(stripped, ids))
+		h := New(in, ids, tm.IndexTxns(in.NumObjects, txns))
+		check("stripped", h, BuildReference(stripped, ids))
+		deg := h.Summarize().Degree
 		for i, id := range ids {
-			if txns[id].Objects == nil && got.Degree(i) != 0 {
-				t.Fatalf("stripped member %d has degree %d", id, got.Degree(i))
+			if txns[id].Objects == nil && deg[i] != 0 {
+				t.Fatalf("stripped member %d has degree %d", id, deg[i])
 			}
 		}
 	})
 }
 
 // TestCheckColoringEdgeCases: empty graphs, single members, and weight-0
-// conflict pairs all round-trip through GreedyColor / CheckColoring.
+// conflict pairs all round-trip through the passes and CheckColoring.
 func TestCheckColoringEdgeCases(t *testing.T) {
 	in := pathInstance()
 
 	t.Run("empty", func(t *testing.T) {
-		h := Build(in, []tm.TxnID{})
-		if h.Len() != 0 || h.HMax() != 0 || h.MaxDegree() != 0 || h.NumEdges() != 0 {
-			t.Fatalf("empty graph: Len=%d HMax=%d Δ=%d edges=%d", h.Len(), h.HMax(), h.MaxDegree(), h.NumEdges())
+		none := []tm.TxnID{}
+		h := New(in, none, in.Index())
+		s := h.Summarize()
+		if h.Len() != 0 || s.HMax != 0 || s.MaxDegree != 0 || s.Edges != 0 {
+			t.Fatalf("empty graph: Len=%d HMax=%d Δ=%d edges=%d", h.Len(), s.HMax, s.MaxDegree, s.Edges)
 		}
-		if err := h.CheckColoring(h.GreedyColor(nil)); err != nil {
+		ref := BuildReference(in, none)
+		if err := ref.CheckColoring(s.Times(h.Ranks(nil))); err != nil {
 			t.Fatalf("empty coloring rejected: %v", err)
 		}
-		if err := h.CheckColoring([]int64{1}); err == nil {
+		if err := ref.CheckColoring([]int64{1}); err == nil {
 			t.Fatal("CheckColoring accepted 1 time for 0 members")
 		}
 	})
 
 	t.Run("single member", func(t *testing.T) {
-		h := Build(in, []tm.TxnID{2})
-		times := h.GreedyColor(nil)
+		times, _ := Color(in, []tm.TxnID{2}, in.Index())
 		if len(times) != 1 || times[0] != 1 {
 			t.Fatalf("single member times = %v, want [1]", times)
 		}
-		if err := h.CheckColoring(times); err != nil {
+		ref := BuildReference(in, []tm.TxnID{2})
+		if err := ref.CheckColoring(times); err != nil {
 			t.Fatalf("single-member coloring rejected: %v", err)
 		}
-		if err := h.CheckColoring([]int64{0}); err == nil {
+		if err := ref.CheckColoring([]int64{0}); err == nil {
 			t.Fatal("CheckColoring accepted time 0")
 		}
 	})
@@ -410,15 +418,15 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 			{Node: 0, Objects: []tm.ObjectID{0}},
 			{Node: 1, Objects: []tm.ObjectID{0}},
 		}, []graph.NodeID{0})
-		h := Build(in0, nil)
-		if h.NumEdges() != 1 || h.HMax() != 0 || h.Degree(0) != 1 {
-			t.Fatalf("weight-0 pair: edges=%d hmax=%d deg0=%d", h.NumEdges(), h.HMax(), h.Degree(0))
+		times, s := Color(in0, nil, in0.Index())
+		if s.Edges != 1 || s.HMax != 0 || s.Degree[0] != 1 {
+			t.Fatalf("weight-0 pair: edges=%d hmax=%d deg0=%d", s.Edges, s.HMax, s.Degree[0])
 		}
-		times := h.GreedyColor(nil)
-		if err := h.CheckColoring(times); err != nil {
+		ref := BuildReference(in0, nil)
+		if err := ref.CheckColoring(times); err != nil {
 			t.Fatalf("weight-0 coloring rejected: %v", err)
 		}
-		if err := h.CheckColoring([]int64{3, 3}); err != nil {
+		if err := ref.CheckColoring([]int64{3, 3}); err != nil {
 			t.Fatalf("equal times rejected across a weight-0 edge: %v", err)
 		}
 	})
@@ -429,7 +437,7 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 // silently producing a partial coloring.
 func TestGreedyColorPartialOrderPanics(t *testing.T) {
 	in := pathInstance()
-	h := Build(in, nil)
+	h := New(in, nil, in.Index())
 	for name, order := range map[string][]int{
 		"short":        {0, 1},
 		"long":         {0, 1, 2, 3, 4, 0},
@@ -440,39 +448,26 @@ func TestGreedyColorPartialOrderPanics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("GreedyColor accepted %s order %v", name, order)
+					t.Fatalf("Ranks accepted %s order %v", name, order)
 				}
 			}()
-			h.GreedyColor(order)
+			h.Ranks(order)
 		})
 	}
 }
 
-// TestWarmCSRQueriesZeroAlloc: warm queries against a built graph are pure
-// slice walks — the CI gate pins 0 allocs/op for Weight, Degree, Neighbors
-// iteration, and CheckColoring.
-func TestWarmCSRQueriesZeroAlloc(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	in := randomInstance(r)
-	h := Build(in, nil)
-	times := h.GreedyColor(nil)
-	var sink int64
-	if allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < h.Len(); i++ {
-			for j := 0; j < h.Len(); j++ {
-				sink += h.Weight(i, j)
-			}
-			sink += int64(h.Degree(i))
-			row, wts := h.Neighbors(i)
-			for e := range row {
-				sink += int64(row[e]) + wts[e]
-			}
+// TestPassAllocs: each pass allocates only its two member-sized slices,
+// whatever the neighbourhood sizes: Ranks its ranks and its used stamps,
+// Summarize its degrees and its seen stamps.
+func TestPassAllocs(t *testing.T) {
+	for _, in := range []*tm.Instance{pathInstance(), randomSized(rand.New(rand.NewSource(3)), 200)} {
+		h := New(in, nil, in.Index())
+		order := h.OrderByNode()
+		if allocs := testing.AllocsPerRun(50, func() { h.Ranks(order) }); allocs != 2 {
+			t.Errorf("%d members: Ranks allocated %.1f times per call, want 2", h.Len(), allocs)
 		}
-		if err := h.CheckColoring(times); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(50, func() { h.Summarize() }); allocs != 2 {
+			t.Errorf("%d members: Summarize allocated %.1f times per call, want 2", h.Len(), allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("warm CSR queries allocated %.1f allocs/op, want 0", allocs)
 	}
-	_ = sink
 }

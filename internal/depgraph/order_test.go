@@ -15,13 +15,13 @@ import (
 
 // refOrderByNode and refOrderByColor are the comparison sorts the counting
 // orders must reproduce exactly, ties included.
-func refOrderByNode(h *DepGraph, in *tm.Instance) []int {
+func refOrderByNode(h *DepGraph) []int {
 	order := make([]int, len(h.IDs))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Compare(in.Txns[h.IDs[a]].Node, in.Txns[h.IDs[b]].Node)
+		return cmp.Compare(h.in.Txns[h.IDs[a]].Node, h.in.Txns[h.IDs[b]].Node)
 	})
 	return order
 }
@@ -55,9 +55,8 @@ func checkOrders(t *testing.T, name string, c orderCase) {
 		}
 		txns[id].Node = c.nodes[i]
 	}
-	in := &tm.Instance{Txns: txns}
-	h := &DepGraph{IDs: c.ids}
-	if got, want := h.OrderByNode(in), refOrderByNode(h, in); !slices.Equal(got, want) {
+	h := &DepGraph{IDs: c.ids, in: &tm.Instance{Txns: txns}}
+	if got, want := h.OrderByNode(), refOrderByNode(h); !slices.Equal(got, want) {
 		t.Fatalf("%s: OrderByNode = %v, want %v", name, got, want)
 	}
 	if got, want := h.OrderByColor(c.colors), refOrderByColor(h, c.colors); !slices.Equal(got, want) {
@@ -190,9 +189,9 @@ func grid16Window() *tm.Instance {
 // the stack, so each call allocates only the order it returns.
 func TestOrdersAllocateOneSlice(t *testing.T) {
 	in := grid16Window()
-	h := Build(in, nil)
-	colors := h.GreedyColor(h.OrderByNode(in))
-	if allocs := testing.AllocsPerRun(100, func() { h.OrderByNode(in) }); allocs != 1 {
+	h := New(in, nil, in.Index())
+	colors := h.Ranks(h.OrderByNode())
+	if allocs := testing.AllocsPerRun(100, func() { h.OrderByNode() }); allocs != 1 {
 		t.Errorf("OrderByNode allocated %.1f times per call, want 1", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { h.OrderByColor(colors) }); allocs != 1 {
@@ -202,12 +201,12 @@ func TestOrdersAllocateOneSlice(t *testing.T) {
 
 var orderSink []int
 
-// BenchmarkOrderByColor orders a serving-sized grid16 window by color, as
+// BenchmarkOrderByColor orders a serving-sized grid16 window by rank, as
 // the serving loop does once per window.
 func BenchmarkOrderByColor(b *testing.B) {
 	in := grid16Window()
-	h := Build(in, nil)
-	colors := h.GreedyColor(h.OrderByNode(in))
+	h := New(in, nil, in.Index())
+	colors := h.Ranks(h.OrderByNode())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

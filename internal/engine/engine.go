@@ -178,9 +178,10 @@ type Timing struct {
 	Verify   time.Duration
 	Measure  time.Duration
 	// DepGraphBuild is the portion of the Schedule stage the scheduler
-	// spent constructing conflict graphs (summed over builds — Grid and
-	// Star build one per tile/period). Zero when the scheduler reports no
-	// build instrumentation (baselines, precomputed schedules).
+	// spent on conflict-graph work, summarizing and coloring H (summed
+	// over graphs — Grid and Star color one per tile/period). Zero when
+	// the scheduler reports no such instrumentation (baselines,
+	// precomputed schedules).
 	DepGraphBuild time.Duration
 	// HierShard and HierMerge split the hierarchical scheduler's Schedule
 	// stage: the parallel per-subtree local phase versus the top-level

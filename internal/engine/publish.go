@@ -32,13 +32,13 @@ func publishStats(reg *obs.Registry, stats map[string]int64) {
 		reg.Counter("depgraph_build_ns_total").Add(ns)
 		reg.Counter("depgraph_builds_total").Add(stats["depgraph_builds"])
 		reg.Counter("depgraph_edges_total").Add(stats["depgraph_edges"])
-		reg.Histogram("depgraph_build_us", nil).Observe(ns / 1000)
-		reg.Histogram("depgraph_edges", nil).Observe(stats["depgraph_edges"])
+		reg.Histogram("depgraph_build_us").Observe(ns / 1000)
+		reg.Histogram("depgraph_edges").Observe(stats["depgraph_edges"])
 		if gamma, ok := stats["gamma"]; ok {
-			reg.Histogram("depgraph_gamma", nil).Observe(gamma)
+			reg.Histogram("depgraph_gamma").Observe(gamma)
 		}
 		if hmax, ok := stats["hmax"]; ok {
-			reg.Histogram("depgraph_hmax", nil).Observe(hmax)
+			reg.Histogram("depgraph_hmax").Observe(hmax)
 		}
 	}
 	if shards, ok := stats["hier_shards"]; ok {
@@ -48,12 +48,12 @@ func publishStats(reg *obs.Registry, stats map[string]int64) {
 		reg.Counter("hier_cross_txns_total").Add(cross)
 		reg.Counter("hier_shard_wall_ns_total").Add(stats["hier_shard_wall_ns"])
 		reg.Counter("hier_merge_wall_ns_total").Add(stats["hier_merge_wall_ns"])
-		reg.Histogram("hier_shards", nil).Observe(shards)
-		reg.Histogram("hier_max_shard_txns", nil).Observe(stats["hier_max_shard_txns"])
-		reg.Histogram("hier_shard_wall_us", nil).Observe(stats["hier_shard_wall_ns"] / 1000)
-		reg.Histogram("hier_merge_wall_us", nil).Observe(stats["hier_merge_wall_ns"] / 1000)
+		reg.Histogram("hier_shards").Observe(shards)
+		reg.Histogram("hier_max_shard_txns").Observe(stats["hier_max_shard_txns"])
+		reg.Histogram("hier_shard_wall_us").Observe(stats["hier_shard_wall_ns"] / 1000)
+		reg.Histogram("hier_merge_wall_us").Observe(stats["hier_merge_wall_ns"] / 1000)
 		if total := local + cross; total > 0 {
-			reg.Histogram("hier_cross_fraction_pct", nil).Observe(100 * cross / total)
+			reg.Histogram("hier_cross_fraction_pct").Observe(100 * cross / total)
 		}
 	}
 }
@@ -79,9 +79,9 @@ func publishLower(reg *obs.Registry, hit bool, wall time.Duration, b *lower.Boun
 	reg.Counter("lower_certified_objects_total").Add(int64(b.CertifiedObjects))
 	reg.Counter("lower_dp_objects_total").Add(int64(b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects))
 	reg.Counter("lower_bounded_objects_total").Add(int64(b.BoundedObjects))
-	reg.Histogram("lower_compute_us", nil).Observe(wall.Microseconds())
-	reg.Histogram("lower_exact_objects", nil).Observe(int64(b.ExactObjects))
-	reg.Histogram("lower_mst_objects", nil).Observe(int64(b.BoundedObjects))
+	reg.Histogram("lower_compute_us").Observe(wall.Microseconds())
+	reg.Histogram("lower_exact_objects").Observe(int64(b.ExactObjects))
+	reg.Histogram("lower_mst_objects").Observe(int64(b.BoundedObjects))
 }
 
 // publishFault records one faulty replay's recovery summary: per-kind
@@ -98,7 +98,7 @@ func publishFault(reg *obs.Registry, fr *faults.Report) {
 	reg.Counter("fault_deferred_moves_total").Add(fr.DeferredMoves)
 	reg.Counter("fault_deferred_commits_total").Add(fr.DeferredCommits)
 	reg.Counter("fault_wasted_comm_total").Add(fr.WastedComm)
-	reg.Histogram("fault_inflation_pct", nil).Observe(int64(fr.Inflation*100 + 0.5))
+	reg.Histogram("fault_inflation_pct").Observe(int64(fr.Inflation*100 + 0.5))
 }
 
 // recordRun records one finished run: latency and travel histograms and
@@ -116,7 +116,7 @@ func recordRun(col *obs.Collector, job int, name, algorithm string, in *tm.Insta
 	}
 	reg.Counter("engine_runs_total").Inc()
 	reg.Counter("engine_runs_total", "algorithm", algorithm).Inc()
-	latency := reg.Histogram("txn_latency_steps", nil)
+	latency := reg.Histogram("txn_latency_steps")
 	for _, t := range s.Times {
 		latency.Observe(t)
 	}
@@ -128,7 +128,7 @@ func recordRun(col *obs.Collector, job int, name, algorithm string, in *tm.Insta
 		reg.Counter("comm_cost_total").Add(simRes.CommCost)
 	}
 
-	travel := reg.Histogram("object_travel_steps", nil)
+	travel := reg.Histogram("object_travel_steps")
 	if !col.Tracing() {
 		if objTravel == nil {
 			objTravel = s.Travel(in)

@@ -1,9 +1,9 @@
 // Package hier implements the hierarchical fog–cloud scheduler: transactions
 // are partitioned by their lowest-common-ancestor subtree at a shard tier of
 // a topology.FogCloud tree, each subtree's purely local conflicts are
-// scheduled independently on a parallel worker pool (each shard building its
-// own dependency-graph CSR over a tm.ShardView of the instance's conflict
-// index), and a top-level merge pass schedules the remaining cross-tier
+// scheduled independently on a parallel worker pool (each shard coloring its
+// own dependency graph straight from a tm.ShardView of the instance's
+// conflict index), and a top-level merge pass schedules the remaining cross-tier
 // transactions after the release points the local phase leaves behind. The
 // approach follows "A Poly-Log Approximation for Transaction Scheduling in
 // Fog-Cloud Computing and Beyond" (Adhikari, Busch, Poudel): subtree-local

@@ -20,8 +20,8 @@ import (
 //
 // The schedule is built in two phases. The local phase decomposes the
 // instance at the shard tier and schedules each subtree's local
-// transactions independently: one dependency-graph CSR per shard, built
-// over that shard's tm.ShardView of the conflict index, greedily colored
+// transactions independently: each shard's dependency graph is greedily
+// colored straight from that shard's tm.ShardView of the conflict index
 // and shifted by the exact per-shard offset that lets every local object
 // reach its first requester from its home. Shards own disjoint node and
 // object sets, so their sub-schedules overlap in time instead of
@@ -49,9 +49,8 @@ func (s *Scheduler) Name() string { return "hier" }
 
 // shardOut is one shard's private result slot.
 type shardOut struct {
-	built bool
-	info  depgraph.BuildInfo
-	span  int64 // completion step of the shard's sub-schedule
+	graph *depgraph.Summary // nil when the shard colored no graph
+	span  int64             // completion step of the shard's sub-schedule
 }
 
 // Schedule implements core.Scheduler.
@@ -114,8 +113,7 @@ func (s *Scheduler) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	mergeStart := time.Now()
 	var mergeOut shardOut
 	if len(d.Cross) > 0 {
-		h := depgraph.BuildOpts(in, d.Cross, depgraph.Options{Workers: workers, Index: pv.View(d.Shards)})
-		local := h.GreedyColor(h.OrderByNode(in))
+		local, sum := depgraph.Color(in, d.Cross, pv.View(d.Shards))
 		delta := chain.Offset(in, d.Cross, local, 0)
 		for i, id := range d.Cross {
 			sched.Times[id] = local[i] + delta
@@ -123,8 +121,7 @@ func (s *Scheduler) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 				mergeOut.span = t
 			}
 		}
-		mergeOut.built = true
-		mergeOut.info = h.Info()
+		mergeOut.graph = &sum
 	}
 	mergeWall := time.Since(mergeStart)
 
@@ -155,10 +152,11 @@ func (s *Scheduler) ScheduleUnchecked(in *tm.Instance) (*core.Result, error) {
 	r.Stats["hier_merge_wall_ns"] = int64(mergeWall)
 	// Conflict-graph build accounting, accumulated in shard order (the
 	// depgraph_* keys the engine and observability layers read).
-	for si := range outs {
-		addBuildStats(r.Stats, outs[si])
+	for _, out := range append(outs, mergeOut) {
+		if out.graph != nil {
+			out.graph.AddStats(r.Stats)
+		}
 	}
-	addBuildStats(r.Stats, mergeOut)
 
 	if err := CrossCheck(d, in); err != nil {
 		return nil, fmt.Errorf("hier: decomposition fails the cross-check: %w", err)
@@ -174,9 +172,7 @@ func scheduleShard(in *tm.Instance, d *Decomposition, pv *tm.PartitionedView, si
 	if len(ids) == 0 {
 		return
 	}
-	// Inner builds run serially: parallelism lives at the shard level.
-	h := depgraph.BuildOpts(in, ids, depgraph.Options{Workers: 1, Index: pv.View(si)})
-	local := h.GreedyColor(h.OrderByNode(in))
+	local, sum := depgraph.Color(in, ids, pv.View(si))
 
 	// Exact home-travel offset: every local object must reach its first
 	// requester from its home. Local objects are shard-private, so shards
@@ -190,17 +186,5 @@ func scheduleShard(in *tm.Instance, d *Decomposition, pv *tm.PartitionedView, si
 		}
 		chain.Commit(in.Txns[id].Node, in.Txns[id].Objects, t)
 	}
-	out.built = true
-	out.info = h.Info()
-}
-
-// addBuildStats accumulates one build's instrumentation under the
-// depgraph_* keys shared with internal/core.
-func addBuildStats(stats map[string]int64, out shardOut) {
-	if !out.built {
-		return
-	}
-	stats["depgraph_builds"]++
-	stats["depgraph_build_ns"] += int64(out.info.Duration)
-	stats["depgraph_edges"] += out.info.Edges
+	out.graph = &sum
 }

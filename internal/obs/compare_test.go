@@ -157,7 +157,7 @@ func TestCompareLatencyPooling(t *testing.T) {
 	// straggler; pooled across two trials the p99 rank lands on the
 	// stragglers, which naive averaging would flatten.
 	reg := NewRegistry()
-	h := reg.Histogram("txn_latency_steps", nil)
+	h := reg.Histogram("txn_latency_steps")
 	h.Observe(1000)
 	for i := 0; i < 49; i++ {
 		h.Observe(2)
@@ -248,7 +248,7 @@ func TestGateNewSeries(t *testing.T) {
 			reg.Counter("widget_total").Add(count)
 			reg.Counter("widget_wall_ns_total").Add(wallNS)
 			for i := 0; i < 10; i++ {
-				reg.Histogram("widget_size", nil).Observe(size)
+				reg.Histogram("widget_size").Observe(size)
 			}
 			rec := RunRecord{Experiment: "widgets", Trial: trial}
 			rec.SetDelta(nil, reg.Snapshot())

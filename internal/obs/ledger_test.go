@@ -184,7 +184,7 @@ func TestHistDelta(t *testing.T) {
 func TestSnapshotValues(t *testing.T) {
 	reg := NewRegistry()
 	for _, v := range []int64{1, 3, 5, 100000} {
-		reg.Histogram("h", nil).Observe(v)
+		reg.Histogram("h").Observe(v)
 	}
 	s := HistDelta(reg.Snapshot()[0], Sample{})
 	if s.Count != 4 || s.Sum != 100009 || s.Max != 100000 {

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -93,37 +94,31 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket histogram: bounds[i] is the inclusive upper
-// bound of bucket i, with one implicit overflow bucket. Observations are
-// atomic adds; there is no locking anywhere on the update path.
+// Histogram is a fixed-bucket histogram over the power-of-two ladder
+// 1, 2, 4, …, 65536, geometric to suit step-valued quantities (latencies,
+// distances) on every topology in the repo: bucket i holds the values in
+// (2^(i−1), 2^i], bucket 0 every value ≤ 1, and one overflow bucket the
+// values above 65536. Observations are atomic adds; there is no locking
+// anywhere on the update path.
 type Histogram struct {
-	bounds  []int64
-	buckets []atomic.Int64 // len(bounds)+1; last = overflow
+	buckets [ladder + 1]atomic.Int64 // last = overflow
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     Gauge
 }
 
-// DefaultBuckets is a geometric 1–65536 ladder suitable for step-valued
-// quantities (latencies, distances) across every topology in the repo.
-var DefaultBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536}
-
-func newHistogram(bounds []int64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultBuckets
-	}
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
-}
+// ladder is the number of bounded buckets: bounds 2^0 … 2^16.
+const ladder = 17
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
+	i := 0
+	if v > 1 {
+		i = min(bits.Len64(uint64(v-1)), ladder) // the least i with v ≤ 2^i
+	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
@@ -163,8 +158,8 @@ func (h *Histogram) freeze() *HistSnapshot {
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
 			le := int64(-1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
+			if i < ladder {
+				le = 1 << i
 			}
 			out.Buckets = append(out.Buckets, Bucket{LE: le, N: n})
 		}
@@ -255,10 +250,8 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name and labels,
-// creating it with the given bucket bounds on first use (nil bounds =
-// DefaultBuckets). Bounds are fixed at creation; later callers share the
-// first histogram regardless of the bounds they pass.
-func (r *Registry) Histogram(name string, bounds []int64, labels ...string) *Histogram {
+// creating it on first use.
+func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -266,7 +259,7 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...string) *His
 	if m, ok := r.m.Load(k); ok {
 		return m.(metric).h
 	}
-	m, _ := r.m.LoadOrStore(k, metric{kind: "histogram", h: newHistogram(bounds)})
+	m, _ := r.m.LoadOrStore(k, metric{kind: "histogram", h: &Histogram{}})
 	return m.(metric).h
 }
 

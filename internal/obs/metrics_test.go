@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -54,22 +56,51 @@ func TestLabelsNormalize(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", []int64{1, 10, 100})
-	for _, v := range []int64{1, 2, 3, 50, 99, 1000} {
+	h := r.Histogram("lat")
+	for _, v := range []int64{1, 9, 10, 50, 99, 70000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 || h.Sum() != 1155 {
-		t.Errorf("count=%d sum=%d, want 6/1155", h.Count(), h.Sum())
+	if h.Count() != 6 || h.Sum() != 70169 {
+		t.Errorf("count=%d sum=%d, want 6/70169", h.Count(), h.Sum())
 	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Errorf("p50 = %d, want 10 (bucket upper bound)", q)
+	if q := h.Quantile(0.5); q != 16 {
+		t.Errorf("p50 = %d, want 16 (bucket upper bound)", q)
 	}
-	if q := h.Quantile(1.0); q != 1000 {
-		t.Errorf("p100 = %d, want observed max 1000", q)
+	if q := h.Quantile(1.0); q != 70000 {
+		t.Errorf("p100 = %d, want observed max 70000", q)
 	}
 	var empty *Histogram
 	if empty.Quantile(0.5) != 0 || empty.Count() != 0 {
 		t.Error("nil histogram should read as zero")
+	}
+
+	// Every value lands in the least ladder bound it does not exceed:
+	// each bound 2^i itself, the value just above it, and values ≤ 1.
+	bucket := func(v int64) int64 {
+		h := r.Histogram("ladder", "v", fmt.Sprint(v))
+		h.Observe(v)
+		return h.freeze().Buckets[0].LE
+	}
+	for _, v := range []int64{math.MinInt64, -3, 0, 1} {
+		if le := bucket(v); le != 1 {
+			t.Errorf("%d landed in le=%d, want 1", v, le)
+		}
+	}
+	for i := 1; i <= 16; i++ {
+		b := int64(1) << i
+		if le := bucket(b); le != b {
+			t.Errorf("%d landed in le=%d, want %d", b, le, b)
+		}
+		want := 2 * b
+		if i == 16 {
+			want = -1 // overflow
+		}
+		if le := bucket(b + 1); le != want {
+			t.Errorf("%d landed in le=%d, want %d", b+1, le, want)
+		}
+	}
+	if le := bucket(math.MaxInt64); le != -1 {
+		t.Errorf("MaxInt64 landed in le=%d, want the overflow bucket", le)
 	}
 }
 
@@ -77,7 +108,7 @@ func TestSnapshotStableOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z").Inc()
 	r.Gauge("a").Set(1)
-	r.Histogram("m", nil).Observe(3)
+	r.Histogram("m").Observe(3)
 	s1, _ := json.Marshal(r.Snapshot())
 	s2, _ := json.Marshal(r.Snapshot())
 	if !bytes.Equal(s1, s2) {
@@ -93,7 +124,7 @@ func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("z", nil).Observe(1)
+	r.Histogram("z").Observe(1)
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot should be nil")
 	}
@@ -109,7 +140,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("hits", "worker", "shared").Inc()
-				r.Histogram("lat", nil).Observe(int64(i % 64))
+				r.Histogram("lat").Observe(int64(i % 64))
 			}
 		}()
 	}
@@ -117,7 +148,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("hits", "worker", "shared").Value(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("lat", nil).Count(); got != 8000 {
+	if got := r.Histogram("lat").Count(); got != 8000 {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
 	}
 }
@@ -163,7 +194,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	r := NewRegistry()
 
 	t.Run("single observation", func(t *testing.T) {
-		h := r.Histogram("single", nil)
+		h := r.Histogram("single")
 		h.Observe(5)
 		for _, q := range []float64{0, 0.5, 1.0} {
 			if got := h.Quantile(q); got != 8 {
@@ -173,30 +204,30 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	})
 
 	t.Run("bucket boundaries", func(t *testing.T) {
-		h := r.Histogram("bounds", []int64{10, 20})
-		for _, v := range []int64{10, 10, 20, 20} {
+		h := r.Histogram("bounds")
+		for _, v := range []int64{8, 8, 16, 16} {
 			h.Observe(v)
 		}
-		// Ranks 1–2 sit in the le=10 bucket, ranks 3–4 in le=20.
-		if got := h.Quantile(0.5); got != 10 {
-			t.Errorf("Quantile(0.5) = %d, want 10 (rank 2 is the last le=10 observation)", got)
+		// Ranks 1–2 sit in the le=8 bucket, ranks 3–4 in le=16.
+		if got := h.Quantile(0.5); got != 8 {
+			t.Errorf("Quantile(0.5) = %d, want 8 (rank 2 is the last le=8 observation)", got)
 		}
-		if got := h.Quantile(0.75); got != 20 {
-			t.Errorf("Quantile(0.75) = %d, want 20 (rank 3 crosses the boundary)", got)
+		if got := h.Quantile(0.75); got != 16 {
+			t.Errorf("Quantile(0.75) = %d, want 16 (rank 3 crosses the boundary)", got)
 		}
-		if got := h.Quantile(1.0); got != 20 {
-			t.Errorf("Quantile(1.0) = %d, want 20", got)
+		if got := h.Quantile(1.0); got != 16 {
+			t.Errorf("Quantile(1.0) = %d, want 16", got)
 		}
 	})
 
 	t.Run("all overflow", func(t *testing.T) {
-		h := r.Histogram("overflow", []int64{10})
-		h.Observe(500)
-		h.Observe(900)
+		h := r.Histogram("overflow")
+		h.Observe(70000)
+		h.Observe(90000)
 		for _, tc := range []struct {
 			q    float64
 			want int64
-		}{{0.5, 900}, {1.0, 900}} {
+		}{{0.5, 90000}, {1.0, 90000}} {
 			if got := h.Quantile(tc.q); got != tc.want {
 				t.Errorf("Quantile(%g) = %d, want observed max %d", tc.q, got, tc.want)
 			}
@@ -204,7 +235,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	})
 
 	t.Run("q=1.0 returns observed max from overflow", func(t *testing.T) {
-		h := r.Histogram("mixed", []int64{10})
+		h := r.Histogram("mixed")
 		h.Observe(3)
 		h.Observe(70000)
 		if got := h.Quantile(1.0); got != 70000 {
@@ -213,7 +244,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		h := r.Histogram("empty", nil)
+		h := r.Histogram("empty")
 		if got := h.Quantile(0.5); got != 0 {
 			t.Errorf("empty histogram Quantile = %d, want 0", got)
 		}

@@ -26,11 +26,11 @@ func promRegistry() *obs.Registry {
 	r.Counter("engine_stage_wall_us", "stage", "schedule").Add(1200)
 	r.Counter("engine_stage_wall_us", "stage", "verify").Add(340)
 	r.Gauge("queue_depth").Set(3)
-	h := r.Histogram("txn_latency_steps", nil)
+	h := r.Histogram("txn_latency_steps")
 	for _, v := range []int64{1, 2, 3, 5, 9, 100, 200000} {
 		h.Observe(v) // 200000 overflows the default 65536 ladder
 	}
-	hg := r.Histogram("move_dist", nil, "topo", "grid")
+	hg := r.Histogram("move_dist", "topo", "grid")
 	for _, v := range []int64{1, 4, 4, 7} {
 		hg.Observe(v)
 	}
@@ -180,7 +180,7 @@ func TestRegistryUpdateZeroAllocDuringScrape(t *testing.T) {
 	r := promRegistry()
 	c := r.Counter("jobs_total")
 	g := r.Gauge("queue_depth")
-	h := r.Histogram("txn_latency_steps", nil)
+	h := r.Histogram("txn_latency_steps")
 
 	snap := r.Snapshot() // scrape begins: snapshot taken, not yet rendered
 	allocs := testing.AllocsPerRun(1000, func() {

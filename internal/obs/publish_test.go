@@ -71,11 +71,11 @@ func TestCollectorRecordRun(t *testing.T) {
 	if got := reg.Counter("engine_runs_total", "algorithm", "test-alg").Value(); got != 1 {
 		t.Errorf("per-algorithm runs = %d, want 1", got)
 	}
-	lat := reg.Histogram("txn_latency_steps", nil)
+	lat := reg.Histogram("txn_latency_steps")
 	if lat.Count() != 3 || lat.Sum() != 10 {
 		t.Errorf("latency histogram count=%d sum=%d, want 3/10", lat.Count(), lat.Sum())
 	}
-	travel := reg.Histogram("object_travel_steps", nil)
+	travel := reg.Histogram("object_travel_steps")
 	if travel.Count() != 1 || travel.Sum() != 5 {
 		t.Errorf("travel histogram count=%d sum=%d, want 1/5", travel.Count(), travel.Sum())
 	}
@@ -118,7 +118,7 @@ func TestCollectorRecordRun(t *testing.T) {
 	// A metrics-only collector observes the same travel without traces.
 	m := obs.NewMetricsCollector()
 	run(t, lineJob(m))
-	if h := m.Registry().Histogram("object_travel_steps", nil); h.Count() != 1 || h.Sum() != 5 {
+	if h := m.Registry().Histogram("object_travel_steps"); h.Count() != 1 || h.Sum() != 5 {
 		t.Errorf("metrics-only travel histogram count=%d sum=%d, want 1/5", h.Count(), h.Sum())
 	}
 }
@@ -189,11 +189,11 @@ func TestCollectorDepGraphBuild(t *testing.T) {
 		t.Errorf("build ns total = %d, want > 0", got)
 	}
 	for name, want := range map[string]int64{"depgraph_edges": edges, "depgraph_gamma": gamma, "depgraph_hmax": hmax} {
-		if h := reg.Histogram(name, nil); h.Count() != 2 || h.Sum() != want {
+		if h := reg.Histogram(name); h.Count() != 2 || h.Sum() != want {
 			t.Errorf("%s histogram count=%d sum=%d, want 2/%d", name, h.Count(), h.Sum(), want)
 		}
 	}
-	if h := reg.Histogram("depgraph_build_us", nil); h.Count() != 2 {
+	if h := reg.Histogram("depgraph_build_us"); h.Count() != 2 {
 		t.Errorf("build_us histogram count=%d, want 2", h.Count())
 	}
 }
@@ -217,10 +217,10 @@ func TestCollectorHier(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if h := reg.Histogram("hier_shards", nil); h.Count() != 1 || h.Sum() != rep.Stats["hier_shards"] {
+	if h := reg.Histogram("hier_shards"); h.Count() != 1 || h.Sum() != rep.Stats["hier_shards"] {
 		t.Errorf("hier_shards histogram count=%d sum=%d, want 1/%d", h.Count(), h.Sum(), rep.Stats["hier_shards"])
 	}
-	if h := reg.Histogram("hier_cross_fraction_pct", nil); h.Count() != 1 || h.Sum() != 100*cross/(local+cross) {
+	if h := reg.Histogram("hier_cross_fraction_pct"); h.Count() != 1 || h.Sum() != 100*cross/(local+cross) {
 		t.Errorf("cross fraction histogram count=%d sum=%d, want 1/%d", h.Count(), h.Sum(), 100*cross/(local+cross))
 	}
 }
@@ -268,7 +268,7 @@ func TestCollectorFaultMetrics(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if h := reg.Histogram("fault_inflation_pct", nil); h.Count() != 1 || h.Sum() != int64(fr.Inflation*100+0.5) {
+	if h := reg.Histogram("fault_inflation_pct"); h.Count() != 1 || h.Sum() != int64(fr.Inflation*100+0.5) {
 		t.Errorf("fault_inflation_pct count=%d sum=%d, want 1/%d", h.Count(), h.Sum(), int64(fr.Inflation*100+0.5))
 	}
 }
@@ -320,10 +320,10 @@ func TestCollectorStreamFaultMetrics(t *testing.T) {
 	if got := reg.Gauge("stream_queue_depth_peak").Value(); got != int64(res.QueuePeak) {
 		t.Errorf("queue depth peak = %d, want %d", got, res.QueuePeak)
 	}
-	if h := reg.Histogram("stream_fault_inflation_pct", nil); h.Count() != int64(res.Windows) {
+	if h := reg.Histogram("stream_fault_inflation_pct"); h.Count() != int64(res.Windows) {
 		t.Errorf("inflation histogram count=%d, want one per window (%d)", h.Count(), res.Windows)
 	}
-	if h := reg.Histogram("stream_txn_response_steps", nil); h.Count() != res.Committed {
+	if h := reg.Histogram("stream_txn_response_steps"); h.Count() != res.Committed {
 		t.Errorf("response histogram count=%d, want one per commit (%d)", h.Count(), res.Committed)
 	}
 }

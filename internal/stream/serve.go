@@ -620,18 +620,18 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, chain.Homes())
 
-		// Dependency graph over the window instance's own index:
+		// Greedy ranks over the window instance's own index:
 		// cross-window constraints ride on the chain, not on H's edges.
-		h := depgraph.Build(in, nil)
-		local := h.GreedyColor(h.OrderByNode(in))
+		h := depgraph.New(in, nil, in.Index())
+		ranks := h.Ranks(h.OrderByNode())
 
-		// List-schedule in coloring order (colors, then IDs): each
+		// List-schedule in coloring order (ranks, then IDs): each
 		// transaction takes the earliest step after the cut boundary
 		// that its objects can reach it and its node is free. Arrivals
 		// need no explicit constraint: every member arrived ≤ clock, so
 		// t ≥ clock+1 > its arrival.
 		s := schedule.New(in.NumTxns())
-		for _, i := range h.OrderByColor(local) {
+		for _, i := range h.OrderByColor(ranks) {
 			txn := &in.Txns[h.IDs[i]]
 			s.Times[txn.ID] = max(chain.Earliest(txn.Node, txn.Objects), clock+1)
 			chain.Commit(txn.Node, txn.Objects, s.Times[txn.ID])
@@ -721,7 +721,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	c := func(name string) func() *obs.Counter { return once(func() *obs.Counter { return reg.Counter(name) }) }
 	g := func(name string) func() *obs.Gauge { return once(func() *obs.Gauge { return reg.Gauge(name) }) }
 	h := func(name string) func() *obs.Histogram {
-		return once(func() *obs.Histogram { return reg.Histogram(name, nil) })
+		return once(func() *obs.Histogram { return reg.Histogram(name) })
 	}
 	return &serveMetrics{
 		admitted: c("stream_admitted_total"), rejected: c("stream_rejected_total"),

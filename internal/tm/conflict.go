@@ -8,7 +8,7 @@ import (
 // ConflictIndex is the shared object → member-transaction index: for every
 // object o it lists, in ascending TxnID order, the transactions requesting
 // o (the paper's set A_i). It is the single source of conflict information
-// in the repo — the dependency-graph builder (internal/depgraph), the
+// in the repo — the dependency-graph passes (internal/depgraph), the
 // online executor (internal/online), and the baseline orderings
 // (internal/baseline) all consume it instead of re-deriving memberships
 // from Txns[].Objects.
@@ -70,7 +70,7 @@ func endOffsets(off []int32) int {
 }
 
 // MemberSource is the read-only view of conflict membership that
-// consumers accept (the dependency-graph builder in particular): the
+// consumers accept (the dependency-graph passes in particular): the
 // object count plus each object's member transactions in ascending ID
 // order. *ConflictIndex implements it directly; ShardView implements it
 // for one shard of a PartitionedView.

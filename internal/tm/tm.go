@@ -10,7 +10,7 @@
 // local, hotspot/Zipf skew, and the Section 8 adversarial instances).
 // Each instance embeds its conflict index (ConflictIndex): the sets A_i of
 // transactions requesting each object, from which Section 2.3's
-// dependency graph is built, held as one immutable CSR that is built on
+// dependency graph is read, held as one immutable CSR that is built on
 // first use and shared read-only.
 package tm
 

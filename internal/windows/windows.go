@@ -94,15 +94,15 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	checker := schedule.NewChainChecker(seq.Home)
 
 	for wi, in := range seq.Windows {
-		h := depgraph.Build(in, nil)
-		local := h.GreedyColor(h.OrderByNode(in))
+		h := depgraph.New(in, nil, in.Index())
+		ranks := h.Ranks(h.OrderByNode())
 
 		s := schedule.New(in.NumTxns())
 		if pipelined {
 			// Cross-window list scheduling: process this window's
 			// transactions in coloring order; each takes the earliest
 			// step after its objects can arrive and its node is free.
-			for _, i := range h.OrderByColor(local) {
+			for _, i := range h.OrderByColor(ranks) {
 				txn := &in.Txns[h.IDs[i]]
 				s.Times[txn.ID] = chain.Earliest(txn.Node, txn.Objects)
 				chain.Commit(txn.Node, txn.Objects, s.Times[txn.ID])
@@ -111,6 +111,7 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 			// Barrier: one shift past every earlier window's last commit
 			// plus the exact object and node constraints (the composer
 			// pattern).
+			local := h.Summarize().Times(ranks)
 			delta := chain.Offset(in, h.IDs, local, res.Makespan)
 			for i, id := range h.IDs {
 				txn := &in.Txns[id]

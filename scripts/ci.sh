@@ -49,14 +49,13 @@ go test ./internal/graph -run 'TestPrecomputedDistZeroAlloc|TestWarmTreeDistZero
 go test ./internal/graph -run '^$' -bench 'BenchmarkDistParallel' -benchtime 1x -count=1 >/dev/null
 
 echo "== conflict-graph layer guards =="
-# Warm CSR queries (Weight/Degree/Neighbors/CheckColoring) must stay
-# zero-alloc, and the parallel build must produce byte-identical CSR
-# storage at every worker count; an instance's conflict index must cost
-# exactly its two arrays at every size and match a per-object scan;
-# BenchmarkDepGraphBuild (1k/10k builds at each worker count against the
-# map-based reference builder) must at least compile and run (1 iteration
-# smoke — the speedup is checked with -benchtime).
-go test ./internal/depgraph -run 'TestWarmCSRQueriesZeroAlloc|TestBuildDeterministicAcrossWorkers' -count=1
+# The ranks and summary passes must each allocate only their two
+# member-sized slices, and both must match the map-based reference H; an
+# instance's conflict index must cost exactly its two arrays at every
+# size and match a per-object scan; BenchmarkDepGraphBuild (1k/10k: the
+# reference, the summary pass and the ranks pass) must at least compile
+# and run (1 iteration smoke — timings are checked with -benchtime).
+go test ./internal/depgraph -run 'TestPassAllocs|TestBuildMatchesReference' -count=1
 go test ./internal/tm -run 'TestInstanceIndexAllocs|TestIndexTxnsMatchesReference' -count=1
 go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev/null
 
@@ -213,9 +212,9 @@ echo "== jump-ahead source fuzz smoke =="
 go test ./internal/xrand -run '^$' -fuzz FuzzJumpSource -fuzztime 10s
 
 echo "== conflict-graph differential fuzz smoke =="
-# The row-by-row conflict-graph build must equal the map-of-maps
-# reference over shuffled member subsets at 1–4 workers, over every shard
-# of a partitioned index, and over an index with members removed.
+# The ranks and summary passes must equal the map-of-maps reference H and
+# its greedy coloring over shuffled member subsets, over every shard of a
+# partitioned index, and over an index with members removed.
 go test ./internal/depgraph -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 10s
 
 echo "== serve-mode smoke =="
