@@ -90,7 +90,7 @@ func runServeCmd(args []string) error {
 	// TotalMS) covers everything the user waits for, chaos-plan
 	// generation included.
 	start := time.Now()
-	var inj faults.Injector
+	var inj *faults.Plan
 	if spec.Rate > 0 {
 		chaosSeed := spec.Seed
 		if chaosSeed == 0 {

@@ -77,15 +77,15 @@ type JobResult struct {
 	Err error
 }
 
-// RunBatch fans jobs out over a bounded worker pool. It always returns one
-// JobResult per job, in job order, regardless of completion order. A
-// panicking job fails its own result, not the sweep. Cancelling the
-// context returns promptly: running jobs stop at their next stage
-// boundary, unstarted jobs are marked with the context error, and all
-// workers are joined before returning (no goroutine leaks — except
-// attempts abandoned by Options.Deadline, which exit at their next stage
-// boundary). The returned error is the context's error, if any; per-job
-// failures are reported only through the results.
+// RunBatch fans jobs out over a bounded worker pool whose first worker is
+// the calling goroutine. It always returns one JobResult per job, in job
+// order, regardless of completion order. A panicking job fails its own
+// result, not the sweep. Cancelling the context returns promptly: running
+// jobs stop at their next stage boundary, unstarted jobs are marked with
+// the context error, and all workers are joined before returning (no
+// goroutine leaks — except attempts abandoned by Options.Deadline, which
+// exit at their next stage boundary). The returned error is the context's
+// error, if any; per-job failures are reported only through the results.
 func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -105,32 +105,38 @@ func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error)
 	}
 	results := make([]JobResult, len(jobs))
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				results[i] = JobResult{Index: i, Name: jobs[i].Name, Err: err}
+				continue // drain remaining jobs as cancelled
+			}
+			job := jobs[i]
+			col := job.Collector
+			if col == nil {
+				col = opt.Collector
+			}
+			if job.LowerOracle == nil {
+				job.LowerOracle = oracle
+			}
+			results[i] = runJob(ctx, i, job, combineHooks(job.Hook, opt.Hook), col, opt)
+		}
+	}
+	// The caller is one of the workers, so a one-worker batch (every
+	// serving window) starts no goroutine and grows no fresh stack.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = JobResult{Index: i, Name: jobs[i].Name, Err: err}
-					continue // drain remaining jobs as cancelled
-				}
-				job := jobs[i]
-				col := job.Collector
-				if col == nil {
-					col = opt.Collector
-				}
-				if job.LowerOracle == nil {
-					job.LowerOracle = oracle
-				}
-				results[i] = runJob(ctx, i, job, combineHooks(job.Hook, opt.Hook), col, opt)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return results, ctx.Err()
 }
@@ -182,15 +188,15 @@ func runAttempt(ctx context.Context, i int, job Job, hook Hook, col *obs.Collect
 		return runRecover(ctx, i, job, hook, col)
 	}
 	jctx, cancel := context.WithTimeout(ctx, deadline)
+	// Only the waiting side cancels jctx: were the attempt's goroutine to
+	// cancel it on return, its result and jctx.Done would both be ready to
+	// the select below, and a finished job could read as an overrun.
+	defer cancel()
 	start := time.Now()
 	done := make(chan JobResult, 1) // buffered: the late sender never blocks
-	go func() {
-		defer cancel()
-		done <- runRecover(jctx, i, job, hook, col)
-	}()
+	go func() { done <- runRecover(jctx, i, job, hook, col) }()
 	select {
 	case res := <-done:
-		cancel()
 		return res
 	case <-jctx.Done():
 		err := fmt.Errorf("engine: job %d (%s) exceeded the %v deadline: %w", i, job.Name, deadline, jctx.Err())

@@ -149,15 +149,15 @@ type Job struct {
 	// nil. Cache hits are visible on the collector's lower_* counters —
 	// never on the Report, which stays byte-identical either way.
 	LowerOracle *lower.Oracle
-	// Faults, when set to a non-empty injector, replays the schedule
-	// under fault injection in the Verify stage: sim.Run re-dispatches
-	// dropped moves with backoff, reroutes around dead links, and defers
-	// commits on crashed nodes. The recovery summary
-	// lands in Report.Fault and the collector's fault_* counters. A
-	// non-empty injector forces the faulty simulation even under
-	// VerifyFast / VerifyOff (injection is meaningless without a replay);
-	// Report.Counters still stays zero outside VerifyFull.
-	Faults faults.Injector
+	// Faults, when set to a non-empty plan, replays the schedule under
+	// fault injection in the Verify stage: sim.Run re-dispatches dropped
+	// moves with backoff, reroutes around dead links, and defers commits
+	// on crashed nodes. The recovery summary lands in Report.Fault and the
+	// collector's fault_* counters. Jobs may share one plan. A non-empty
+	// plan forces the faulty simulation even under VerifyFast / VerifyOff
+	// (injection is meaningless without a replay); Report.Counters still
+	// stays zero outside VerifyFull.
+	Faults *faults.Plan
 	// Hook, when set, observes this job's stage completions (in addition
 	// to any batch-level hook).
 	Hook Hook
@@ -356,7 +356,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 	}
 	// Fault injection always replays the schedule, whatever the verify
 	// policy: the replay is the measurement.
-	if job.Verify == VerifyFull || (job.Faults != nil && !job.Faults.Empty()) {
+	if job.Verify == VerifyFull || !job.Faults.Empty() {
 		var err error
 		simRes, err = sim.Run(in, rep.Schedule, sim.Options{Trace: col.Tracing(), Faults: job.Faults})
 		if err != nil {

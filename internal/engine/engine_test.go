@@ -254,6 +254,46 @@ func TestRunBatchPanicRecovery(t *testing.T) {
 	}
 }
 
+// goroutineID returns the calling goroutine's number, read from the
+// "goroutine N [running]:" header of its stack trace.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestRunBatchOneWorkerRunsOnCaller: a one-worker batch runs every job on
+// the calling goroutine, so serving, which runs one such batch per
+// window, starts no goroutine per window. A panic there still fails only
+// its own job.
+func TestRunBatchOneWorkerRunsOnCaller(t *testing.T) {
+	caller := goroutineID()
+	var ran []string
+	hook := func(ev Event) { ran = append(ran, goroutineID()) }
+	jobs := []Job{
+		{Name: "ok1", Gen: cliqueGen(16, 4, 2, 1), Scheduler: &core.Greedy{}},
+		{Name: "boom", Gen: cliqueGen(16, 4, 2, 1), Scheduler: panicScheduler{}},
+		{Name: "ok2", Gen: cliqueGen(16, 4, 2, 1), Scheduler: &core.Greedy{}},
+	}
+	results, err := RunBatch(context.Background(), jobs, Options{Workers: 1, Hook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err != nil || results[2].Err != nil {
+		t.Errorf("healthy jobs failed: %v / %v", results[0].Err, results[2].Err)
+	}
+	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panicked") {
+		t.Errorf("panicking job error = %v, want recovered panic", results[1].Err)
+	}
+	if len(ran) == 0 {
+		t.Fatal("hook never ran")
+	}
+	for _, id := range ran {
+		if id != caller {
+			t.Fatalf("a job stage ran on goroutine %s, want the caller's %s", id, caller)
+		}
+	}
+}
+
 // TestRunBatchCancellation: cancelling mid-batch returns promptly with
 // partial results, marks unstarted jobs with the context error, and leaks
 // no goroutines.

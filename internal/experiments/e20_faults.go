@@ -78,14 +78,14 @@ func runE20(cfg Config) (*Result, error) {
 	}
 
 	// Phase 2: one engine job per (setup, rate, trial), fanned out over
-	// the worker pool. Rate 0 gets no injector, so it exercises the plain
+	// the worker pool. Rate 0 gets no plan, so it exercises the plain
 	// fault-free replay path.
 	var jobs []engine.Job
 	for _, su := range setups {
 		for ri, rate := range rates {
 			for trial := 0; trial < cfg.Trials; trial++ {
 				b := bases[su.name][trial]
-				var inj faults.Injector
+				var inj *faults.Plan
 				if rate > 0 {
 					plan, err := faults.New(faults.Config{
 						Seed:         xrand.Derive(cfg.Seed, "E20", su.name, fmt.Sprint(rate), fmt.Sprint(trial)),
@@ -132,7 +132,7 @@ func runE20(cfg Config) (*Result, error) {
 				i++
 				fr := rep.Fault
 				if rate == 0 {
-					// The fault-free column: no injector, so no report —
+					// The fault-free column: no plan, so no report —
 					// and the replay must land exactly on the plan.
 					if fr != nil || rep.Counters.SimSteps != rep.Makespan {
 						zeroExact = false

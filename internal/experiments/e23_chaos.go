@@ -104,7 +104,7 @@ func runE23(cfg Config) (*Result, error) {
 				}
 				if chaosRate == 0 {
 					// The chaos-off column must be the plain fault-free
-					// service: replay without any injector and compare
+					// service: replay without any plan and compare
 					// digests bit-for-bit.
 					clean, err := serveOnce(su, -1, trial) // -1 skips NewChaos entirely
 					if err != nil {

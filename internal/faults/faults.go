@@ -9,8 +9,8 @@
 //
 // All randomness is rooted in an explicit seed (never wall-clock): the same
 // seed always yields the same Plan, and a Plan's answers depend only on its
-// faults, never on query order. Injectors compose, so tests can overlay a
-// scripted fault sequence on a rate-generated background plan.
+// faults, never on query order. To overlay a scripted fault sequence on a
+// rate-generated background, build one plan from both fault lists.
 package faults
 
 import (
@@ -84,37 +84,6 @@ type Fault struct {
 	Factor int64
 }
 
-// Injector is the fault state a faulty simulation consults. Implementations
-// must be deterministic (answers depend only on the arguments) and safe for
-// concurrent readers, because engine jobs may share one injector.
-//
-// The step arguments let custom injectors vary state over time, but the
-// contract is piecewise-constant state: between two consecutive Boundaries
-// entries every answer must stay fixed. The simulator relies on this to
-// make a partitioned move wait for the next boundary (the first step at
-// which connectivity can return) and to size its step limit.
-type Injector interface {
-	// Empty reports whether the injector can never fire; an empty
-	// injector leaves a sim.Run replay fault-free.
-	Empty() bool
-	// Count is the number of scripted faults (rate-based move drops are
-	// uncounted: they surface as retries in the report).
-	Count() int
-	// Boundaries returns the sorted ascending steps at which interval
-	// fault state may change (fault starts and finite ends).
-	Boundaries() []int64
-	// LinkFactor returns the delay multiplier of link {u, v} at step:
-	// 1 healthy, 0 down, > 1 slowed. Overlapping faults multiply,
-	// saturating at MaxLinkFactor; a down fault dominates.
-	LinkFactor(u, v graph.NodeID, step int64) int64
-	// NodeDownUntil reports whether node v is crashed at step and, if so,
-	// the step at which it restarts (Forever = never).
-	NodeDownUntil(v graph.NodeID, step int64) (restart int64, down bool)
-	// DropMove reports whether the seq-th dispatch attempt of object o,
-	// departing at step, is lost in transit.
-	DropMove(o tm.ObjectID, seq int, step int64) bool
-}
-
 // MaxLinkFactor caps the product of overlapping slowdowns. Without the
 // cap enough overlapping factors wrap the int64 product to zero (a slowed
 // link would read as down) or to a negative value. Generated plans never
@@ -165,22 +134,24 @@ type linkStep struct{ at, factor int64 }
 // per interval fault (see buildFilter).
 const filterSlack = 64
 
-// Plan is the standard Injector: a fixed fault list with precomputed
-// lookups, plus an optional probabilistic per-dispatch drop rate resolved
-// by seeded hashing (deterministic and independent of query order). Build
-// one from explicit faults with FromFaults or from rates with New.
+// Plan is the fault state a faulty simulation consults: a fixed fault
+// list with precomputed lookups, plus an optional probabilistic
+// per-dispatch drop rate resolved by seeded hashing (deterministic and
+// independent of query order). Build one from explicit faults with
+// FromFaults or from rates with New. A nil *Plan is a valid, empty plan.
 //
-// A plan never changes once built, so its interval lookups are flat
-// arrays (DESIGN.md §7). Node v's merged crash spans and the factor
-// timeline of every faulted link (a CSR keyed by the smaller endpoint)
-// are each found by one binary search, behind a health filter: one bitset
-// row per power-of-two bucket of steps, with a bit per node and per link
-// that is set when the site is anything but healthy somewhere in the
-// bucket. A clear bit answers "healthy" without touching the spans. The
-// arrays are sized by the largest node ID the plan's interval faults
-// name, as they would be for a graph with that many nodes (FromFaults
-// rejects IDs at or past math.MaxInt32); queries about IDs outside that
-// range (negative ones included) answer healthy.
+// A plan never changes once built, so engine jobs may share one without
+// locking, and its interval lookups are flat arrays (DESIGN.md §7).
+// Node v's merged crash spans and the factor timeline of every faulted
+// link (a CSR keyed by the smaller endpoint) are each found by one binary
+// search, behind a health filter: one bitset row per power-of-two bucket
+// of steps, with a bit per node and per link that is set when the site is
+// anything but healthy somewhere in the bucket. A clear bit answers
+// "healthy" without touching the spans. The arrays are sized by the
+// largest node ID the plan's interval faults name, as they would be for a
+// graph with that many nodes (FromFaults rejects IDs at or past
+// math.MaxInt32); queries about IDs outside that range (negative ones
+// included) answer healthy.
 type Plan struct {
 	faults     []Fault
 	boundaries []int64
@@ -532,15 +503,14 @@ func mergeSpans(spans []span) []span {
 // Faults returns the plan's scripted faults (read-only).
 func (p *Plan) Faults() []Fault { return p.faults }
 
-// DropRate returns the probabilistic per-dispatch drop rate (0 = none).
-func (p *Plan) DropRate() float64 { return p.dropRate }
-
-// Empty implements Injector.
+// Empty reports whether the plan can never fire (a nil plan never does);
+// an empty plan leaves a sim.Run replay fault-free.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.faults) == 0 && p.dropRate == 0)
 }
 
-// Count implements Injector.
+// Count is the number of scripted faults (rate-based move drops are
+// uncounted: they surface as retries in the report).
 func (p *Plan) Count() int {
 	if p == nil {
 		return 0
@@ -548,7 +518,12 @@ func (p *Plan) Count() int {
 	return len(p.faults)
 }
 
-// Boundaries implements Injector.
+// Boundaries returns the sorted ascending steps at which interval fault
+// state may change (fault starts and finite ends). The state is piecewise
+// constant: between two consecutive boundaries every LinkFactor and
+// NodeDownUntil answer stays fixed. The simulator relies on this to make
+// a partitioned move wait for the next boundary (the first step at which
+// connectivity can return) and to size its step limit.
 func (p *Plan) Boundaries() []int64 {
 	if p == nil {
 		return nil
@@ -556,9 +531,11 @@ func (p *Plan) Boundaries() []int64 {
 	return p.boundaries
 }
 
-// LinkFactor implements Injector: the link's CSR slot, its filter bit,
-// then a binary search of its timeline for the last entry at or before
-// step.
+// LinkFactor returns the delay multiplier of link {u, v} at step: 1
+// healthy, 0 down, > 1 slowed. Overlapping faults multiply, saturating at
+// MaxLinkFactor; a down fault dominates. The lookup is the link's CSR
+// slot, its filter bit, then a binary search of its timeline for the last
+// entry at or before step.
 func (p *Plan) LinkFactor(u, v graph.NodeID, step int64) int64 {
 	if p == nil || len(p.linkNbr) == 0 {
 		return 1
@@ -591,10 +568,11 @@ func (p *Plan) LinkFactor(u, v graph.NodeID, step int64) int64 {
 	return p.timeline[lo-1].factor
 }
 
-// NodeDownUntil implements Injector: the node's filter bit, then a binary
-// search of its merged crash spans for the first one ending after step.
-// Merged spans neither overlap nor touch, so that span's end is the true
-// restart step.
+// NodeDownUntil reports whether node v is crashed at step and, if so, the
+// step at which it restarts (Forever = never). The lookup is the node's
+// filter bit, then a binary search of its merged crash spans for the first
+// one ending after step. Merged spans neither overlap nor touch, so that
+// span's end is the true restart step.
 func (p *Plan) NodeDownUntil(v graph.NodeID, step int64) (int64, bool) {
 	if p == nil || len(p.crashes) == 0 || v < 0 || int(v) >= p.nodes || !p.flagged(int(v), step) {
 		return 0, false
@@ -615,9 +593,11 @@ func (p *Plan) NodeDownUntil(v graph.NodeID, step int64) (int64, bool) {
 	return 0, false
 }
 
-// DropMove implements Injector: scripted drops fire on their exact (object,
-// seq) pair; the probabilistic rate hashes (seed, object, seq) so the
-// decision is reproducible and independent of when the dispatch happens.
+// DropMove reports whether the seq-th dispatch attempt of object o,
+// departing at step, is lost in transit. Scripted drops fire on their
+// exact (object, seq) pair; the probabilistic rate hashes (seed, object,
+// seq) so the decision is reproducible and independent of when the
+// dispatch happens.
 func (p *Plan) DropMove(o tm.ObjectID, seq int, step int64) bool {
 	if p == nil {
 		return false
@@ -663,90 +643,4 @@ func hashUnit(seed, a, b int64) float64 {
 	h := uint64(xrand.NewKey(seed).Word(a).Word(b).Label(""))
 	// Use the top 53 bits for a full-precision float in [0, 1).
 	return float64(h>>11) / float64(1<<53)
-}
-
-// compose overlays several injectors.
-type compose struct {
-	injs       []Injector
-	boundaries []int64
-}
-
-// Compose overlays injectors: link factors multiply (down dominates), node
-// crashes and move drops union, boundaries merge. Nil and empty injectors
-// are skipped; composing zero live injectors yields an empty plan, and a
-// single live injector is returned as-is.
-func Compose(injs ...Injector) Injector {
-	live := make([]Injector, 0, len(injs))
-	for _, in := range injs {
-		if in != nil && !in.Empty() {
-			live = append(live, in)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return (*Plan)(nil)
-	case 1:
-		return live[0]
-	}
-	var bounds []int64
-	for _, in := range live {
-		bounds = append(bounds, in.Boundaries()...)
-	}
-	slices.Sort(bounds)
-	return &compose{injs: live, boundaries: slices.Compact(bounds)}
-}
-
-// Empty implements Injector.
-func (c *compose) Empty() bool { return false }
-
-// Count implements Injector.
-func (c *compose) Count() int {
-	total := 0
-	for _, in := range c.injs {
-		total += in.Count()
-	}
-	return total
-}
-
-// Boundaries implements Injector.
-func (c *compose) Boundaries() []int64 { return c.boundaries }
-
-// LinkFactor implements Injector.
-func (c *compose) LinkFactor(u, v graph.NodeID, step int64) int64 {
-	factor := int64(1)
-	for _, in := range c.injs {
-		f := in.LinkFactor(u, v, step)
-		if f == 0 {
-			return 0
-		}
-		factor = mulFactor(factor, f)
-	}
-	return factor
-}
-
-// NodeDownUntil implements Injector: the latest restart among injectors
-// reporting the node down. The simulator re-queries after advancing, so
-// staggered overlapping crashes resolve over successive calls.
-func (c *compose) NodeDownUntil(v graph.NodeID, step int64) (int64, bool) {
-	var restart int64
-	down := false
-	for _, in := range c.injs {
-		if r, d := in.NodeDownUntil(v, step); d {
-			down = true
-			if r > restart {
-				restart = r
-			}
-		}
-	}
-	return restart, down
-}
-
-// DropMove implements Injector.
-func (c *compose) DropMove(o tm.ObjectID, seq int, step int64) bool {
-	for _, in := range c.injs {
-		if in.DropMove(o, seq, step) {
-			return true
-		}
-	}
-	return false
 }

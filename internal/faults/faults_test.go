@@ -129,35 +129,80 @@ func TestFromFaultsValidation(t *testing.T) {
 	}
 }
 
-func TestComposeOverlays(t *testing.T) {
-	slow := MustFromFaults(Fault{Kind: LinkSlow, From: 0, To: 100, U: 0, V: 1, Factor: 2})
-	slower := MustFromFaults(Fault{Kind: LinkSlow, From: 50, To: 100, U: 0, V: 1, Factor: 3})
-	down := MustFromFaults(Fault{Kind: LinkDown, From: 70, To: 80, U: 0, V: 1})
-	crashA := MustFromFaults(Fault{Kind: NodeCrash, From: 10, To: 20, Node: 5})
-	crashB := MustFromFaults(Fault{Kind: NodeCrash, From: 15, To: 25, Node: 5})
-	c := Compose(slow, slower, down, crashA, crashB, nil, MustFromFaults())
-	if c.Empty() {
-		t.Fatal("composed injector reports empty")
+// TestPlanOverlays pins how overlapping faults combine inside one plan:
+// slowdowns of one link multiply, an outage dominates them, and
+// overlapping crashes of one node merge into a single span that restarts
+// at the later end.
+func TestPlanOverlays(t *testing.T) {
+	p := MustFromFaults(
+		Fault{Kind: LinkSlow, From: 0, To: 100, U: 0, V: 1, Factor: 2},
+		Fault{Kind: LinkSlow, From: 50, To: 100, U: 1, V: 0, Factor: 3},
+		Fault{Kind: LinkDown, From: 70, To: 80, U: 0, V: 1},
+		Fault{Kind: NodeCrash, From: 10, To: 20, Node: 5},
+		Fault{Kind: NodeCrash, From: 15, To: 25, Node: 5},
+	)
+	if p.Empty() {
+		t.Fatal("plan reports empty")
 	}
-	if got := c.Count(); got != 5 {
+	if got := p.Count(); got != 5 {
 		t.Fatalf("Count = %d, want 5", got)
 	}
-	if got := c.LinkFactor(0, 1, 60); got != 6 {
+	if got := p.LinkFactor(0, 1, 60); got != 6 {
 		t.Errorf("factors should multiply: got %d, want 6", got)
 	}
-	if got := c.LinkFactor(0, 1, 75); got != 0 {
+	if got := p.LinkFactor(1, 0, 75); got != 0 {
 		t.Errorf("down should dominate: got %d, want 0", got)
 	}
-	if r, isDown := c.NodeDownUntil(5, 17); !isDown || r != 25 {
+	if got := p.LinkFactor(0, 1, 85); got != 6 {
+		t.Errorf("slowdowns after the outage: got %d, want 6", got)
+	}
+	if r, isDown := p.NodeDownUntil(5, 17); !isDown || r != 25 {
 		t.Errorf("overlapping crashes: NodeDownUntil = (%d, %v), want (25, true)", r, isDown)
 	}
-	// Composing nothing live yields an empty injector.
-	if !Compose(nil, MustFromFaults()).Empty() {
-		t.Error("Compose of empty injectors is not empty")
+	// A nil plan, a zero-fault plan and a drop-rate-only plan: the first
+	// two are empty, the last fires with zero scripted faults.
+	var nilPlan *Plan
+	if !nilPlan.Empty() || !MustFromFaults().Empty() {
+		t.Error("nil or zero-fault plan is not empty")
 	}
-	// A single live injector passes through untouched.
-	if Compose(nil, slow) != Injector(slow) {
-		t.Error("Compose of one live injector should return it as-is")
+	if dropOnly := MustNew(Config{Seed: 9, DropRate: 0.5}, nil); dropOnly.Empty() || dropOnly.Count() != 0 {
+		t.Errorf("drop-only plan: Empty=%v Count=%d, want false/0", dropOnly.Empty(), dropOnly.Count())
+	}
+}
+
+// TestOverlappingSlowdownsSaturate pins "slowed, never down": however
+// many slowdowns overlap on one link, the factor is their product capped
+// at MaxLinkFactor, never 0 (down) and never negative, and the cap does
+// not depend on the order the faults are listed in. Unchecked, 32
+// overlapping ×4 slowdowns wrapped the int64 product to 0.
+func TestOverlappingSlowdownsSaturate(t *testing.T) {
+	slowdowns := func(k int) []Fault {
+		fs := make([]Fault, k)
+		for i := range fs {
+			fs[i] = Fault{Kind: LinkSlow, From: int64(i), To: 1000, U: 0, V: 1, Factor: int64(2 + i%3)}
+		}
+		return fs
+	}
+	want := func(k int) int64 {
+		f := int64(1)
+		for i := 0; i < k && f < MaxLinkFactor; i++ {
+			f *= int64(2 + i%3)
+		}
+		return min(f, MaxLinkFactor)
+	}
+	for k := 1; k <= 64; k++ {
+		fs := slowdowns(k)
+		if got := MustFromFaults(fs...).LinkFactor(1, 0, 500); got != want(k) {
+			t.Fatalf("%d overlapping slowdowns: factor %d, want %d", k, got, want(k))
+		}
+		// The same slowdowns starting in reverse order multiply in reverse
+		// order, and saturate the same.
+		for i := range fs {
+			fs[i].From = int64(k - 1 - i)
+		}
+		if got := MustFromFaults(fs...).LinkFactor(0, 1, 500); got != want(k) {
+			t.Fatalf("%d reversed slowdowns: factor %d, want %d", k, got, want(k))
+		}
 	}
 }
 

@@ -302,12 +302,15 @@ func TestDiameterParallelMatchesSerial(t *testing.T) {
 func TestAllPairsMatchesTrees(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randomConnectedGraph(r, 20, 15, 4)
-	ap := g.AllPairs(4)
+	g.Precompute(4)
+	if !g.Precomputed() {
+		t.Fatal("Precompute installed no matrix")
+	}
 	for u := 0; u < 20; u++ {
 		tree := g.ShortestPaths(NodeID(u))
 		for v := 0; v < 20; v++ {
-			if ap[u][v] != tree.Dist[v] {
-				t.Fatalf("AllPairs[%d][%d] = %d, want %d", u, v, ap[u][v], tree.Dist[v])
+			if d := g.Dist(NodeID(u), NodeID(v)); d != tree.Dist[v] {
+				t.Fatalf("precomputed Dist(%d, %d) = %d, want %d", u, v, d, tree.Dist[v])
 			}
 		}
 	}
@@ -330,9 +333,12 @@ func TestMatrixAndFuncMetric(t *testing.T) {
 	g := New(3)
 	g.AddUnitEdge(0, 1)
 	g.AddUnitEdge(1, 2)
-	mm := MatrixMetric(g.AllPairs(1))
+	mm := make(MatrixMetric, g.NumNodes())
+	for u := range mm {
+		mm[u] = g.ShortestPaths(NodeID(u)).Dist
+	}
 	if _, _, _, _, ok := CheckMetricAgrees(g, mm); !ok {
-		t.Fatal("MatrixMetric from AllPairs disagrees with graph")
+		t.Fatal("MatrixMetric from shortest-path trees disagrees with graph")
 	}
 	fm := FuncMetric(func(u, v NodeID) int64 { return g.Dist(u, v) })
 	if _, _, _, _, ok := CheckMetricAgrees(g, fm); !ok {

@@ -10,18 +10,6 @@ type Metric interface {
 	Dist(u, v NodeID) int64
 }
 
-// Router extends Metric with explicit shortest-path reconstruction. The
-// simulator uses the path to move objects hop by hop.
-type Router interface {
-	Metric
-	// Path returns a shortest path from u to v inclusive of both
-	// endpoints, or nil when v is unreachable.
-	Path(u, v NodeID) []NodeID
-}
-
-// Graph implements Router.
-var _ Router = (*Graph)(nil)
-
 // FuncMetric adapts a distance function to the Metric interface.
 type FuncMetric func(u, v NodeID) int64
 

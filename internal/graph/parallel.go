@@ -73,37 +73,3 @@ func (g *Graph) eccUncached(u NodeID) int64 {
 	}
 	return ecc
 }
-
-// AllPairs computes the full distance matrix in parallel and returns it as a
-// dense n×n slice-of-slices (row u = distances from u). Intended for small
-// and medium graphs; memory is Θ(n²).
-func (g *Graph) AllPairs(workers int) [][]int64 {
-	n := len(g.adj)
-	dist := make([][]int64, n)
-	if n == 0 {
-		return dist
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if int(i) >= n {
-					return
-				}
-				dist[i] = g.ShortestPaths(NodeID(i)).Dist
-			}
-		}()
-	}
-	wg.Wait()
-	return dist
-}

@@ -152,7 +152,7 @@ func certify(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, s
 
 	plan := faults.MustNew(faults.Config{Seed: seed, Horizon: m,
 		LinkDownRate: 0.3, LinkSlowRate: 0.3, CrashRate: 0.15, DropRate: 0.1}, in.G)
-	replay := func(inj faults.Injector) *sim.Result {
+	replay := func(inj *faults.Plan) *sim.Result {
 		res, err := sim.Run(in, s, sim.Options{Trace: true, Faults: inj})
 		if err != nil {
 			t.Fatalf("%s: faulty replay: %v", name, err)

@@ -13,20 +13,19 @@ import (
 // Recovery policy of a fault-injected Run: a dropped move is re-dispatched
 // backoffBase steps later, the delay doubles after every consecutive drop
 // of the same hop up to backoffMax, and more than maxRetries consecutive
-// drops abort the run rather than spin on an injector that drops
-// everything.
+// drops abort the run rather than spin on a plan that drops everything.
 const (
 	backoffBase = 1
 	backoffMax  = 64
 	maxRetries  = 32
 )
 
-// faultEnv is the fault state of one Run under a non-empty injector: the
+// faultEnv is the fault state of one Run under a non-empty plan: the
 // hooks Run calls per dispatch (route), per commit (commit) and once at
 // the end (finish), the recovery report they fill, and the reroute search.
 //
 // Reroute queries (dist) run on the surviving network without ever
-// building it: they walk the unmodified base graph and ask the injector
+// building it: they walk the unmodified base graph and ask the plan
 // about every node and link they touch. A walk of the fault-free
 // shortest-path DAG (basePath) answers most of them (92% of a
 // 25k-transaction grid16 chaos stream's), and an A* search (search) runs
@@ -37,7 +36,7 @@ const (
 // every query.
 type faultEnv struct {
 	in      *tm.Instance
-	inj     faults.Injector
+	inj     *faults.Plan
 	bounds  []int64
 	planned []int64 // the schedule's commit steps: a floor for the actual ones
 	limit   int64   // step cap of every simulated event
@@ -66,7 +65,7 @@ type searchNode struct {
 	pos  int32
 }
 
-func newFaultEnv(in *tm.Instance, s *schedule.Schedule, inj faults.Injector) *faultEnv {
+func newFaultEnv(in *tm.Instance, s *schedule.Schedule, inj *faults.Plan) *faultEnv {
 	horizon := s.Makespan()
 	e := &faultEnv{
 		in: in, inj: inj, bounds: inj.Boundaries(), planned: s.Times,
@@ -174,7 +173,7 @@ func (e *faultEnv) basePath(step int64, u, v graph.NodeID) bool {
 }
 
 // search is dist's exact fallback: an A* search from u to v on the base
-// graph, where a link costs its weight times the injector's factor and is
+// graph, where a link costs its weight times the plan's factor and is
 // skipped when the factor is ≤ 0, and crashed nodes are never entered.
 // The heuristic is the fault-free distance in.Dist, which is consistent
 // because faults only remove links or multiply their weights (Run's

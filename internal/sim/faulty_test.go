@@ -50,18 +50,16 @@ func TestRunFaultyNilInjectorMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, inj := range map[string]faults.Injector{
-		"nil":          nil,
-		"empty-plan":   faults.MustFromFaults(),
-		"nil-plan":     (*faults.Plan)(nil),
-		"zero-compose": faults.Compose(nil, faults.MustFromFaults()),
+	for name, inj := range map[string]*faults.Plan{
+		"nil":        nil,
+		"empty-plan": faults.MustFromFaults(),
 	} {
 		got, err := Run(in, s, Options{Trace: true, Faults: inj})
 		if err != nil {
 			t.Fatalf("%s: Run: %v", name, err)
 		}
 		if got.Fault != nil {
-			t.Errorf("%s: empty injector produced a report: %v", name, got.Fault)
+			t.Errorf("%s: empty plan produced a report: %v", name, got.Fault)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: result differs from the fault-free run:\n%+v\nvs\n%+v", name, got, want)
@@ -70,7 +68,7 @@ func TestRunFaultyNilInjectorMatchesRun(t *testing.T) {
 }
 
 func TestRunFaultyHarmlessScriptMatchesRun(t *testing.T) {
-	// A scripted injector whose faults never intersect the execution must
+	// A scripted plan whose faults never intersect the execution must
 	// be event-identical to Run — same trace, same counters — with an
 	// all-zero recovery report.
 	in := tinyInstance()
@@ -93,7 +91,7 @@ func TestRunFaultyHarmlessScriptMatchesRun(t *testing.T) {
 		t.Errorf("counters differ: %+v vs %+v", got, want)
 	}
 	if fr == nil {
-		t.Fatal("non-empty injector must produce a report")
+		t.Fatal("non-empty plan must produce a report")
 	}
 	if fr.Retries != 0 || fr.Reroutes != 0 || fr.DeferredCommits != 0 || fr.BlockedWaits != 0 || fr.DeferredMoves != 0 {
 		t.Errorf("harmless plan recorded recovery work: %v", fr)
@@ -288,21 +286,20 @@ func TestRunRejectsDuplicateObject(t *testing.T) {
 }
 
 func TestRunEmptyInjectorAllocsLikeRun(t *testing.T) {
-	// The fault machinery must cost nothing when unused: Run with a nil,
-	// empty, or nil-plan injector allocates exactly what Options{} does.
+	// The fault machinery must cost nothing when unused: Run with a nil or
+	// empty plan allocates exactly what Options{} does.
 	in := tinyInstance()
 	s := &schedule.Schedule{Times: []int64{1, 3, 1}}
 	in.PrecomputeDist(1) // steady-state distance oracle for every run
 	MustRun(in, s, Options{})
 	base := testing.AllocsPerRun(200, func() { MustRun(in, s, Options{}) })
-	for name, inj := range map[string]faults.Injector{
-		"nil":      nil,
-		"empty":    faults.MustFromFaults(),
-		"nil-plan": (*faults.Plan)(nil),
+	for name, inj := range map[string]*faults.Plan{
+		"nil":   nil,
+		"empty": faults.MustFromFaults(),
 	} {
 		got := testing.AllocsPerRun(200, func() { MustRun(in, s, Options{Faults: inj}) })
 		if got != base {
-			t.Errorf("%s injector: Run allocates %.1f/op vs %.1f/op without one; the empty path must add nothing", name, got, base)
+			t.Errorf("%s plan: Run allocates %.1f/op vs %.1f/op without one; the empty path must add nothing", name, got, base)
 		}
 	}
 }
@@ -376,7 +373,7 @@ func TestFaultMatrixSmoke(t *testing.T) {
 // survivingGraph is the reference for faultEnv.dist: the surviving
 // subgraph at step, built explicitly — crashed nodes and down links
 // removed, slowed links reweighted.
-func survivingGraph(in *tm.Instance, inj faults.Injector, step int64) *graph.Graph {
+func survivingGraph(in *tm.Instance, inj *faults.Plan, step int64) *graph.Graph {
 	n := in.G.NumNodes()
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
@@ -433,9 +430,10 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 				Seed: 3, Horizon: horizon, Recur: 12, MeanOutage: 4,
 				LinkDownRate: 0.3, LinkSlowRate: 0.4, CrashRate: 0.15,
 			}, g)
-			// Scripted overlay: overlapping slowdowns on one link, a crash
-			// of node 0 (an endpoint of many queries), and, at steps
-			// [30, 36), every link of node 1 cut (a true partition).
+			// Scripted overlay, planned together with the background's
+			// faults: overlapping slowdowns on one link, a crash of node 0
+			// (an endpoint of many queries), and, at steps [30, 36), every
+			// link of node 1 cut (a true partition).
 			script := []faults.Fault{
 				{Kind: faults.LinkSlow, From: 5, To: 25, U: 0, V: g.Neighbors(0)[0].To, Factor: 3},
 				{Kind: faults.LinkSlow, From: 10, To: 20, U: 0, V: g.Neighbors(0)[0].To, Factor: 5},
@@ -444,9 +442,9 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 			for _, e := range g.Neighbors(1) {
 				script = append(script, faults.Fault{Kind: faults.LinkDown, From: 30, To: 36, U: 1, V: e.To})
 			}
-			for name, inj := range map[string]faults.Injector{
-				"plan":     background,
-				"composed": faults.Compose(background, faults.MustFromFaults(script...)),
+			for name, inj := range map[string]*faults.Plan{
+				"plan":    background,
+				"overlay": faults.MustFromFaults(append(slices.Clone(background.Faults()), script...)...),
 			} {
 				env := newFaultEnv(in, schedule.New(0), inj)
 				var queries, partitioned, viaDAG, viaSearch int
@@ -505,7 +503,7 @@ func TestFaultDistMatchesSurvivingSubgraph(t *testing.T) {
 }
 
 // crashed reports whether inj has node v down at step.
-func crashed(inj faults.Injector, step int64, v graph.NodeID) bool {
+func crashed(inj *faults.Plan, step int64, v graph.NodeID) bool {
 	_, d := inj.NodeDownUntil(v, step)
 	return d
 }

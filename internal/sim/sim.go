@@ -99,9 +99,9 @@ type Options struct {
 	// under faults).
 	Trace bool
 	// Faults scripts faults that break the model of Section 2.1 during
-	// the replay. A nil or empty injector leaves the run fault-free: same
+	// the replay. A nil or empty plan leaves the run fault-free: same
 	// result, same events, nil Result.Fault, no extra allocations.
-	Faults faults.Injector
+	Faults *faults.Plan
 }
 
 // Run simulates schedule s on instance in and verifies that every
@@ -115,7 +115,7 @@ type Options struct {
 // later than that transaction executes), and 16·makespan + the last
 // fault boundary + 4096 with them.
 //
-// Under a non-empty Options.Faults injector the run repairs the
+// Under a non-empty Options.Faults plan the run repairs the
 // execution instead of failing it, and a late arrival becomes a recovery
 // delay rather than an error:
 //
@@ -137,7 +137,7 @@ type Options struct {
 // include recovery delays and detours; CommCost counts delivered moves
 // only), and Result.Fault quantifies the recovery work and the makespan
 // inflation against the fault-free baseline. For a fixed (instance,
-// schedule, injector) the Result and its trace are identical across runs:
+// schedule, plan) the Result and its trace are identical across runs:
 // all fault decisions are seeded, never drawn from wall-clock or shared
 // state.
 //
@@ -152,7 +152,7 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 	}
 	limit := s.Makespan()
 	var env *faultEnv
-	if opt.Faults != nil && !opt.Faults.Empty() {
+	if !opt.Faults.Empty() {
 		env = newFaultEnv(in, s, opt.Faults)
 		limit = env.limit
 	}

@@ -19,7 +19,7 @@ var raceEnabled bool
 // TestServeAllocsPerTxn guards the serving loop's heap traffic: a
 // pre-generated 20k-transaction stream on grid16 (w = 64, k = 2, rate 1,
 // VerifyFast, PipelineDepth 2, metrics collector on) must cost at most
-// 1.5 mallocs per committed transaction. The per-window work (shadow
+// 1.0 malloc per committed transaction. The per-window work (shadow
 // instance, conflict graph, schedule, engine job) spreads over ~56
 // transactions, so only a per-transaction allocation can break the
 // bound.
@@ -59,8 +59,8 @@ func TestServeAllocsPerTxn(t *testing.T) {
 	if res.Committed != txns {
 		t.Fatalf("committed %d of %d transactions", res.Committed, txns)
 	}
-	if per := float64(m1.Mallocs-m0.Mallocs) / float64(res.Committed); per > 1.5 {
-		t.Fatalf("%.2f mallocs per committed transaction, want ≤ 1.5", per)
+	if per := float64(m1.Mallocs-m0.Mallocs) / float64(res.Committed); per > 1.0 {
+		t.Fatalf("%.2f mallocs per committed transaction, want ≤ 1.0", per)
 	} else {
 		t.Logf("%.2f mallocs per committed transaction over %d windows", per, res.Windows)
 	}

@@ -27,11 +27,9 @@ type ChaosConfig struct {
 	Chunk int64
 }
 
-// NewChaos builds the chaos injector for a serving run, or nil when the
-// rate is zero (serving then stays on the exact fault-free path). The
-// plan is a plain *faults.Plan, so it composes with scripted injectors
-// via faults.Compose.
-func NewChaos(cc ChaosConfig, g *graph.Graph) (faults.Injector, error) {
+// NewChaos builds the chaos plan for a serving run, or nil when the rate
+// is zero (serving then stays on the exact fault-free path).
+func NewChaos(cc ChaosConfig, g *graph.Graph) (*faults.Plan, error) {
 	if err := faults.CheckRate("chaos rate", cc.Rate); err != nil {
 		return nil, &ConfigError{"Faults", err.Error()}
 	}

@@ -53,14 +53,14 @@ type Config struct {
 	// Hook observes the per-window engine jobs (ledger hooks etc.).
 	Hook engine.Hook
 
-	// Faults, when set to a non-empty injector (NewChaos, or any
-	// faults.Injector), turns on fault-tolerant serving: every window
-	// replays under faults in the engine's Verify stage, transactions homed on down nodes are
-	// requeued with backoff instead of scheduled into a doomed window,
-	// and the admission circuit breaker sheds load while windows run
-	// inflated. Nil or empty keeps serving byte-identical to the
+	// Faults, when set to a non-empty plan (NewChaos, or a scripted
+	// faults.FromFaults plan), turns on fault-tolerant serving: every
+	// window replays under faults in the engine's Verify stage,
+	// transactions homed on down nodes are requeued with backoff instead
+	// of scheduled into a doomed window, and the admission circuit breaker
+	// sheds load while windows run inflated. Nil or empty keeps serving byte-identical to the
 	// fault-free path (same decisions, same Digest).
-	Faults faults.Injector
+	Faults *faults.Plan
 	// MaxRequeue bounds how many times one transaction is pushed back
 	// before it is shed (0 = 3).
 	MaxRequeue int
@@ -205,10 +205,10 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	m := newServeMetrics(col.Registry())
 
 	// Fault-tolerant serving state. Everything in this block is inert
-	// when the injector is nil or empty: no requeue checks, no breaker,
+	// when the plan is nil or empty: no requeue checks, no breaker,
 	// no extra digest records — the zero-fault run stays byte-identical
 	// to the historical path.
-	faultsOn := cfg.Faults != nil && !cfg.Faults.Empty()
+	faultsOn := !cfg.Faults.Empty()
 	maxRequeue := cfg.MaxRequeue
 	if maxRequeue <= 0 {
 		maxRequeue = 3
@@ -264,10 +264,8 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				Schedule:       wj.sched,
 				Algorithm:      "stream/window",
 				Verify:         cfg.Verify,
+				Faults:         cfg.Faults,
 				SkipLowerBound: true,
-			}
-			if faultsOn {
-				job.Faults = cfg.Faults
 			}
 			results, err := engine.RunBatch(execCtx, []engine.Job{job}, engine.Options{
 				Workers:   1,

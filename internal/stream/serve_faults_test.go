@@ -18,8 +18,8 @@ import (
 
 // TestServeZeroFaultDigestPinned pins the fault-free serving digest and
 // communication cost: the fault-tolerance layer must be byte-invisible
-// when no injector is configured — same digest with a nil injector, an
-// explicitly empty plan, or fault knobs set without an injector — and
+// when no plan is configured — same digest with a nil plan, an
+// explicitly empty plan, or fault knobs set without a plan — and
 // the cost, summed from the cross-window checker's travel, must hold at
 // every pipeline depth.
 func TestServeZeroFaultDigestPinned(t *testing.T) {
@@ -68,10 +68,10 @@ func TestServeZeroFaultDigestPinned(t *testing.T) {
 			t.Fatalf("%s empty-plan: %v", p.name, err)
 		}
 		if re.Digest != base.Digest {
-			t.Errorf("%s: empty injector changed the digest: %016x vs %016x", p.name, re.Digest, base.Digest)
+			t.Errorf("%s: empty plan changed the digest: %016x vs %016x", p.name, re.Digest, base.Digest)
 		}
 		if re.Requeued != 0 || re.Shed != 0 || re.BreakerTrips != 0 || re.MeanInflation != 0 {
-			t.Errorf("%s: empty injector produced fault accounting: %+v", p.name, re)
+			t.Errorf("%s: empty plan produced fault accounting: %+v", p.name, re)
 		}
 	}
 }

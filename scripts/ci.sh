@@ -85,7 +85,7 @@ go test ./internal/lower -run '^$' -bench 'BenchmarkValueGrid12' -benchtime 1x -
 go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count=1 >/dev/null
 
 echo "== fault layer guards =="
-# sim.Run with a nil, empty, or nil-plan injector must allocate exactly
+# sim.Run with a nil or empty fault plan must allocate exactly
 # what a fault-free run does (the fault machinery is free when unused),
 # its reroute query must equal the explicitly built surviving subgraph's
 # distances, with both of its stages (the healthy shortest-path DAG walk
@@ -189,8 +189,9 @@ go test -race ./internal/stream -count=1
 
 echo "== serving allocation guard =="
 # The serving loop must allocate nothing per transaction: a fixed
-# 20k-transaction grid16 stream may cost at most 1.5 mallocs per
-# committed transaction, since per-window work spreads over ~56 of them.
+# 20k-transaction grid16 stream may cost at most 1.0 malloc per
+# committed transaction (it measures ~0.65), since per-window work
+# spreads over ~56 of them.
 go test ./internal/stream -run 'TestServeAllocsPerTxn' -count=1
 
 echo "== verifier differential fuzz smoke =="
