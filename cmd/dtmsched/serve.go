@@ -43,7 +43,7 @@ func runServeCmd(args []string) error {
 		window   = fs.Int("window", 0, "max transactions per scheduling window (0 = node count)")
 		queue    = fs.Int("queue", 0, "admission queue capacity (0 = 2×window)")
 		policy   = fs.String("policy", "block", "backpressure policy when the queue is full: block|reject")
-		verify   = fs.String("verify", "fast", "per-window verification: full|fast|off")
+		verify   = fs.String("verify", "fast", "per-window verification: full|fast|off (fast and off serve alike, on the loop's own Definition 1 check; full also replays each window in the simulator)")
 		retries  = fs.Int("retries", 1, "engine attempts per window (≤ 1 = no retry)")
 		deadline = fs.Duration("deadline", 0, "per-window engine deadline (0 = none)")
 		pipeline = fs.Int("pipeline", 2, "windows that may queue for execution while later ones are cut")

@@ -74,17 +74,15 @@ func Analyze(in *tm.Instance, s *schedule.Schedule) *Report {
 	// Object decomposition. An object's slack telescopes: the gaps
 	// between its consecutive uses, less the distance covered in each,
 	// sum to its last use minus its travel.
+	h := s.Handoffs(in)
 	travel := s.Travel(in)
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
-		users := in.Users(oid)
+		users := h.Of(oid)
 		if len(users) == 0 {
 			continue
 		}
-		st := ObjectStats{Object: oid, Users: len(users), Travel: travel[o]}
-		for _, id := range users {
-			st.LastUse = max(st.LastUse, s.Times[id])
-		}
+		st := ObjectStats{Object: oid, Users: len(users), Travel: travel[o], LastUse: s.Times[users[len(users)-1]]}
 		st.Wait = st.LastUse - st.Travel
 		rep.Objects = append(rep.Objects, st)
 	}
@@ -95,7 +93,7 @@ func Analyze(in *tm.Instance, s *schedule.Schedule) *Report {
 		return rep.Objects[i].Object < rep.Objects[j].Object
 	})
 
-	rep.CriticalChain = criticalChain(in, s)
+	rep.CriticalChain = criticalChain(in, s, h.Sweep)
 	rep.CriticalLen = len(rep.CriticalChain)
 	return rep
 }
@@ -104,34 +102,16 @@ func Analyze(in *tm.Instance, s *schedule.Schedule) *Report {
 // transactions share an object and T_{i+1} executes exactly when the
 // object can first arrive from T_i (a tight handoff). Chains of tight
 // handoffs are what the composer and coloring lower bounds manifest as,
-// and their length is what pins the makespan from below. The result is
-// deterministic: transactions are visited in (time, ID) order, and among
-// equally long chains the one with the smaller tail ID wins.
-func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
+// and their length is what pins the makespan from below. The DP walks
+// the schedule's sweep, where each object's previous holder is the last
+// transaction seen to use it. The result is deterministic: among equally
+// long chains the one with the smaller tail ID wins.
+func criticalChain(in *tm.Instance, s *schedule.Schedule, sweep []tm.TxnID) []tm.TxnID {
 	m := in.NumTxns()
-	// preds[j] lists tight predecessors of j.
-	preds := make([][]tm.TxnID, m)
-	for o := 0; o < in.NumObjects; o++ {
-		order := s.Order(in, tm.ObjectID(o))
-		for i := 0; i+1 < len(order); i++ {
-			a, b := order[i], order[i+1]
-			if s.Times[b] == s.Times[a]+in.Dist(in.Txns[a].Node, in.Txns[b].Node) {
-				preds[b] = append(preds[b], a)
-			}
-		}
+	holder := make([]tm.TxnID, in.NumObjects)
+	for o := range holder {
+		holder[o] = -1
 	}
-	// Longest chain ending at each transaction, DP over time order.
-	order := make([]tm.TxnID, m)
-	for i := range order {
-		order[i] = tm.TxnID(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := s.Times[order[a]], s.Times[order[b]]
-		if ta != tb {
-			return ta < tb
-		}
-		return order[a] < order[b]
-	})
 	bestLen := make([]int, m)
 	bestPrev := make([]tm.TxnID, m)
 	for i := range bestPrev {
@@ -139,9 +119,15 @@ func criticalChain(in *tm.Instance, s *schedule.Schedule) []tm.TxnID {
 	}
 	var tail tm.TxnID = -1
 	tailLen := 0
-	for _, id := range order {
+	for _, id := range sweep {
 		bestLen[id] = 1
-		for _, p := range preds[id] {
+		txn := &in.Txns[id]
+		for _, o := range txn.Objects {
+			p := holder[o]
+			holder[o] = id
+			if p < 0 || s.Times[id] != s.Times[p]+in.Dist(in.Txns[p].Node, txn.Node) {
+				continue
+			}
 			if bestLen[p]+1 > bestLen[id] {
 				bestLen[id] = bestLen[p] + 1
 				bestPrev[id] = p

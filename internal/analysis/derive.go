@@ -40,23 +40,25 @@ func downsample(values []int64) obs.Series {
 // travel one unit of distance per step), so traces are identical whether
 // or not the verify policy actually ran the simulator.
 func Derive(in *tm.Instance, s *schedule.Schedule) (*obs.ScheduleMetrics, []obs.Move, []obs.Exec) {
-	m := &obs.ScheduleMetrics{Makespan: s.Makespan(), ObjectTravel: s.Travel(in)}
-	for _, d := range m.ObjectTravel {
-		m.TotalTravel += d
-	}
+	m := &obs.ScheduleMetrics{Makespan: s.Makespan(), ObjectTravel: make([]int64, in.NumObjects)}
+	h := s.Handoffs(in)
 
-	// Transaction latency distribution and execute spans.
+	// Transaction latency distribution and execute spans, which the sweep
+	// lists in their canonical (step, txn) order.
 	execs := make([]obs.Exec, len(s.Times))
-	for i, t := range s.Times {
-		execs[i] = obs.Exec{Txn: i, Node: int(in.Txns[i].Node), Step: t}
+	for i, id := range h.Sweep {
+		execs[i] = obs.Exec{Txn: int(id), Node: int(in.Txns[id].Node), Step: s.Times[id]}
 	}
 	q := obs.Quantiles(s.Times, 0.50, 0.90, 0.99, 1.0)
 	m.TxnLatencyP50, m.TxnLatencyP90, m.TxnLatencyP99, m.TxnLatencyMax = q[0], q[1], q[2], q[3]
 
-	// Object itineraries → move spans and queue/transit series. An
-	// object is "in transit" during the d steps after its dispatch and
+	// Object itineraries → travel, move spans and queue/transit series.
+	// An object is "in transit" during the d steps after its dispatch and
 	// "queued" at its destination from arrival until its requester
-	// executes — the same semantics the simulator enforces.
+	// executes — the same semantics the simulator enforces. Walked object
+	// by object in handoff order, the moves come out in their canonical
+	// (object, depart) order: a feasible schedule departs each object at
+	// strictly increasing steps.
 	steps := m.Makespan + 1
 	queue := make([]int64, steps)
 	transit := make([]int64, steps)
@@ -70,9 +72,10 @@ func Derive(in *tm.Instance, s *schedule.Schedule) (*obs.ScheduleMetrics, []obs.
 		oid := tm.ObjectID(o)
 		prevNode := in.Home[oid]
 		prevTime := int64(0)
-		for _, id := range s.Order(in, oid) {
+		for _, id := range h.Of(oid) {
 			dest := in.Txns[id].Node
 			d := in.Dist(prevNode, dest)
+			m.ObjectTravel[o] += d
 			arrive := prevTime + d
 			used := s.Times[id]
 			if d > 0 {
@@ -132,10 +135,12 @@ func Derive(in *tm.Instance, s *schedule.Schedule) (*obs.ScheduleMetrics, []obs.
 		m.PeakQueueDepth = m.PeakQueueDepth[:16]
 	}
 
-	obs.SortSpans(moves, execs)
+	for _, d := range m.ObjectTravel {
+		m.TotalTravel += d
+	}
 	m.QueueDepth = downsample(queue)
 	m.LinkUtilization = downsample(transit)
-	for _, id := range criticalChain(in, s) {
+	for _, id := range criticalChain(in, s, h.Sweep) {
 		m.CriticalPath = append(m.CriticalPath, int(id))
 	}
 	return m, moves, execs

@@ -202,9 +202,10 @@ func Timeline(in *tm.Instance, s *schedule.Schedule, maxObjects int, maxWidth in
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Timeline (steps 1…%d; > transit, = queued, X use):\n\n", makespan)
 	shown := 0
+	h := s.Handoffs(in)
 	for o := 0; o < in.NumObjects; o++ {
 		oid := tm.ObjectID(o)
-		order := s.Order(in, oid)
+		order := h.Of(oid)
 		if len(order) == 0 {
 			continue
 		}
@@ -262,7 +263,7 @@ func ObjectJourney(in *tm.Instance, s *schedule.Schedule, o tm.ObjectID) string 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "object %d: home=node %d", o, in.Home[o])
 	var prev graph.NodeID = in.Home[o]
-	for _, id := range s.Order(in, o) {
+	for _, id := range s.Handoffs(in).Of(o) {
 		v := in.Txns[id].Node
 		fmt.Fprintf(&sb, " →[d=%d] t=%d@node %d", in.Dist(prev, v), s.Times[id], v)
 		prev = v

@@ -114,9 +114,9 @@ func replay(in *tm.Instance, s *schedule.Schedule, cap int) (makespan int64, max
 		entered   int64          // step the object entered its current edge (−1 if idle at path[0])
 	}
 	objs := make([]objState, in.NumObjects)
+	h := s.Handoffs(in)
 	for o := range objs {
-		it := s.Order(in, tm.ObjectID(o))
-		objs[o] = objState{itinerary: it, arrivedAt: -1, entered: -1}
+		objs[o] = objState{itinerary: h.Of(tm.ObjectID(o)), arrivedAt: -1, entered: -1}
 	}
 
 	// Edge occupancy.

@@ -40,8 +40,9 @@ const (
 	// by hop in the synchronous simulator; the report carries measured
 	// communication cost and simulator counters.
 	VerifyFull VerifyMode = iota
-	// VerifyFast runs only schedule.Validate (Definition 1's per-object
-	// transfer-time constraints); no simulation, no communication cost.
+	// VerifyFast checks Definition 1 with a schedule.ChainChecker from the
+	// instance's homes (the check schedule.Validate makes) and keeps its
+	// per-object travel; no simulation, no communication cost.
 	VerifyFast
 	// VerifyOff skips verification entirely.
 	VerifyOff
@@ -312,6 +313,9 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 		rep.Stats = res.Stats
 		rep.Schedule = res.Schedule
 	case job.Schedule != nil:
+		if len(job.Schedule.Times) != in.NumTxns() {
+			return fail(StageSchedule, 0, fmt.Errorf("job %q: schedule has %d times for %d transactions", job.Name, len(job.Schedule.Times), in.NumTxns()))
+		}
 		rep.Algorithm = job.Algorithm
 		if rep.Algorithm == "" {
 			rep.Algorithm = "precomputed"

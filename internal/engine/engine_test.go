@@ -16,6 +16,7 @@ import (
 	"dtmsched/internal/graph"
 	"dtmsched/internal/hier"
 	"dtmsched/internal/obs"
+	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
 	"dtmsched/internal/xrand"
@@ -427,6 +428,14 @@ func TestJobValidation(t *testing.T) {
 	in, _ := cliqueGen(24, 6, 2, 9)()
 	if _, err := Run(context.Background(), Job{Name: "no-sched", Instance: in}); err == nil {
 		t.Error("job without Scheduler/Schedule must fail")
+	}
+	// A precomputed schedule must give one time per transaction, even
+	// under VerifyOff with a collector (whose travel walk reads it).
+	for _, n := range []int{in.NumTxns() - 1, in.NumTxns() + 1} {
+		if _, err := Run(context.Background(), Job{Name: "bad-len", Instance: in, Schedule: schedule.New(n),
+			Verify: VerifyOff, SkipLowerBound: true, Collector: obs.NewMetricsCollector()}); err == nil {
+			t.Errorf("schedule of %d times for %d transactions must fail", n, in.NumTxns())
+		}
 	}
 	genErr := errors.New("generator exploded")
 	_, err := Run(context.Background(), Job{Name: "gen-fail",

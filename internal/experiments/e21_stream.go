@@ -119,7 +119,8 @@ func runE21(cfg Config) (*Result, error) {
 }
 
 // verifyModeFor picks the per-window verification depth: full replay
-// normally, algebraic-only when the sweep is shrunk for CI.
+// normally, the serving loop's own Definition 1 check alone when the
+// sweep is shrunk for CI.
 func verifyModeFor(cfg Config) engine.VerifyMode {
 	if cfg.Quick {
 		return engine.VerifyFast

@@ -96,22 +96,15 @@ func (rw *RWInstance) WriteCount() int {
 	return n
 }
 
-// writersOf returns object o's writers sorted by schedule time (ties by
-// ID).
-func (rw *RWInstance) writersOf(s *schedule.Schedule, o tm.ObjectID) []tm.TxnID {
+// writersOf returns object o's writers in handoff order (by schedule
+// time, ties by ID).
+func (rw *RWInstance) writersOf(h schedule.Handoffs, o tm.ObjectID) []tm.TxnID {
 	var out []tm.TxnID
-	for _, id := range rw.Users(o) {
+	for _, id := range h.Of(o) {
 		if rw.Writes(id, o) {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := s.Times[out[i]], s.Times[out[j]]
-		if ti != tj {
-			return ti < tj
-		}
-		return out[i] < out[j]
-	})
 	return out
 }
 
@@ -125,9 +118,10 @@ func Validate(rw *RWInstance, s *schedule.Schedule) error {
 			return fmt.Errorf("replica: transaction %d at step %d < 1", i, t)
 		}
 	}
+	h := s.Handoffs(rw.Instance)
 	for o := 0; o < rw.NumObjects; o++ {
 		oid := tm.ObjectID(o)
-		writers := rw.writersOf(s, oid)
+		writers := rw.writersOf(h, oid)
 		// Writer chain: home → w1 → w2 → …
 		prevNode := rw.Home[oid]
 		prevTime := int64(0)

@@ -1,12 +1,9 @@
 package schedule
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"dtmsched/internal/graph"
-	"dtmsched/internal/keysort"
 	"dtmsched/internal/tm"
 )
 
@@ -30,7 +27,7 @@ type ChainChecker struct {
 	// nodeLast is the last verified commit step per node (0 = none).
 	nodeLast []int64
 	order    []tm.TxnID // Check's sweep scratch
-	counts   []int32    // its step counts past keysort.StackSpan
+	counts   []int32    // its step counts for long spans
 }
 
 // NewChainChecker starts a checker for a sequence whose objects begin at
@@ -64,7 +61,6 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 	if len(c.nodeLast) < n {
 		c.nodeLast = append(c.nodeLast, make([]int64, n-len(c.nodeLast))...)
 	}
-	var lo, hi int64
 	for i, t := range s.Times {
 		if t < 1 {
 			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
@@ -72,15 +68,12 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 		if node := in.Txns[i].Node; node < 0 || int(node) >= n {
 			return fmt.Errorf("schedule: transaction %d on node %d outside [0,%d)", i, node, n)
 		}
-		if i == 0 || t < lo {
-			lo = t
-		}
-		hi = max(hi, t)
 	}
 
 	// Sweep the window in (time, ID) order: restricted to one object this
 	// is its handoff order, restricted to one node its commit order.
-	for _, id := range c.sweepOrder(s.Times, lo, hi) {
+	c.order, c.counts = sweep(c.order, c.counts, s.Times)
+	for _, id := range c.order {
 		t, node := s.Times[id], in.Txns[id].Node
 		if last := c.nodeLast[node]; t <= last {
 			return fmt.Errorf("schedule: node %d commits transaction %d at step %d, not after step %d",
@@ -104,33 +97,4 @@ func (c *ChainChecker) Check(in *tm.Instance, s *Schedule) error {
 		}
 	}
 	return nil
-}
-
-// sweepOrder returns the transaction IDs in (time, ID) order, given the
-// window's earliest and latest steps. A window's steps span about its
-// makespan, so they are counted by t − lo — on a stack array when the
-// span is short, as a serving window's is, on the checker's scratch when
-// it is long — and compared only when the span is wide against the
-// window, as an offline schedule's makespan can be.
-func (c *ChainChecker) sweepOrder(times []int64, lo, hi int64) []tm.TxnID {
-	order := slices.Grow(c.order[:0], len(times))[:len(times)]
-	c.order = order
-	span := hi - lo + 1
-	switch {
-	case !keysort.Fits(span, len(times)):
-		for i := range order {
-			order[i] = tm.TxnID(i)
-		}
-		slices.SortFunc(order, func(a, b tm.TxnID) int {
-			return cmp.Or(cmp.Compare(times[a], times[b]), cmp.Compare(a, b))
-		})
-	case span <= keysort.StackSpan:
-		var counts [keysort.StackSpan + 1]int32
-		keysort.Stable(order, times, lo, counts[:span+1])
-	default:
-		c.counts = slices.Grow(c.counts[:0], int(span)+1)[:span+1]
-		clear(c.counts)
-		keysort.Stable(order, times, lo, c.counts)
-	}
-	return order
 }

@@ -22,11 +22,11 @@ import (
 // FuzzVerifiersAgree differentially tests the two independent Definition 1
 // verifiers, schedule.Validate (the ChainChecker) and the step-by-step
 // simulator sim.Run. Every scheduler family's output on a tiny seeded
-// instance must pass both, with CommCost equal to the simulator's
-// measured communication cost, every object's checker travel equal to
-// Schedule.Travel and to the simulator's, and Makespan equal to the
+// instance must pass both, with every object's checker travel equal to
+// Schedule.Travel, to the walk along its Handoffs and to the simulator's
+// (whose communication cost is their sum), and Makespan equal to the
 // schedule's; chained over a window sequence, the checker's travel must
-// sum to the windows' CommCost against the homes each cut held; a
+// sum to the windows' Travel against the homes each cut held; a
 // mutated copy (one commit pulled a step earlier, or the times of two
 // conflicting transactions swapped) must get the same verdict from both.
 // On the scheduler outputs the simulator is also checked against the
@@ -65,7 +65,7 @@ func FuzzVerifiersAgree(f *testing.F) {
 				t.Fatal(err)
 			}
 			// Chained, the checker walks each object's handoffs across
-			// windows once; each window's own CommCost starts from the
+			// windows once; each window's own Travel starts from the
 			// homes the release chain held at its cut. Flattened, a node
 			// hosts one transaction per window.
 			checker := schedule.NewChainChecker(seq.Home)
@@ -83,18 +83,14 @@ func FuzzVerifiersAgree(f *testing.F) {
 					shadow[i] = tm.Txn{Node: txn.Node, Objects: txn.Objects}
 					txns = append(txns, shadow[i])
 				}
-				perWindow += ws.CommCost(tm.NewInstance(g, topo, w, shadow, chain.Homes()))
+				perWindow += sum(ws.Travel(tm.NewInstance(g, topo, w, shadow, chain.Homes())))
 				for i, txn := range win.Txns {
 					chain.Commit(txn.Node, txn.Objects, ws.Times[i])
 				}
 				flat.Times = append(flat.Times, ws.Times...)
 			}
-			var chained int64
-			for _, d := range checker.Travel() {
-				chained += d
-			}
-			if chained != perWindow {
-				t.Fatalf("%s: chained checker travel %d, per-window CommCost %d", res.Mode, chained, perWindow)
+			if chained := sum(checker.Travel()); chained != perWindow {
+				t.Fatalf("%s: chained checker travel %d, per-window travel %d", res.Mode, chained, perWindow)
 			}
 			agree(t, res.Mode, tm.NewInstance(g, topo, w, txns, seq.Home), flat, int(pick), swap)
 		}
@@ -114,11 +110,22 @@ func agree(t *testing.T, name string, in *tm.Instance, s *schedule.Schedule, pic
 	if err != nil {
 		t.Fatalf("%s: sim rejects: %v", name, err)
 	}
-	if c := s.CommCost(in); c != res.CommCost {
-		t.Fatalf("%s: CommCost %d, sim measured %d", name, c, res.CommCost)
+	walk, travel := checker.Travel(), s.Travel(in)
+	handoffs := make([]int64, in.NumObjects)
+	h := s.Handoffs(in)
+	for o := range handoffs {
+		at := in.Home[o]
+		for _, id := range h.Of(tm.ObjectID(o)) {
+			handoffs[o] += in.Dist(at, in.Txns[id].Node)
+			at = in.Txns[id].Node
+		}
 	}
-	if walk, travel := checker.Travel(), s.Travel(in); !slices.Equal(walk, travel) || !slices.Equal(travel, res.ObjectDistance) {
-		t.Fatalf("%s: per-object travel: checker %v, Schedule.Travel %v, sim %v", name, walk, travel, res.ObjectDistance)
+	if !slices.Equal(walk, travel) || !slices.Equal(travel, handoffs) || !slices.Equal(travel, res.ObjectDistance) {
+		t.Fatalf("%s: per-object travel: checker %v, Schedule.Travel %v, Handoffs %v, sim %v",
+			name, walk, travel, handoffs, res.ObjectDistance)
+	}
+	if c := sum(travel); c != res.CommCost {
+		t.Fatalf("%s: travel sums to %d, sim measured %d", name, c, res.CommCost)
 	}
 	if m := s.Makespan(); m != res.Makespan {
 		t.Fatalf("%s: Makespan %d, sim measured %d", name, m, res.Makespan)
@@ -211,4 +218,12 @@ func nodeTie(in *tm.Instance, s *schedule.Schedule) bool {
 		seen[k] = true
 	}
 	return false
+}
+
+// sum adds up per-object travel.
+func sum(travel []int64) (total int64) {
+	for _, d := range travel {
+		total += d
+	}
+	return total
 }

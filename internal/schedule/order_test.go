@@ -12,8 +12,8 @@ import (
 	"dtmsched/internal/topology"
 )
 
-// refSweepOrder is the (time, ID) comparison sort the checker's counting
-// sweep must reproduce.
+// refSweepOrder is the (time, ID) comparison sort the counting sweep
+// must reproduce.
 func refSweepOrder(times []int64) []tm.TxnID {
 	order := make([]tm.TxnID, len(times))
 	for i := range order {
@@ -25,18 +25,13 @@ func refSweepOrder(times []int64) []tm.TxnID {
 	return order
 }
 
-// checkSweep compares c's sweep order over times with the reference.
+// checkSweep compares the sweep over times, counted on c's scratch, with
+// the reference.
 func checkSweep(t *testing.T, name string, c *ChainChecker, times []int64) {
 	t.Helper()
-	var lo, hi int64
-	for i, v := range times {
-		if i == 0 || v < lo {
-			lo = v
-		}
-		hi = max(hi, v)
-	}
-	if got, want := c.sweepOrder(times, lo, hi), refSweepOrder(times); !slices.Equal(got, want) {
-		t.Fatalf("%s: sweep order %v, want %v", name, got, want)
+	c.order, c.counts = sweep(c.order, c.counts, times)
+	if want := refSweepOrder(times); !slices.Equal(c.order, want) {
+		t.Fatalf("%s: sweep order %v, want %v", name, c.order, want)
 	}
 }
 
@@ -73,6 +68,81 @@ func TestSweepOrderMatchesReference(t *testing.T) {
 			times[0], times[tc.n-1] = lo, lo+tc.span-1
 			r.Shuffle(tc.n, func(i, j int) { times[i], times[j] = times[j], times[i] })
 			checkSweep(t, tc.name, c, times)
+		}
+	}
+}
+
+// TestHandoffsMatchReference: on random schedules, Handoffs gives the
+// reference sweep and, per object, its users sorted by (time, ID), and
+// Travel walks each object's reference order from its home. The
+// schedules cover ties, spans for each way the sweep orders (stack
+// counts, scratch counts and, past keysort.Fits, comparison), objects
+// nobody requests, and times no feasible schedule has (zero, negative,
+// shared by users of one object).
+func TestHandoffsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	g := graph.New(6)
+	for i := 0; i < 5; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1+int64(i%3))
+	}
+	for _, tc := range []struct {
+		name   string
+		n      int
+		lo     int64
+		span   int64
+		unused int // objects past the requested ones
+	}{
+		{"empty", 0, 1, 1, 3},
+		{"ties", 30, 1, 4, 0},
+		{"stack", 40, 1, keysort.StackSpan, 5},
+		{"scratch", 40, 7, 16 * 40, 0},
+		{"compare", 40, 1, 16*40 + 1, 2},
+		{"far", 25, 1 << 40, 1 << 41, 4},
+		{"infeasible", 30, -5, 11, 1},
+	} {
+		for trial := 0; trial < 20; trial++ {
+			w := 1 + r.Intn(8)
+			txns := make([]tm.Txn, tc.n)
+			for i := range txns {
+				objs := r.Perm(w)[:1+r.Intn(min(w, 3))]
+				slices.Sort(objs)
+				txns[i] = tm.Txn{Node: graph.NodeID(r.Intn(g.NumNodes()))}
+				for _, o := range objs {
+					txns[i].Objects = append(txns[i].Objects, tm.ObjectID(o))
+				}
+			}
+			home := make([]graph.NodeID, w+tc.unused)
+			for o := range home {
+				home[o] = graph.NodeID(r.Intn(g.NumNodes()))
+			}
+			in := tm.NewInstance(g, nil, len(home), txns, home)
+			s := New(tc.n)
+			for i := range s.Times {
+				s.Times[i] = tc.lo + r.Int63n(tc.span)
+			}
+			h := s.Handoffs(in)
+			if want := refSweepOrder(s.Times); !slices.Equal(h.Sweep, want) {
+				t.Fatalf("%s: sweep %v, want %v", tc.name, h.Sweep, want)
+			}
+			travel := s.Travel(in)
+			for o := range home {
+				want := slices.Clone(in.Users(tm.ObjectID(o)))
+				slices.SortFunc(want, func(a, b tm.TxnID) int {
+					return cmp.Or(cmp.Compare(s.Times[a], s.Times[b]), cmp.Compare(a, b))
+				})
+				if got := h.Of(tm.ObjectID(o)); !slices.Equal(got, want) {
+					t.Fatalf("%s: object %d handoffs %v, want %v (times %v)", tc.name, o, got, want, s.Times)
+				}
+				var walk int64
+				at := home[o]
+				for _, id := range want {
+					walk += in.Dist(at, in.Txns[id].Node)
+					at = in.Txns[id].Node
+				}
+				if travel[o] != walk {
+					t.Fatalf("%s: object %d travel %d, want %d", tc.name, o, travel[o], walk)
+				}
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"slices"
 
+	"dtmsched/internal/keysort"
 	"dtmsched/internal/tm"
 )
 
@@ -40,51 +41,97 @@ func (s *Schedule) Makespan() int64 {
 	return m
 }
 
-// Order returns object o's requesting transactions sorted by execution
-// time (ties broken by transaction ID; a feasible schedule has no ties
-// among users of a shared object).
-func (s *Schedule) Order(in *tm.Instance, o tm.ObjectID) []tm.TxnID {
-	return s.orderInto(nil, in, o)
+// Handoffs is a schedule's (time, ID) order over its instance. Sweep
+// lists every transaction in that order: restricted to one object it is
+// the order the object is handed from requester to requester (§2.1),
+// restricted to one node its commit order. Of reads each object's
+// restriction from a CSR with the offsets of the instance's conflict
+// index. A feasible schedule has no ties among the users of a shared
+// object, so there the ID only orders unrelated transactions.
+type Handoffs struct {
+	Sweep   []tm.TxnID
+	off     []int32 // object o's requesters are members[off[o]:off[o+1]]
+	members []tm.TxnID
 }
 
-// orderInto is Order writing into buf's storage.
-func (s *Schedule) orderInto(buf []tm.TxnID, in *tm.Instance, o tm.ObjectID) []tm.TxnID {
-	out := append(buf[:0], in.Users(o)...)
-	slices.SortFunc(out, func(a, b tm.TxnID) int {
-		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
-			return c
+// Of returns object o's requesting transactions in handoff order. The
+// slice aliases h's storage: read-only.
+func (h Handoffs) Of(o tm.ObjectID) []tm.TxnID { return h.members[h.off[o]:h.off[o+1]] }
+
+// Handoffs returns s's handoff order over in, which s must give one time
+// per transaction. Each object's member count in in.Index() fixes its end
+// offset, and a backward pass over the sweep places each requester just
+// below its object's end, so the offsets finish as start offsets.
+func (s *Schedule) Handoffs(in *tm.Instance) Handoffs {
+	order, _ := sweep(nil, nil, s.Times)
+	idx := in.Index()
+	off := make([]int32, in.NumObjects+1)
+	var total int32
+	for o := range in.NumObjects {
+		total += int32(len(idx.Members(tm.ObjectID(o))))
+		off[o] = total
+	}
+	off[in.NumObjects] = total
+	members := make([]tm.TxnID, total)
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		for _, o := range in.Txns[id].Objects {
+			off[o]--
+			members[off[o]] = id
 		}
-		return cmp.Compare(a, b)
-	})
-	return out
+	}
+	return Handoffs{Sweep: order, off: off, members: members}
 }
 
 // Travel returns each object's travel under s: the summed distance from
-// its home through its requesters' nodes in execution order. It backs
-// CommCost and the analysis reports; a verified run reads the same walk
-// from its ChainChecker.Travel instead of repeating it.
+// its home through its requesters' nodes in handoff order, walked along
+// the sweep. A verified run reads the same walk from its
+// ChainChecker.Travel instead of repeating it.
 func (s *Schedule) Travel(in *tm.Instance) []int64 {
 	travel := make([]int64, in.NumObjects)
-	var order []tm.TxnID
-	for o := range travel {
-		order = s.orderInto(order, in, tm.ObjectID(o))
-		at := in.Home[o]
-		for _, id := range order {
-			travel[o] += in.Dist(at, in.Txns[id].Node)
-			at = in.Txns[id].Node
+	at := slices.Clone(in.Home)
+	order, _ := sweep(nil, nil, s.Times)
+	for _, id := range order {
+		node := in.Txns[id].Node
+		for _, o := range in.Txns[id].Objects {
+			travel[o] += in.Dist(at[o], node)
+			at[o] = node
 		}
 	}
 	return travel
 }
 
-// CommCost returns the total communication cost: the summed shortest-path
-// distance traversed by all objects along their routes.
-func (s *Schedule) CommCost(in *tm.Instance) int64 {
-	var total int64
-	for _, d := range s.Travel(in) {
-		total += d
+// sweep writes 0..len(times)−1 into order's storage in (time, ID) order
+// and returns it with counts, the step-count scratch it grows for long
+// spans. A window's steps span about its makespan, so they are counted by
+// t − min — on a stack array when the span is short, as a serving
+// window's is, on counts when it is long — and compared only when the
+// span is wide against the window, as an offline schedule's makespan can
+// be. It is the repo's one sort of transactions by commit time.
+func sweep(order []tm.TxnID, counts []int32, times []int64) ([]tm.TxnID, []int32) {
+	order = slices.Grow(order[:0], len(times))[:len(times)]
+	if len(times) == 0 {
+		return order, counts
 	}
-	return total
+	lo := slices.Min(times)
+	span := slices.Max(times) - lo + 1
+	switch {
+	case !keysort.Fits(span, len(times)):
+		for i := range order {
+			order[i] = tm.TxnID(i)
+		}
+		slices.SortFunc(order, func(a, b tm.TxnID) int {
+			return cmp.Or(cmp.Compare(times[a], times[b]), cmp.Compare(a, b))
+		})
+	case span <= keysort.StackSpan:
+		var stack [keysort.StackSpan + 1]int32
+		keysort.Stable(order, times, lo, stack[:span+1])
+	default:
+		counts = slices.Grow(counts[:0], int(span)+1)[:span+1]
+		clear(counts)
+		keysort.Stable(order, times, lo, counts)
+	}
+	return order, counts
 }
 
 // Validate checks feasibility per Definition 1:

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -97,9 +98,13 @@ func TestMakespanAndShift(t *testing.T) {
 func TestOrderAndRoute(t *testing.T) {
 	in := tinyInstance()
 	s := &Schedule{Times: []int64{5, 2, 8}}
-	order := s.Order(in, 0) // users of obj0: txn0(t5), txn1(t2) → [1 0]
-	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
-		t.Fatalf("Order = %v", order)
+	h := s.Handoffs(in)
+	// users of obj0: txn0(t5), txn1(t2) → [1 0]; the sweep is [1 0 2].
+	if order := h.Of(0); !slices.Equal(order, []tm.TxnID{1, 0}) {
+		t.Fatalf("Handoffs.Of(0) = %v", order)
+	}
+	if !slices.Equal(h.Sweep, []tm.TxnID{1, 0, 2}) {
+		t.Fatalf("Handoffs.Sweep = %v", h.Sweep)
 	}
 	// obj0 routes home node0 → txn1@node1 → txn0@node0 (1+1); obj1
 	// routes home node3 → txn1@node1 → txn2@node3 (2+2).
@@ -118,17 +123,14 @@ func TestRouteCollapsesStationaryObject(t *testing.T) {
 	if tr := s.Travel(in); len(tr) != 1 || tr[0] != 0 {
 		t.Fatalf("Travel = %v, want the object to stay home", tr)
 	}
-	if c := s.CommCost(in); c != 0 {
-		t.Fatalf("CommCost = %d, want 0", c)
-	}
 }
 
 func TestCommCost(t *testing.T) {
 	in := tinyInstance()
 	s := &Schedule{Times: []int64{1, 3, 1}}
 	// obj0: 0→1 (1) ; obj1: 3→1 (2). Total 3.
-	if c := s.CommCost(in); c != 3 {
-		t.Fatalf("CommCost = %d, want 3", c)
+	if tr := s.Travel(in); !slices.Equal(tr, []int64{1, 2}) {
+		t.Fatalf("Travel = %v, want [1 2]", tr)
 	}
 }
 
@@ -178,7 +180,7 @@ func TestSpeedingUpATransactionBreaksFeasibilityProperty(t *testing.T) {
 		s := listSchedule(r, in)
 		// Find an object with ≥ 2 users and break its chain.
 		for o := 0; o < in.NumObjects; o++ {
-			users := s.Order(in, tm.ObjectID(o))
+			users := s.Handoffs(in).Of(tm.ObjectID(o))
 			if len(users) < 2 {
 				continue
 			}

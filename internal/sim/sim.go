@@ -12,9 +12,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
@@ -157,12 +155,9 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 		limit = env.limit
 	}
 
-	// Per-object itinerary: the sequence of requesters in execution
-	// order. itinerary[o][i] is the ith transaction to receive object o.
-	itineraries := make([][]tm.TxnID, in.NumObjects)
-	for o := range itineraries {
-		itineraries[o] = s.Order(in, tm.ObjectID(o))
-	}
+	// Per-object itinerary: the requesters in handoff order.
+	// h.Of(o)[i] is the ith transaction to receive object o.
+	h := s.Handoffs(in)
 
 	res := &Result{ObjectDistance: make([]int64, in.NumObjects)}
 	// Object state: where it is (or will arrive), and the index of the
@@ -175,7 +170,7 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 	objs := make([]objState, in.NumObjects)
 
 	dispatch := func(o int, from graph.NodeID, step int64) error {
-		it := itineraries[o]
+		it := h.Of(tm.ObjectID(o))
 		st := &objs[o]
 		if st.next >= len(it) {
 			return nil // no further requester; object rests
@@ -226,23 +221,12 @@ func Run(in *tm.Instance, s *schedule.Schedule, opt Options) (*Result, error) {
 	// when a transaction is reached — one pass suffices even though faults
 	// shift actual commit steps past later-scheduled, unrelated
 	// transactions.
-	order := make([]tm.TxnID, in.NumTxns())
-	for i := range order {
-		order[i] = tm.TxnID(i)
-	}
-	slices.SortFunc(order, func(a, b tm.TxnID) int {
-		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-
-	for _, id := range order {
+	for _, id := range h.Sweep {
 		txn := &in.Txns[id]
 		step := s.Times[id]
 		for _, o := range txn.Objects {
 			st := &objs[o]
-			it := itineraries[o]
+			it := h.Of(o)
 			if st.next >= len(it) || it[st.next] != id {
 				return nil, fmt.Errorf("sim: object %d is not headed to transaction %d at step %d (single-copy conflict: another requester executes concurrently or later-ordered)",
 					o, id, step)

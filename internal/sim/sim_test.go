@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,8 @@ import (
 	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
+	"dtmsched/internal/topology"
+	"dtmsched/internal/xrand"
 )
 
 func tinyInstance() *tm.Instance {
@@ -210,6 +213,24 @@ func TestSimulatorAgreesWithValidateProperty(t *testing.T) {
 	}
 }
 
+// TestRunAllocsIndependentOfObjects pins that a fault-free replay reads
+// every object's itinerary from one handoff CSR: the same 64 transactions
+// on an 8×8 grid, serially scheduled, cost the same number of mallocs
+// whether they draw their objects from 8 or from 512.
+func TestRunAllocsIndependentOfObjects(t *testing.T) {
+	g := topology.NewSquareGrid(8).Graph()
+	allocs := func(w int) float64 {
+		in := tm.UniformK(w, 2).Generate(xrand.NewDerived(34, "objects"), g, nil, g.Nodes(), tm.PlaceAtRandomUser)
+		in.PrecomputeDist(1)
+		s := serialSchedule(in)
+		MustRun(in, s, Options{}) // build the conflict index once
+		return testing.AllocsPerRun(50, func() { MustRun(in, s, Options{}) })
+	}
+	if few, many := allocs(8), allocs(512); few != many {
+		t.Fatalf("fault-free Run allocates %.0f times at W = 8 and %.0f at W = 512", few, many)
+	}
+}
+
 // TestSimulatorCommCostMatchesSchedule cross-checks the two independent
 // communication-cost computations on feasible schedules.
 func TestSimulatorCommCostMatchesSchedule(t *testing.T) {
@@ -221,7 +242,12 @@ func TestSimulatorCommCostMatchesSchedule(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.CommCost == s.CommCost(in) && res.Makespan == s.Makespan()
+		travel := s.Travel(in)
+		var total int64
+		for _, d := range travel {
+			total += d
+		}
+		return res.CommCost == total && slices.Equal(res.ObjectDistance, travel) && res.Makespan == s.Makespan()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -36,9 +36,11 @@ type Config struct {
 	QueueCap int
 	// Policy selects the backpressure behavior when the queue is full.
 	Policy Policy
-	// Verify is the per-window engine verification policy (zero value =
-	// VerifyFull, the engine's default; serving at rate usually wants
-	// VerifyFast).
+	// Verify is the per-window verification policy (zero value =
+	// VerifyFull, the engine's default). The serving loop's cross-window
+	// ChainChecker is every window's Definition 1 check, so VerifyFast
+	// and VerifyOff serve alike: their window jobs run the engine at
+	// VerifyOff. VerifyFull also replays each window in the simulator.
 	Verify engine.VerifyMode
 	// Retry and Deadline are the engine's per-window execution policies.
 	Retry    engine.RetryPolicy
@@ -223,6 +225,13 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		breakerWin = 4
 	}
 	drainOnCancel := cfg.OnCancel == CancelDrain
+	// The loop's checker has already checked each window against
+	// Definition 1, so a window job only replays: under VerifyFull, or
+	// under a fault plan, which the engine replays at any policy.
+	windowVerify := cfg.Verify
+	if windowVerify == engine.VerifyFast {
+		windowVerify = engine.VerifyOff
+	}
 
 	// Executor: windows run through the engine (with the batch layer's
 	// retry/deadline policies) while the serving loop cuts the next one.
@@ -263,7 +272,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				Instance:       wj.in,
 				Schedule:       wj.sched,
 				Algorithm:      "stream/window",
-				Verify:         cfg.Verify,
+				Verify:         windowVerify,
 				Faults:         cfg.Faults,
 				SkipLowerBound: true,
 			}
@@ -376,7 +385,7 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Chained scheduling state: the release chain spans the whole stream,
 	// exactly as windows.Run chains homes across a finite sequence; the
-	// chain checker independently re-verifies every cut window's
+	// chain checker independently verifies every cut window's
 	// feasibility.
 	chain := schedule.NewChain(metric, cfg.Home, cfg.G.NumNodes())
 	checker := schedule.NewChainChecker(cfg.Home)
@@ -608,10 +617,9 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 
 		// Shadow instance: this window's transactions with object homes
 		// frozen at the current release positions, so the engine's
-		// algebraic validation and simulator replay see exactly the
-		// handoff state the cutter scheduled against. The homes are a
-		// snapshot because the loop keeps advancing the chain while the
-		// executor runs.
+		// simulator replay starts from the handoff positions the cutter
+		// scheduled against. The homes are a snapshot because the loop
+		// keeps advancing the chain while the executor runs.
 		txns := make([]tm.Txn, len(cut))
 		for i, it := range cut {
 			txns[i] = tm.Txn{Node: it.Node, Objects: it.Objects}
@@ -636,9 +644,10 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		windowEnd := s.Makespan()
 
-		// Independent feasibility cross-check (the schedule.ChainChecker
-		// the finite-sequence scheduler uses): handoff chains and
-		// per-node commit ordering across every window so far.
+		// The window's one Definition 1 check, independent of the chain
+		// that built it (the schedule.ChainChecker the finite-sequence
+		// scheduler uses): handoff chains and per-node commit ordering
+		// across every window so far.
 		if err := checker.Check(in, s); err != nil {
 			return fail(fmt.Errorf("stream: window %d infeasible: %w", res.Windows, err))
 		}

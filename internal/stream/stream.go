@@ -13,7 +13,7 @@
 // of how the concurrent executor interleaves: same seed ⇒ identical
 // admission order, window cuts, and commit steps (Result.Digest pins
 // this). Wall-clock concurrency only overlaps window *execution*
-// (verification, measurement, retries) with the cutting of later
+// (the simulator replay, measurement, retries) with the cutting of later
 // windows.
 package stream
 

@@ -115,6 +115,39 @@ func TestServeVerifyModesAgree(t *testing.T) {
 	}
 }
 
+// TestServeWindowVerifyPolicy: the serving loop's ChainChecker is each
+// window's one Definition 1 check, so under VerifyFast and VerifyOff the
+// window jobs run the engine at VerifyOff, and only VerifyFull runs them
+// at VerifyFull (its simulator replay).
+func TestServeWindowVerifyPolicy(t *testing.T) {
+	for mode, want := range map[engine.VerifyMode]engine.VerifyMode{
+		engine.VerifyFull: engine.VerifyFull,
+		engine.VerifyFast: engine.VerifyOff,
+		engine.VerifyOff:  engine.VerifyOff,
+	} {
+		cfg := serveConfig(t, 16, 6, 2, 80, 0.4, 42)
+		cfg.Verify = mode
+		var got []engine.VerifyMode
+		cfg.Hook = func(ev engine.Event) {
+			if ev.Stage == engine.StageDone && ev.Report != nil {
+				got = append(got, ev.Report.Verify)
+			}
+		}
+		res, err := Serve(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("verify=%s: %v", mode, err)
+		}
+		if len(got) != res.Windows {
+			t.Fatalf("verify=%s: %d finished window jobs for %d windows", mode, len(got), res.Windows)
+		}
+		for w, v := range got {
+			if v != want {
+				t.Fatalf("verify=%s: window %d ran the engine at %s, want %s", mode, w, v, want)
+			}
+		}
+	}
+}
+
 func TestServeRejectPolicyDropsOverflow(t *testing.T) {
 	// Overload a tiny queue: one arrival per step on a 16-node line
 	// sharing one hot object. The object's travel time between random

@@ -87,6 +87,8 @@ go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count
 echo "== fault layer guards =="
 # sim.Run with a nil or empty fault plan must allocate exactly
 # what a fault-free run does (the fault machinery is free when unused),
+# a fault-free run must allocate the same whatever the object count (its
+# itineraries come from one handoff CSR),
 # its reroute query must equal the explicitly built surviving subgraph's
 # distances, with both of its stages (the healthy shortest-path DAG walk
 # and the A* fallback) answering queries and the walk backtracking out
@@ -102,7 +104,7 @@ echo "== fault layer guards =="
 # matched by one -bench pattern) and the grid16 plan-build benchmark
 # must at least compile and run (1-iteration smokes — the speedups are
 # checked with -benchtime).
-go test ./internal/sim -run 'TestRunEmptyInjectorAllocsLikeRun|TestFaultDistMatchesSurvivingSubgraph|TestFaultDistBacktracks|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
+go test ./internal/sim -run 'TestRunEmptyInjectorAllocsLikeRun|TestRunAllocsIndependentOfObjects|TestFaultDistMatchesSurvivingSubgraph|TestFaultDistBacktracks|TestRunFaultyAllocsIndependentOfBoundaries' -count=1
 go test ./internal/sim -run '^$' -bench 'BenchmarkFaultyReplay' -benchtime 1x -count=1 >/dev/null
 go test ./internal/faults -run '^$' -bench 'BenchmarkPlanGrid16' -benchtime 1x -count=1 >/dev/null
 go test -race ./internal/faults -run 'TestPlanSeedDeterminism' -count=1
@@ -173,15 +175,17 @@ echo "== streaming service guards =="
 # invariant), backpressure is exercised in both policies, the
 # cross-window chain checker (schedule.ChainChecker) accepts both
 # windows.Run modes and rejects corrupted schedules, and the
-# cutter/executor overlap is race-clean. The checker's sweep and the
+# cutter/executor overlap is race-clean. The (time, ID) sweep and the
 # conflict graph's node and color orders count integer keys: each must
 # equal its comparison-sort reference (seed corpora included) on both
-# sides of every fallback threshold, a warm grid16-window Check must
+# sides of every fallback threshold, each object's Handoffs and Travel
+# must equal a per-object sort's on random schedules (ties, unrequested
+# objects, infeasible times), a warm grid16-window Check must
 # allocate nothing, each order must allocate only the slice it returns,
 # and the window benchmarks must at least compile and run (1-iteration
 # smokes).
 go test ./internal/schedule ./internal/windows -run 'TestChainChecker' -count=1
-go test ./internal/schedule -run 'TestCheckWarmZeroAllocs|TestSweepOrderMatchesReference|FuzzCountingOrder' -count=1
+go test ./internal/schedule -run 'TestCheckWarmZeroAllocs|TestSweepOrderMatchesReference|TestHandoffsMatchReference|FuzzCountingOrder' -count=1
 go test ./internal/depgraph -run 'TestOrdersAllocateOneSlice|TestCountingOrderMatchesReference|FuzzCountingOrder' -count=1
 go test ./internal/schedule -run '^$' -bench 'BenchmarkChainCheckerWindow' -benchtime 1x -count=1 >/dev/null
 go test ./internal/depgraph -run '^$' -bench 'BenchmarkOrderByColor' -benchtime 1x -count=1 >/dev/null
@@ -190,15 +194,17 @@ go test -race ./internal/stream -count=1
 echo "== serving allocation guard =="
 # The serving loop must allocate nothing per transaction: a fixed
 # 20k-transaction grid16 stream may cost at most 1.0 malloc per
-# committed transaction (it measures ~0.65), since per-window work
-# spreads over ~56 of them.
-go test ./internal/stream -run 'TestServeAllocsPerTxn' -count=1
+# committed transaction (it measures ~0.62), since per-window work
+# spreads over ~56 of them, and at most 1.3 under a chaos 0.1 plan (it
+# measures ~0.89). Every window job must run the engine at VerifyOff
+# under VerifyFast and VerifyOff, at VerifyFull under VerifyFull.
+go test ./internal/stream -run 'TestServeAllocsPerTxn|TestServeChaosAllocsPerTxn|TestServeWindowVerifyPolicy' -count=1
 
 echo "== verifier differential fuzz smoke =="
 # schedule.Validate and the step-by-step simulator must agree on every
 # scheduler family's output and on mutated copies of it, and the
-# checker's per-object travel must equal Schedule.Travel and the
-# simulator's, alone and chained across windows.
+# checker's per-object travel must equal Schedule.Travel, the walk along
+# Schedule.Handoffs and the simulator's, alone and chained across windows.
 go test ./internal/schedule -run '^$' -fuzz FuzzVerifiersAgree -fuzztime 10s
 
 echo "== certified-bound soundness fuzz smoke =="
