@@ -77,7 +77,8 @@ func publishLower(reg *obs.Registry, hit bool, wall time.Duration, b *lower.Boun
 	reg.Counter("lower_closed_form_objects_total").Add(int64(b.ClosedFormObjects))
 	reg.Counter("lower_pruned_objects_total").Add(int64(b.PrunedObjects))
 	reg.Counter("lower_certified_objects_total").Add(int64(b.CertifiedObjects))
-	reg.Counter("lower_dp_objects_total").Add(int64(b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects))
+	reg.Counter("lower_branched_objects_total").Add(int64(b.BranchedObjects))
+	reg.Counter("lower_dp_objects_total").Add(int64(b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects - b.BranchedObjects))
 	reg.Counter("lower_bounded_objects_total").Add(int64(b.BoundedObjects))
 	reg.Histogram("lower_compute_us").Observe(wall.Microseconds())
 	reg.Histogram("lower_exact_objects").Observe(int64(b.ExactObjects))

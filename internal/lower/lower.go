@@ -75,16 +75,18 @@ type Bound struct {
 	// with more sites, whose walk is only bounded: by the MST/heuristic
 	// bracket on the witness path, by the MST low end on the value path.
 	ExactObjects, BoundedObjects int
-	// ClosedFormObjects, PrunedObjects and CertifiedObjects split
-	// ExactObjects on the value path: walks settled without Held–Karp
-	// (at most one site, the tree closed form, or a bracket whose ends
-	// meet), walks whose bracket or certificate high end showed they
-	// cannot raise MaxWalkLB, so they were never solved, and walks the
-	// certificate closed (tsp.Solver.WalkAbove). The rest,
+	// ClosedFormObjects, PrunedObjects, CertifiedObjects and
+	// BranchedObjects split ExactObjects on the value path: walks settled
+	// without Held–Karp (at most one site, the tree closed form, or a
+	// bracket whose ends meet), walks whose bracket, certificate or
+	// branch-and-bound walk showed they cannot raise MaxWalkLB, so they
+	// were never solved, walks the certificate closed, and walks the
+	// branch and bound closed (tsp.Solver.WalkAbove). The rest,
 	// ExactObjects − ClosedFormObjects − PrunedObjects −
-	// CertifiedObjects, went through Held–Karp. All three are zero on
-	// the witness path, which solves every object.
-	ClosedFormObjects, PrunedObjects, CertifiedObjects int
+	// CertifiedObjects − BranchedObjects, went through Held–Karp after
+	// the branch and bound ran out of nodes. All four are zero on the
+	// witness path, which solves every object.
+	ClosedFormObjects, PrunedObjects, CertifiedObjects, BranchedObjects int
 	// PerObject has one entry per object that is requested at all.
 	// Witness-only: empty on the value path.
 	PerObject []ObjectDetail
@@ -94,8 +96,9 @@ type Bound struct {
 // so a computation that reaches Held–Karp reuses a table (2^q·q cells,
 // 8 MiB at q = 16) instead of allocating and zeroing a fresh one, and the
 // slices Value and Compute refill per object, so a warm Value call
-// allocates nothing. Pooled scratch keeps its tables until the GC empties
-// the pool.
+// allocates nothing. Compute solves every walk with Held–Karp; Value
+// grows the table only for a walk whose branch and bound ran out of
+// nodes. Pooled scratch keeps its tables until the GC empties the pool.
 type scratch struct {
 	s            *tsp.Solver
 	sites, terms []graph.NodeID

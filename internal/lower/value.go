@@ -10,7 +10,7 @@ import (
 )
 
 // candidate is an object whose walk bracket did not close: its exact walk
-// lies in [lo, hi] and only the certificate or Held–Karp can tell where.
+// lies in [lo, hi] and only WalkAbove's later stages can tell where.
 type candidate struct {
 	obj tm.ObjectID
 	hi  int64
@@ -20,8 +20,8 @@ type candidate struct {
 // certified bound needs (Value, MaxUse, MaxWalkLB, ExactObjects,
 // BoundedObjects) without solving tours or computing walk upper ends,
 // and decides exactly only the walks that might raise the longest one:
-// bracket → certificate → DP. Per requested object with walk set S (its
-// distinct requester sites other than home):
+// bracket → certificate → branch and bound → DP. Per requested object
+// with walk set S (its distinct requester sites other than home):
 //
 //  1. |S| > tsp.ExactLimit: the MST weight over home ∪ S
 //     (tsp.Solver.WalkLB), the witness path's low end;
@@ -38,10 +38,11 @@ type candidate struct {
 // tsp.Solver.WalkAbove with the maximum as its floor. Its certificate
 // prunes the walk when a local-search walk is no longer than the
 // maximum, and settles it when the integer 1-tree bound meets that
-// walk; only otherwise does Held–Karp run. Either way the maximum
-// becomes what the witness path's would be, so MaxWalkLB equals the
-// witness path's. The witness-only fields (MaxWalkUB, MaxTour*,
-// PerObject) stay zero.
+// walk. Otherwise its branch and bound settles the walk, or prunes it on
+// finding a walk no longer than the maximum; only when the search runs
+// out of nodes does Held–Karp run. Either way the maximum becomes what
+// the witness path's would be, so MaxWalkLB equals the witness path's.
+// The witness-only fields (MaxWalkUB, MaxTour*, PerObject) stay zero.
 func Value(in *tm.Instance) Bound {
 	var (
 		b     Bound
@@ -109,6 +110,8 @@ func Value(in *tm.Instance) Bound {
 			b.PrunedObjects++
 		case tsp.Certified:
 			b.CertifiedObjects++
+		case tsp.Branched:
+			b.BranchedObjects++
 		}
 		maxLB = max(maxLB, walk)
 	}

@@ -139,9 +139,9 @@ func TestValueMatchesWitness(t *testing.T) {
 		if got, want := scalarsOf(value), scalarsOf(witness); got != want {
 			t.Fatalf("%s: value path %+v, witness path %+v", name, got, want)
 		}
-		if value.ClosedFormObjects+value.PrunedObjects+value.CertifiedObjects > value.ExactObjects {
-			t.Fatalf("%s: %d closed-form + %d pruned + %d certified > %d exact objects",
-				name, value.ClosedFormObjects, value.PrunedObjects, value.CertifiedObjects, value.ExactObjects)
+		if value.ClosedFormObjects+value.PrunedObjects+value.CertifiedObjects+value.BranchedObjects > value.ExactObjects {
+			t.Fatalf("%s: %d closed-form + %d pruned + %d certified + %d branched > %d exact objects",
+				name, value.ClosedFormObjects, value.PrunedObjects, value.CertifiedObjects, value.BranchedObjects, value.ExactObjects)
 		}
 		return value
 	}
@@ -183,23 +183,32 @@ var raceEnabled bool
 
 // TestValueRecyclesSolver: once warm, the value path reuses a
 // pooled solver's Held–Karp table instead of allocating one per call. The
-// instance's one object has 15 walk sites on a 12×12 grid, and neither its
-// bracket nor its certificate closes, so every call solves it with a
-// 3.75 MiB table.
+// instance's one object has 15 walk sites on a random weighted graph
+// (seed 1576: 27 nodes, 36 edges), and neither its bracket nor its
+// certificate closes, and its branch and bound runs out of nodes, so
+// every call solves it with a 3.75 MiB table. Such walks are rare: on a
+// 12×12 grid, none of the random 15-site sets drawn from seeds 1–19999
+// reaches Held–Karp.
 func TestValueRecyclesSolver(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
-	tp := topology.NewSquareGrid(12)
-	g := tp.Graph()
-	perm := rand.New(rand.NewSource(5)).Perm(g.NumNodes())
+	r := rand.New(rand.NewSource(1576))
+	n := 24 + r.Intn(24)
+	g := randomTree(r, n, 9)
+	for e := r.Intn(2 * n); e > 0; e-- {
+		if u, v := r.Intn(n), r.Intn(n); u != v {
+			g.AddEdge(graph.NodeID(u), graph.NodeID(v), 1+r.Int63n(9))
+		}
+	}
+	perm := r.Perm(n)
 	txns := make([]tm.Txn, 16)
 	for i := range txns {
 		txns[i] = tm.Txn{Node: graph.NodeID(perm[i]), Objects: []tm.ObjectID{0}}
 	}
-	in := tm.NewInstance(g, graph.FuncMetric(tp.Dist), 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
+	in := tm.NewInstance(g, g, 1, txns, []graph.NodeID{graph.NodeID(perm[0])})
 	b := Value(in)
-	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects; solved != 1 {
+	if solved := b.ExactObjects - b.ClosedFormObjects - b.PrunedObjects - b.CertifiedObjects - b.BranchedObjects; solved != 1 {
 		t.Fatalf("%d objects went through Held–Karp, want 1 (%+v)", solved, b)
 	}
 	const calls = 20
@@ -267,8 +276,9 @@ func TestValueSkipsWalkUpperEnd(t *testing.T) {
 // FuzzBoundSound checks the certified bound against ground truth on tiny
 // instances over random trees and random connected weighted graphs: the
 // value path must equal the witness path's scalars, so must a leg that
-// forces every walk through the certificate, and the bound must not
-// exceed the exact optimum, which must not exceed the greedy makespan.
+// forces every walk through the certificate (and the branch and bound
+// behind it), and the bound must not exceed the exact optimum, which must
+// not exceed the greedy makespan.
 func FuzzBoundSound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -289,9 +299,9 @@ func FuzzBoundSound(f *testing.F) {
 			t.Fatalf("value path %+v, witness path %+v", got, want)
 		}
 		// The certificate leg: every walk through tsp.Solver.WalkAbove
-		// with no floor to prune against, so each one is certified or
-		// solved, must be the witness path's walk, and the bound built
-		// from them must be the witness path's.
+		// with no floor to prune against, so each one is certified,
+		// branched or solved, must be the witness path's walk, and the
+		// bound built from them must be the witness path's.
 		var s tsp.Solver
 		certBound := int64(witness.MaxUse)
 		for _, d := range witness.PerObject {

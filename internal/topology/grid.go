@@ -12,7 +12,13 @@ import (
 type Grid struct {
 	g          *graph.Graph
 	rows, cols int
+	// at holds every node's (row, column), so Dist reads two entries
+	// instead of dividing twice per node.
+	at []gridCoord
 }
+
+// gridCoord is a node's (row, column).
+type gridCoord struct{ r, c int32 }
 
 // NewGrid builds a rows×cols mesh; both dimensions must be ≥ 1.
 func NewGrid(rows, cols int) *Grid {
@@ -20,9 +26,11 @@ func NewGrid(rows, cols int) *Grid {
 		panic(fmt.Sprintf("topology: grid %dx%d has empty dimension", rows, cols))
 	}
 	g := graph.NewNamed(fmt.Sprintf("grid-%dx%d", rows, cols), rows*cols)
+	at := make([]gridCoord, 0, rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			id := graph.NodeID(r*cols + c)
+			at = append(at, gridCoord{int32(r), int32(c)})
 			if c+1 < cols {
 				g.AddUnitEdge(id, id+1)
 			}
@@ -31,7 +39,7 @@ func NewGrid(rows, cols int) *Grid {
 			}
 		}
 	}
-	return &Grid{g: g, rows: rows, cols: cols}
+	return &Grid{g: g, rows: rows, cols: cols, at: at}
 }
 
 // NewSquareGrid builds the paper's n×n grid.
@@ -62,11 +70,10 @@ func (gr *Grid) Coord(id graph.NodeID) (r, c int) {
 	return int(id) / gr.cols, int(id) % gr.cols
 }
 
-// Dist is the Manhattan distance.
+// Dist is the Manhattan distance between two of the grid's nodes.
 func (gr *Grid) Dist(u, v graph.NodeID) int64 {
-	ur, uc := gr.Coord(u)
-	vr, vc := gr.Coord(v)
-	return abs64(int64(ur)-int64(vr)) + abs64(int64(uc)-int64(vc))
+	a, b := gr.at[u], gr.at[v]
+	return abs64(int64(a.r)-int64(b.r)) + abs64(int64(a.c)-int64(b.c))
 }
 
 // Diameter is (rows−1) + (cols−1).

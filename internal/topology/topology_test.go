@@ -81,6 +81,26 @@ func TestGridStructure(t *testing.T) {
 	}
 }
 
+// TestGridDistMatchesCoord: Dist reads a coordinate table built once,
+// and must equal the Manhattan distance of Coord's (row, column) on
+// every pair, on single-row, single-column and rectangular grids.
+func TestGridDistMatchesCoord(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {12, 12}} {
+		gr := NewGrid(dim[0], dim[1])
+		n := dim[0] * dim[1]
+		for u := 0; u < n; u++ {
+			ur, uc := gr.Coord(graph.NodeID(u))
+			for v := 0; v < n; v++ {
+				vr, vc := gr.Coord(graph.NodeID(v))
+				want := abs64(int64(ur-vr)) + abs64(int64(uc-vc))
+				if got := gr.Dist(graph.NodeID(u), graph.NodeID(v)); got != want {
+					t.Fatalf("%dx%d: Dist(%d,%d) = %d, want %d", dim[0], dim[1], u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGridDecompose(t *testing.T) {
 	gr := NewSquareGrid(10)
 	tiles := gr.Decompose(4) // 3x3 tiles, borders truncated

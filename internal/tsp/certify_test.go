@@ -48,15 +48,20 @@ func certMetrics(r *rand.Rand) []certMetric {
 // random weighted-graph metrics, the integer low end never exceeds
 // Held–Karp, the local-search high end never falls below it and equals
 // the length of the walk it leaves, and WalkAbove returns Held–Karp's
-// value whenever it reports the walk certified or solved, and a value ≤
-// floor (with Held–Karp ≤ floor) whenever it prunes. One Solver serves
-// every set, so the scratch is entered at every size. Each metric family
-// must certify some walks.
+// value whenever it reports the walk certified, branched or solved, and
+// a value ≤ floor (with Held–Karp ≤ floor) whenever it prunes. Its branch
+// leg runs the branch and bound with no floor on every walk the
+// certificate leaves open: it must return Held–Karp's value as Branched
+// or report that its budget ran out. One Solver serves every set, so the
+// scratch is entered at every size. Each metric family must certify some
+// walks, and each but the cluster graph must branch-close some: there
+// the certificate leaves about one walk in 2000 open, all of them with
+// too few sites for a budget of more than a few nodes.
 func TestCertificateMatchesHeldKarp(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var s Solver
 	for _, mt := range certMetrics(r) {
-		certified := 0
+		certified, branched := 0, 0
 		for trial := 0; trial < 120; trial++ {
 			q := 2 + r.Intn(min(ExactLimit, mt.nodes-1)-1)
 			nodes := make([]graph.NodeID, q+1)
@@ -93,6 +98,14 @@ func TestCertificateMatchesHeldKarp(t *testing.T) {
 			if length != ub {
 				t.Fatalf("%s q=%d: high end %d, its walk's length %d", mt.name, q, ub, length)
 			}
+			if lb < ub {
+				switch walk, how := s.cert.branch(q, ub, math.MinInt64, 1<<(q-2)); {
+				case how == Branched && walk == opt:
+					branched++
+				case how != Solved:
+					t.Fatalf("%s q=%d: branch and bound %d (outcome %d), Held–Karp %d", mt.name, q, walk, how, opt)
+				}
+			}
 
 			walk, how := s.WalkAbove(mt.m, home, sites, -1)
 			if how == Pruned || walk != opt {
@@ -112,7 +125,96 @@ func TestCertificateMatchesHeldKarp(t *testing.T) {
 		if certified == 0 {
 			t.Errorf("%s: no walk certified", mt.name)
 		}
+		if branched == 0 && mt.name != "cluster4x8" {
+			t.Errorf("%s: no walk branch-closed", mt.name)
+		}
+		t.Logf("%s: %d certified, %d branched", mt.name, certified, branched)
 	}
+}
+
+// openWalks draws site sets of qLo..qHi sites on the 12×12 grid from
+// seed and returns the first count whose certificate stays open (its
+// integer low end below its local-search high end), each as home and
+// then its sites. It fails tb when 100·count draws do not find them.
+func openWalks(tb testing.TB, seed int64, qLo, qHi, count int) [][]graph.NodeID {
+	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
+	var s Solver
+	var out [][]graph.NodeID
+	for draw := 0; len(out) < count; draw++ {
+		if draw == 100*count {
+			tb.Fatalf("%d of %d draws left the certificate open, want %d", len(out), draw, count)
+		}
+		q := qLo + r.Intn(qHi-qLo+1)
+		nodes := make([]graph.NodeID, q+1)
+		for i, v := range r.Perm(144)[:q+1] {
+			nodes[i] = graph.NodeID(v)
+		}
+		s.fillPairwise(gridMetric(12), nodes[0], nodes[1:])
+		s.cert.load(s.dt, q)
+		if ub := s.cert.upper(q, math.MinInt64); s.cert.lower(q, ub) < ub {
+			out = append(out, nodes)
+		}
+	}
+	return out
+}
+
+// TestBranchBudgetFallsBackToHeldKarp: a branch and bound with a budget
+// of one node expands the root and runs out at its first child, so
+// walkAbove must hand the walk to Held–Karp and return its value as
+// Solved, while the 2^(q−2) budget closes the same walks as Branched.
+// A warm repeat reuses the Held–Karp table and allocates nothing.
+func TestBranchBudgetFallsBackToHeldKarp(t *testing.T) {
+	var s Solver
+	for _, nodes := range openWalks(t, 7, 10, ExactLimit, 8) {
+		home, sites := nodes[0], nodes[1:]
+		q := len(sites)
+		opt := s.Walk(gridMetric(12), home, sites).LB
+		if walk, how := s.walkAbove(gridMetric(12), home, sites, -1, 1); how != Solved || walk != opt {
+			t.Fatalf("q=%d, budget 1: %d (outcome %d), want Held–Karp's %d as Solved", q, walk, how, opt)
+		}
+		if walk, how := s.WalkAbove(gridMetric(12), home, sites, -1); how != Branched || walk != opt {
+			t.Fatalf("q=%d, budget 2^(q−2): %d (outcome %d), want %d as Branched", q, walk, how, opt)
+		}
+		s.walkAbove(gridMetric(12), home, sites, -1, 1)
+		if allocs := testing.AllocsPerRun(5, func() {
+			s.walkAbove(gridMetric(12), home, sites, -1, 1)
+		}); allocs != 0 {
+			t.Fatalf("q=%d: %v allocs per warm fallback, want 0", q, allocs)
+		}
+	}
+}
+
+// TestBranchStopsAtFloor: on open walks whose local search missed the
+// optimum, WalkAbove with a floor in [OPT, high end) reaches the branch
+// and bound, which must stop at a walk no longer than the floor (and no
+// shorter than OPT) and return it as Pruned. With the floor one below
+// OPT, no walk is ≤ floor, so it must return OPT unpruned.
+func TestBranchStopsAtFloor(t *testing.T) {
+	var s Solver
+	tested := 0
+	for _, nodes := range openWalks(t, 8, 8, ExactLimit, 200) {
+		home, sites := nodes[0], nodes[1:]
+		q := len(sites)
+		opt := s.Walk(gridMetric(12), home, sites).LB
+		s.fillPairwise(gridMetric(12), home, sites)
+		s.cert.load(s.dt, q)
+		ub := s.cert.upper(q, math.MinInt64)
+		if walk, how := s.WalkAbove(gridMetric(12), home, sites, opt-1); how == Pruned || walk != opt {
+			t.Fatalf("q=%d floor %d: %d (outcome %d), want %d unpruned", q, opt-1, walk, how, opt)
+		}
+		for floor := opt; floor < ub; floor++ {
+			walk, how := s.WalkAbove(gridMetric(12), home, sites, floor)
+			if how != Pruned || walk > floor || walk < opt {
+				t.Fatalf("q=%d floor %d: %d (outcome %d), want a walk in [%d, %d] as Pruned", q, floor, walk, how, opt, floor)
+			}
+			tested++
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no open walk had a local-search miss; the test checks nothing")
+	}
+	t.Logf("%d floors checked", tested)
 }
 
 // TestCertifyRecomputesInIntegers: adding one constant C to every
@@ -152,16 +254,18 @@ func TestCertifyRecomputesInIntegers(t *testing.T) {
 	}
 }
 
-// TestWalkAboveWarmZeroAllocs: the certificate's scratch lives on the
-// Solver, so once warm, WalkAbove allocates nothing, both on a 12×12
-// grid walk the certificate closes and on one it leaves to Held–Karp.
+// TestWalkAboveWarmZeroAllocs: the certificate's and the branch and
+// bound's scratch lives on the Solver, so once warm, WalkAbove allocates
+// nothing, both on 12×12 grid walks the certificate closes and on ones
+// the branch and bound closes. TestBranchBudgetFallsBackToHeldKarp
+// checks the Held–Karp fallback.
 func TestWalkAboveWarmZeroAllocs(t *testing.T) {
 	var s Solver
 	for _, tc := range []struct {
 		seed int64
 		q    int
 		want Outcome
-	}{{3, ExactLimit, Certified}, {4, 12, Solved}} {
+	}{{3, ExactLimit, Certified}, {4, 12, Branched}, {5, ExactLimit, Branched}} {
 		var nodes []graph.NodeID
 		for _, v := range rand.New(rand.NewSource(tc.seed)).Perm(144)[:tc.q+1] {
 			nodes = append(nodes, graph.NodeID(v))
@@ -174,5 +278,25 @@ func TestWalkAboveWarmZeroAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("seed %d q=%d: %v allocs per warm WalkAbove, want 0", tc.seed, tc.q, allocs)
 		}
+	}
+}
+
+var walkSink int64
+
+// BenchmarkWalkAboveOpen times WalkAbove on 12×12 grid walks of 15 and 16
+// sites that the certificate leaves open, so each runs the certificate
+// and then the branch and bound (or, past its budget, Held–Karp), on a
+// warm Solver. One op is one walk; the loop cycles through 16 of them.
+func BenchmarkWalkAboveOpen(b *testing.B) {
+	walks := openWalks(b, 1, 15, ExactLimit, 16)
+	var s Solver
+	for _, nodes := range walks {
+		s.WalkAbove(gridMetric(12), nodes[0], nodes[1:], -1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes := walks[i%len(walks)]
+		walkSink, _ = s.WalkAbove(gridMetric(12), nodes[0], nodes[1:], -1)
 	}
 }

@@ -12,10 +12,12 @@
 // Both run on one distance matrix per site set, filled once.
 //
 // A caller that only needs walks able to exceed a floor (the certified
-// bound's value path) takes them in three stages: the bracket above, then
+// bound's value path) takes them in four stages: the bracket above, then
 // WalkAbove's certificate (a multi-start 2-opt/Or-opt high end and the
-// Held–Karp 1-tree Lagrangian low end, certified in integers), and the
-// Held–Karp DP only when neither closes the walk.
+// Held–Karp 1-tree Lagrangian low end, certified in integers), then a
+// depth-first branch and bound over walk prefixes under the same integer
+// 1-tree bound, and the Held–Karp DP only when the search runs out of its
+// 2^(q−2)-node budget.
 //
 // Held–Karp pulls each state from its predecessors, dp[S][j] = min over
 // i ∈ S∖{j} of dp[S∖{j}][i] + d(i, j): one table row read against one
@@ -71,7 +73,7 @@ type Solver struct {
 	pool []int32
 	path []int32
 
-	cert certScratch // WalkAbove's certificate
+	cert certScratch // WalkAbove's certificate and branch and bound
 }
 
 // NewSolver returns an empty solver; scratch grows on first use.
@@ -236,7 +238,9 @@ func (s *Solver) Distinct(sites []graph.NodeID, skip graph.NodeID) []graph.NodeI
 			continue
 		}
 		if int(v) >= len(s.stamp) {
-			grown := make([]int64, int(v)+1)
+			// Doubling keeps a fresh solver's regrowths logarithmic
+			// when node IDs arrive in random order.
+			grown := make([]int64, max(int(v)+1, 2*len(s.stamp)))
 			copy(grown, s.stamp)
 			s.stamp = grown
 		}

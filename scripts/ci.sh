@@ -69,20 +69,25 @@ echo "== lower-bound oracle guards =="
 # matrix search must equal its metric-query reference step for step, the
 # walk certificate must stay between Held–Karp's ends on random grid, cluster
 # and weighted-graph metrics (and equal it whenever it claims the walk),
+# the branch and bound behind it must equal Held–Karp on every walk the
+# certificate leaves open or report that its budget ran out, hand a walk
+# to Held–Karp (reusing its table) when a one-node budget runs out, and
+# stop at a real walk no longer than the floor, never below the optimum,
 # its integer recompute must stay under the optimum where the float
-# value overstates it, and a warm certificate must allocate nothing, a
-# warm value path must recycle its pooled solver's table instead of
-# allocating one per call and allocate nothing at all on every
-# offline-certify cell shape, concurrent first queries must race benignly
-# under the race detector, and the cost-tier, value-path and kernel
-# benchmarks must at least compile and run (1 iteration smokes — the
-# Measure-stage speedup is checked via BENCH_RESULTS.json).
+# value overstates it, and a warm certificate or branch and bound must
+# allocate nothing, a warm value path must recycle its pooled solver's
+# table instead of allocating one per call and allocate nothing at all on
+# every offline-certify cell shape, concurrent first queries must race
+# benignly under the race detector, and the cost-tier, value-path,
+# kernel and open-walk benchmarks must at least compile and run
+# (1 iteration smokes — the Measure-stage speedup is checked via
+# BENCH_RESULTS.json).
 go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestValueWitnessFree|TestValueMatchesWitness|TestTreeWalkMatchesHeldKarp|TestValueSkipsWalkUpperEnd|TestValueRecyclesSolver|TestValueWarmZeroAllocs' -count=1
-go test ./internal/tsp -run 'TestHeldKarpMatchesPushReference|TestHeuristicMatchesMetricReference|TestCertificateMatchesHeldKarp|TestCertifyRecomputesInIntegers|TestWalkAboveWarmZeroAllocs' -count=1
+go test ./internal/tsp -run 'TestHeldKarpMatchesPushReference|TestHeuristicMatchesMetricReference|TestCertificateMatchesHeldKarp|TestBranchBudgetFallsBackToHeldKarp|TestBranchStopsAtFloor|TestCertifyRecomputesInIntegers|TestWalkAboveWarmZeroAllocs' -count=1
 go test -race ./internal/lower -run 'TestOracleConcurrentFirstQuery' -count=1
 go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/null
 go test ./internal/lower -run '^$' -bench 'BenchmarkValueGrid12' -benchtime 1x -count=1 >/dev/null
-go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp' -benchtime 1x -count=1 >/dev/null
+go test ./internal/tsp -run '^$' -bench 'BenchmarkHeldKarp|BenchmarkWalkAboveOpen' -benchtime 1x -count=1 >/dev/null
 
 echo "== fault layer guards =="
 # sim.Run with a nil or empty fault plan must allocate exactly
