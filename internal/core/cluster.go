@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -35,16 +34,13 @@ const (
 // transactions whose objects all activated locally become enabled, and
 // enabled transactions execute cluster-locally.
 //
-// Two deliberate deviations from the paper's accounting (not from its
-// algorithm), both documented in DESIGN.md:
-//
-//   - rounds end early once every transaction of the phase has executed,
-//     instead of always running the worst-case ζ = 2·40^k·ln^(k+1) m
-//     rounds — the analysis shows w.h.p. completion within ζ, and ζ
-//     remains the cap;
-//   - objects travel directly between consecutive requesters rather than
-//     literally staging at bridge nodes; direct shortest paths are never
-//     longer than the via-bridge routes the analysis charges.
+// Approach 2's rounds are the activation round Star's randomized periods
+// share (activation). Its departures from Algorithm 1's accounting, not
+// from its algorithm, are listed once for both in DESIGN.md §4: rounds end
+// early once the phase is empty, with ζ only as a cap; objects travel
+// directly rather than staging at bridges; a stall limit ends unlucky
+// phases; and a deterministic list-scheduling fallback places what is
+// left.
 type Cluster struct {
 	// Topo is the cluster topology the instance lives on.
 	Topo *topology.ClusterGraph
@@ -78,17 +74,18 @@ func (cs *Cluster) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	if in.G != cs.Topo.Graph() {
 		return nil, fmt.Errorf("core: instance graph is not the scheduler's cluster graph")
 	}
+	sigma := cs.sigma(in)
 	switch cs.Approach {
 	case ClusterApproach1:
-		return cs.approach1(in)
+		return cs.approach1(in, sigma)
 	case ClusterApproach2:
-		return cs.approach2(in)
+		return cs.approach2(in, sigma)
 	default:
-		r1, err := cs.approach1(in)
+		r1, err := cs.approach1(in, sigma)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := cs.approach2(in)
+		r2, err := cs.approach2(in, sigma)
 		if err != nil {
 			return nil, err
 		}
@@ -101,50 +98,43 @@ func (cs *Cluster) ScheduleUnchecked(in *tm.Instance) (*Result, error) {
 	}
 }
 
-func (cs *Cluster) approach1(in *tm.Instance) (*Result, error) {
+func (cs *Cluster) approach1(in *tm.Instance, sigma int) (*Result, error) {
 	g := &Greedy{}
 	r, err := g.ScheduleUnchecked(in)
 	if err != nil {
 		return nil, err
 	}
 	r.Algorithm = "cluster/approach1"
-	r.Stats["sigma"] = int64(cs.sigma(in))
+	r.Stats["sigma"] = int64(sigma)
 	return r, nil
 }
 
 // sigma returns σ = max over objects of the number of distinct clusters
-// with a requester.
+// with a requester. A cluster's stamp is the last object that counted it.
 func (cs *Cluster) sigma(in *tm.Instance) int {
+	stamp := make([]int32, cs.Topo.Alpha())
 	sigma := 0
 	for o := 0; o < in.NumObjects; o++ {
-		clusters := make(map[int]struct{})
+		clusters := 0
 		for _, id := range in.Users(tm.ObjectID(o)) {
-			clusters[cs.Topo.ClusterOf(in.Txns[id].Node)] = struct{}{}
+			if cl := cs.Topo.ClusterOf(in.Txns[id].Node); stamp[cl] != int32(o)+1 {
+				stamp[cl] = int32(o) + 1
+				clusters++
+			}
 		}
-		if len(clusters) > sigma {
-			sigma = len(clusters)
-		}
+		sigma = max(sigma, clusters)
 	}
 	return sigma
 }
 
-func (cs *Cluster) approach2(in *tm.Instance) (*Result, error) {
+// approach2 assigns each cluster a random phase and runs one activation
+// call per phase over its clusters, in ascending cluster order.
+func (cs *Cluster) approach2(in *tm.Instance, sigma int) (*Result, error) {
 	if cs.Rng == nil {
 		return nil, fmt.Errorf("core: cluster approach 2 needs an Rng")
 	}
 	alpha := cs.Topo.Alpha()
-	n := in.G.NumNodes()
-	w := in.NumObjects
-	m := maxInt(maxInt(n, w), 2)
-	k := maxInt(in.MaxK(), 1)
-	sigma := cs.sigma(in)
-
-	lnM := math.Log(float64(m))
-	psi := int(math.Ceil(float64(sigma) / (24 * lnM)))
-	if psi < 1 {
-		psi = 1
-	}
-	zeta := roundCap(k, lnM)
+	psi := max(int(math.Ceil(float64(sigma)/(24*logM(in)))), 1)
 
 	// Assign each cluster to a uniformly random phase.
 	phaseOf := make([]int, alpha)
@@ -152,133 +142,31 @@ func (cs *Cluster) approach2(in *tm.Instance) (*Result, error) {
 		phaseOf[i] = cs.Rng.Intn(psi)
 	}
 
-	// pendingByCluster[c] = not-yet-executed transactions homed in c.
-	pendingByCluster := make([][]tm.TxnID, alpha)
+	// byCluster[cl] lists the transactions homed in cl in ID order.
+	byCluster := make([][]tm.TxnID, alpha)
 	for i := range in.Txns {
 		cl := cs.Topo.ClusterOf(in.Txns[i].Node)
-		pendingByCluster[cl] = append(pendingByCluster[cl], tm.TxnID(i))
+		byCluster[cl] = append(byCluster[cl], tm.TxnID(i))
 	}
 
 	c := newComposer(in)
-	var totalRounds, fallbacks int64
-
-	runPhase := func(clusters []int) {
-		inPhase := make(map[int]bool, len(clusters))
-		pendingCount := 0
-		for _, cl := range clusters {
-			inPhase[cl] = true
-			pendingCount += len(pendingByCluster[cl])
-		}
-		// stall guards against spinning through the (astronomical) ζ cap
-		// when randomness is persistently unlucky; the deterministic
-		// fallback below keeps the schedule correct either way.
-		const stallLimit = 5000
-		stall := 0
-		for round := int64(0); pendingCount > 0 && round < zeta && stall < stallLimit; round++ {
-			totalRounds++
-			// Activation: each object still wanted by a phase cluster
-			// picks one such cluster uniformly at random.
-			active := make(map[tm.ObjectID]int)
-			for o := 0; o < w; o++ {
-				var choices []int
-				seen := make(map[int]bool)
-				for _, id := range in.Users(tm.ObjectID(o)) {
-					if c.done[id] {
-						continue
-					}
-					cl := cs.Topo.ClusterOf(in.Txns[id].Node)
-					if inPhase[cl] && !seen[cl] {
-						seen[cl] = true
-						choices = append(choices, cl)
-					}
-				}
-				if len(choices) > 0 {
-					sort.Ints(choices) // deterministic order before the random draw
-					active[tm.ObjectID(o)] = choices[cs.Rng.Intn(len(choices))]
-				}
-			}
-			// Enabled transactions: all requested objects activated in
-			// the transaction's own cluster.
-			var ids []tm.TxnID
-			var local []int64
-			for _, cl := range clusters {
-				var pos int64
-				var still []tm.TxnID
-				for _, id := range pendingByCluster[cl] {
-					enabled := true
-					for _, o := range in.Txns[id].Objects {
-						if a, ok := active[o]; !ok || a != cl {
-							enabled = false
-							break
-						}
-					}
-					if enabled {
-						pos++
-						ids = append(ids, id)
-						local = append(local, pos)
-						pendingCount--
-					} else {
-						still = append(still, id)
-					}
-				}
-				pendingByCluster[cl] = still
-			}
-			if len(ids) > 0 {
-				c.appendBatch(ids, local)
-				stall = 0
-			} else {
-				stall++
-			}
-		}
-		// Deterministic fallback: list-schedule whatever the random
-		// rounds left behind (never triggered at the paper's ζ except
-		// with vanishing probability; required for guaranteed
-		// termination).
-		for _, cl := range clusters {
-			for _, id := range pendingByCluster[cl] {
-				fallbacks++
-				c.appendOne(id)
-			}
-			pendingByCluster[cl] = nil
-		}
-	}
-
+	a := newActivation(in, c, cs.Rng)
+	groups := make([][]tm.TxnID, 0, alpha)
 	for p := 0; p < psi; p++ {
-		var clusters []int
+		groups = groups[:0]
 		for cl, ph := range phaseOf {
 			if ph == p {
-				clusters = append(clusters, cl)
+				groups = append(groups, byCluster[cl])
 			}
 		}
-		runPhase(clusters)
+		a.run(groups, nil)
 	}
 
 	r := newResult("cluster/approach2", c.finish())
 	r.Stats["sigma"] = int64(sigma)
 	r.Stats["psi"] = int64(psi)
-	r.Stats["zeta_cap"] = zeta
-	r.Stats["rounds"] = totalRounds
-	r.Stats["fallbacks"] = fallbacks
+	r.Stats["zeta_cap"] = a.zeta
+	r.Stats["rounds"] = a.rounds
+	r.Stats["fallbacks"] = a.fallbacks
 	return r, nil
-}
-
-// roundCap computes ζ = 2·40^k·⌈ln^(k+1) m⌉, clamped to a practical
-// ceiling (the cap only matters as a safety net; phases end when their
-// transactions finish).
-func roundCap(k int, lnM float64) int64 {
-	z := 2 * math.Pow(40, float64(k)) * math.Ceil(math.Pow(lnM, float64(k+1)))
-	if z > 1e9 || math.IsInf(z, 0) || math.IsNaN(z) {
-		return 1 << 30
-	}
-	if z < 1 {
-		return 1
-	}
-	return int64(z)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

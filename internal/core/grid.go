@@ -46,7 +46,7 @@ func (g *Grid) Side(in *tm.Instance) int {
 	if w > m {
 		m = w
 	}
-	xi := 27 * float64(w) * math.Log(float64(maxInt(m, 2))) / float64(k)
+	xi := 27 * float64(w) * math.Log(float64(max(m, 2))) / float64(k)
 	side := int(math.Ceil(math.Sqrt(xi)))
 	if side < 1 {
 		side = 1

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"dtmsched/internal/depgraph"
 	"dtmsched/internal/tm"
@@ -23,6 +21,8 @@ import (
 // with segments in place of clusters, enabled transactions sweeping their
 // segment center-outward); Auto builds both full schedules and keeps the
 // shorter, realizing Theorem 5's O(log β · min(kβ, c^k ln^k m)) factor.
+// The rounds are Cluster's shared activation round, one call per period,
+// with the departures DESIGN.md §4 lists.
 type Star struct {
 	// Topo is the star topology the instance lives on.
 	Topo *topology.Star
@@ -83,11 +83,17 @@ func (st *Star) run(in *tm.Instance, randomized bool) (*Result, error) {
 		return nil, fmt.Errorf("core: star approach 2 needs an Rng")
 	}
 	c := newComposer(in)
-	var totalRounds, fallbacks int64
 
 	name := "star/approach1"
+	var a *activation
+	var at []int64
 	if randomized {
 		name = "star/approach2"
+		a = newActivation(in, c, st.Rng)
+		// A member's local time is its 1-based offset within its
+		// segment, so enabled members sweep their segment center-outward
+		// and two that share an object run at least their distance apart.
+		at = make([]int64, in.NumTxns())
 	}
 	r := &Result{Algorithm: name, Stats: map[string]int64{}}
 
@@ -96,22 +102,26 @@ func (st *Star) run(in *tm.Instance, randomized bool) (*Result, error) {
 		c.appendOne(txn.ID)
 	}
 
+	// all holds one period's pending transactions segment by segment, and
+	// bySeg[s] is segment s's window of it. Its capacity is every
+	// transaction, so appending never moves a window.
+	all := make([]tm.TxnID, 0, in.NumTxns())
+	var bySeg [][]tm.TxnID
 	eta := st.Topo.NumSegments()
 	for i := 1; i <= eta; i++ {
 		segs := st.Topo.Segments(i)
-		if len(segs) == 0 {
-			continue
-		}
-		// Collect pending transactions per segment (keyed by ray).
-		bySeg := make([][]tm.TxnID, len(segs))
-		var all []tm.TxnID
-		for s, seg := range segs {
-			for _, v := range seg.Nodes(st.Topo) {
-				if txn := in.TxnAt(v); txn != nil && !c.done[txn.ID] {
-					bySeg[s] = append(bySeg[s], txn.ID)
+		all, bySeg = all[:0], bySeg[:0]
+		for _, seg := range segs {
+			lo := len(all)
+			for p := seg.Lo; p <= seg.Hi; p++ {
+				if txn := in.TxnAt(st.Topo.ID(seg.Ray, p)); txn != nil && !c.done[txn.ID] {
 					all = append(all, txn.ID)
+					if at != nil {
+						at[txn.ID] = int64(p - seg.Lo + 1)
+					}
 				}
 			}
+			bySeg = append(bySeg, all[lo:len(all):len(all)])
 		}
 		if len(all) == 0 {
 			continue
@@ -122,101 +132,17 @@ func (st *Star) run(in *tm.Instance, randomized bool) (*Result, error) {
 			sum.AddStats(r.Stats)
 			continue
 		}
-		rounds, fb := st.randomizedPeriod(in, c, segs, bySeg)
-		totalRounds += rounds
-		fallbacks += fb
+		a.run(bySeg, at)
 	}
 
 	r.Schedule = c.finish()
 	r.Makespan = r.Schedule.Makespan()
+	var rounds, fallbacks int64
+	if a != nil {
+		rounds, fallbacks = a.rounds, a.fallbacks
+	}
 	r.Stats["eta"] = int64(eta)
-	r.Stats["rounds"] = totalRounds
+	r.Stats["rounds"] = rounds
 	r.Stats["fallbacks"] = fallbacks
 	return r, nil
 }
-
-// randomizedPeriod runs Algorithm 1 style rounds over the segments of one
-// period: each object wanted by pending transactions of several segments
-// activates in one uniformly random such segment; a pending transaction is
-// enabled when all of its objects activated in its own segment, and
-// enabled transactions sweep their segment center-outward (consecutive
-// positions execute on consecutive steps, so two enabled transactions in
-// one segment sharing an object are separated by at least their distance).
-func (st *Star) randomizedPeriod(in *tm.Instance, c *composer, segs []topology.Segment, bySeg [][]tm.TxnID) (rounds, fallbacks int64) {
-	pendingCount := 0
-	segOf := make(map[tm.TxnID]int)
-	for s := range bySeg {
-		pendingCount += len(bySeg[s])
-		for _, id := range bySeg[s] {
-			segOf[id] = s
-		}
-	}
-	n := in.G.NumNodes()
-	m := maxInt(maxInt(n, in.NumObjects), 2)
-	k := maxInt(in.MaxK(), 1)
-	zeta := roundCap(k, math.Log(float64(m)))
-
-	const stallLimit = 5000
-	stall := 0
-	for round := int64(0); pendingCount > 0 && round < zeta && stall < stallLimit; round++ {
-		rounds++
-		active := make(map[tm.ObjectID]int)
-		index := in.Index()
-		for o := 0; o < in.NumObjects; o++ {
-			var choices []int
-			seen := make(map[int]bool)
-			for _, id := range index.Members(tm.ObjectID(o)) {
-				if s, ok := segOf[id]; ok && !c.done[id] && !seen[s] {
-					seen[s] = true
-					choices = append(choices, s)
-				}
-			}
-			if len(choices) > 0 {
-				sort.Ints(choices)
-				active[tm.ObjectID(o)] = choices[cPick(st.Rng, len(choices))]
-			}
-		}
-		var ids []tm.TxnID
-		var local []int64
-		for s := range bySeg {
-			var still []tm.TxnID
-			for _, id := range bySeg[s] {
-				enabled := true
-				for _, o := range in.Txns[id].Objects {
-					if a, ok := active[o]; !ok || a != s {
-						enabled = false
-						break
-					}
-				}
-				if enabled {
-					// Local time = 1-based offset of the node within its
-					// segment, sweeping center-outward.
-					_, pos := st.Topo.RayOf(in.Txns[id].Node)
-					ids = append(ids, id)
-					local = append(local, int64(pos-segs[s].Lo+1))
-					pendingCount--
-					delete(segOf, id)
-				} else {
-					still = append(still, id)
-				}
-			}
-			bySeg[s] = still
-		}
-		if len(ids) > 0 {
-			c.appendBatch(ids, local)
-			stall = 0
-		} else {
-			stall++
-		}
-	}
-	for s := range bySeg {
-		for _, id := range bySeg[s] {
-			fallbacks++
-			c.appendOne(id)
-		}
-		bySeg[s] = nil
-	}
-	return rounds, fallbacks
-}
-
-func cPick(r *rand.Rand, n int) int { return r.Intn(n) }

@@ -32,10 +32,12 @@ import (
 // the source again.
 //
 // A member's objects come from the instance and their member lists from
-// the source, so a transaction listed under object o must request o
-// (tm.Instance.Index and the views of tm.PartitionedView satisfy this). A
-// member missing from o's list gets no edges through o, which is how a
-// hierarchical shard view restricts H.
+// the source, which must list every member under each object it requests
+// and list under object o only transactions that request o (New's
+// contract; CheckSource tests it). tm.Instance.Index lists every
+// transaction. A hierarchical shard view lists only its shard's
+// transactions, so it restricts H through its group contents: a member
+// meets only the members of its own shard.
 type DepGraph struct {
 	// IDs lists the member transactions; local index i refers to IDs[i].
 	IDs []tm.TxnID
@@ -46,7 +48,9 @@ type DepGraph struct {
 }
 
 // New returns H over the given transactions of in, reading conflicts from
-// src. A nil ids slice means all transactions.
+// src. A nil ids slice means all transactions. src must list every member
+// under each of its objects (see DepGraph); the passes do not look for a
+// member in its own objects' lists.
 func New(in *tm.Instance, ids []tm.TxnID, src tm.MemberSource) *DepGraph {
 	ids = orAll(in, ids)
 	local := make([]int32, in.NumTxns())
@@ -68,6 +72,28 @@ func orAll(in *tm.Instance, ids []tm.TxnID) []tm.TxnID {
 		}
 	}
 	return ids
+}
+
+// CheckSource reports the first way h's member source breaks New's
+// contract: a member missing from the list of an object it requests, or a
+// listed transaction that does not request the object. The passes trust
+// the contract, so tests build their graphs behind this check.
+func (h *DepGraph) CheckSource() error {
+	for _, id := range h.IDs {
+		for _, o := range h.in.Txns[id].Objects {
+			if !slices.Contains(h.src.Members(o), id) {
+				return fmt.Errorf("depgraph: member %d is missing from the list of its object %d", id, o)
+			}
+		}
+	}
+	for o := 0; o < h.src.NumObjects(); o++ {
+		for _, j := range h.src.Members(tm.ObjectID(o)) {
+			if !h.in.Txns[j].Uses(tm.ObjectID(o)) {
+				return fmt.Errorf("depgraph: transaction %d is listed under object %d, which it does not request", j, o)
+			}
+		}
+	}
+	return nil
 }
 
 // Len returns the number of member transactions.
@@ -114,11 +140,7 @@ func (h *DepGraph) Ranks(order []int) []int64 {
 		}
 		id, stamp := h.IDs[u], int32(u)+1
 		for _, o := range h.in.Txns[id].Objects {
-			ms := h.src.Members(o)
-			if _, ok := slices.BinarySearch(ms, id); !ok {
-				continue
-			}
-			for _, j := range ms {
+			for _, j := range h.src.Members(o) {
 				if lj := h.local[j]; lj >= 0 && j != id && k[lj] >= 0 {
 					used[k[lj]] = stamp
 				}
@@ -162,11 +184,7 @@ func (h *DepGraph) Summarize() Summary {
 		stamp, ui := int32(i)+1, h.in.Txns[id].Node
 		var deg int32
 		for _, o := range h.in.Txns[id].Objects {
-			ms := h.src.Members(o)
-			if _, ok := slices.BinarySearch(ms, id); !ok {
-				continue
-			}
-			for _, j := range ms {
+			for _, j := range h.src.Members(o) {
 				lj := h.local[j]
 				if lj < 0 || j == id || seen[lj] == stamp {
 					continue

@@ -27,9 +27,48 @@ func pathInstance() *tm.Instance {
 	}, []graph.NodeID{0, 4})
 }
 
+// newChecked is New behind the assertion that src keeps New's contract,
+// which the passes trust instead of searching each member's lists.
+func newChecked(t testing.TB, in *tm.Instance, ids []tm.TxnID, src tm.MemberSource) *DepGraph {
+	t.Helper()
+	h := New(in, ids, src)
+	if err := h.CheckSource(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// colorChecked is Color behind the same assertion.
+func colorChecked(t testing.TB, in *tm.Instance, ids []tm.TxnID, src tm.MemberSource) ([]int64, Summary) {
+	t.Helper()
+	newChecked(t, in, ids, src)
+	return Color(in, ids, src)
+}
+
+// TestCheckSourceRejects: CheckSource flags a source that leaves a member
+// out of an object it requests, and one that lists a transaction under an
+// object it does not request.
+func TestCheckSourceRejects(t *testing.T) {
+	in := pathInstance()
+	missing := slices.Clone(in.Txns)
+	missing[2].Objects = []tm.ObjectID{0} // txn 2 also requests object 1
+	if err := New(in, nil, tm.IndexTxns(in.NumObjects, missing)).CheckSource(); err == nil {
+		t.Fatal("CheckSource accepted a member missing from an object it requests")
+	}
+	extra := slices.Clone(in.Txns)
+	extra[3].Objects = []tm.ObjectID{1} // txn 3 requests nothing
+	if err := New(in, nil, tm.IndexTxns(in.NumObjects, extra)).CheckSource(); err == nil {
+		t.Fatal("CheckSource accepted a transaction listed under an object it does not request")
+	}
+	// A subset leaves out the transactions the source lists it with.
+	if err := New(in, []tm.TxnID{0, 4}, in.Index()).CheckSource(); err != nil {
+		t.Fatalf("CheckSource rejected a subset over the full index: %v", err)
+	}
+}
+
 func TestBuildStructure(t *testing.T) {
 	in := pathInstance()
-	h := New(in, nil, in.Index())
+	h := newChecked(t, in, nil, in.Index())
 	if h.Len() != 5 {
 		t.Fatalf("Len = %d", h.Len())
 	}
@@ -64,7 +103,7 @@ func TestBuildStructure(t *testing.T) {
 
 func TestBuildSubset(t *testing.T) {
 	in := pathInstance()
-	h := New(in, []tm.TxnID{0, 1, 4}, in.Index())
+	h := newChecked(t, in, []tm.TxnID{0, 1, 4}, in.Index())
 	if h.Len() != 3 {
 		t.Fatalf("subset Len = %d", h.Len())
 	}
@@ -80,7 +119,7 @@ func TestBuildSubset(t *testing.T) {
 
 func TestGreedyColorValidAndBounded(t *testing.T) {
 	in := pathInstance()
-	times, s := Color(in, nil, in.Index())
+	times, s := colorChecked(t, in, nil, in.Index())
 	if err := BuildReference(in, nil).CheckColoring(times); err != nil {
 		t.Fatalf("greedy coloring invalid: %v", err)
 	}
@@ -101,7 +140,7 @@ func TestGreedyColorConflictFree(t *testing.T) {
 		{Node: 1, Objects: []tm.ObjectID{1}},
 		{Node: 2, Objects: []tm.ObjectID{2}},
 	}, []graph.NodeID{0, 1, 2})
-	times, _ := Color(in, nil, in.Index())
+	times, _ := colorChecked(t, in, nil, in.Index())
 	for _, tt := range times {
 		if tt != 1 {
 			t.Fatalf("conflict-free instance should run entirely at step 1, got %v", times)
@@ -126,7 +165,7 @@ func TestCheckColoringRejects(t *testing.T) {
 
 func TestGreedyColorPanicsOnBadOrder(t *testing.T) {
 	in := pathInstance()
-	h := New(in, nil, in.Index())
+	h := newChecked(t, in, nil, in.Index())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for short order")
@@ -137,7 +176,7 @@ func TestGreedyColorPanicsOnBadOrder(t *testing.T) {
 
 func TestOrderByNode(t *testing.T) {
 	in := pathInstance()
-	h := New(in, []tm.TxnID{4, 0, 2}, in.Index())
+	h := newChecked(t, in, []tm.TxnID{4, 0, 2}, in.Index())
 	order := h.OrderByNode()
 	// Members are [4 0 2]; node order 0,2,4 → local indices [1 2 0].
 	want := []int{1, 2, 0}
@@ -171,7 +210,7 @@ func TestGreedyColoringValidProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r)
-		h := New(in, nil, in.Index())
+		h := newChecked(t, in, nil, in.Index())
 		s := h.Summarize()
 		times := s.Times(h.Ranks(r.Perm(h.Len())))
 		if BuildReference(in, nil).CheckColoring(times) != nil {
@@ -205,7 +244,7 @@ func TestWeightsSymmetricProperty(t *testing.T) {
 				}
 			}
 		}
-		s := New(in, nil, in.Index()).Summarize()
+		s := newChecked(t, in, nil, in.Index()).Summarize()
 		var sum int64
 		for _, d := range s.Degree {
 			sum += int64(d)
@@ -270,7 +309,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				ids = append(ids, tm.TxnID(i))
 			}
 		}
-		h := New(in, ids, in.Index())
+		h := newChecked(t, in, ids, in.Index())
 		order := h.OrderByNode()
 		if seed%2 == 1 {
 			order = r.Perm(h.Len())
@@ -283,8 +322,8 @@ func TestBuildMatchesReference(t *testing.T) {
 // ConflictIndex gives what the instance's own cached index gives.
 func TestBuildExternalIndex(t *testing.T) {
 	in := pathInstance()
-	ext := New(in, nil, tm.IndexTxns(in.NumObjects, in.Txns))
-	own := New(in, nil, in.Index())
+	ext := newChecked(t, in, nil, tm.IndexTxns(in.NumObjects, in.Txns))
+	own := newChecked(t, in, nil, in.Index())
 	if !reflect.DeepEqual(ext.Summarize(), own.Summarize()) {
 		t.Fatal("summary differs between the external and the instance index")
 	}
@@ -296,9 +335,9 @@ func TestBuildExternalIndex(t *testing.T) {
 // FuzzBuildMatchesReference: both passes equal the map-of-maps reference
 // (matchReference) over a shuffled subset of the members (local order ≠
 // ID order), over every shard of a partitioned index including the cross
-// shard, and over an external index built from the transactions with
-// random members stripped of their objects, whose degrees must come out
-// zero. The top two bits of shape pick the instance: up to 26
+// shard, and over an external index of the instance with random members
+// stripped of their objects, whose degrees must come out zero. Every
+// source keeps New's contract (newChecked). The top two bits of shape pick the instance: up to 26
 // transactions, 64–263, or 8192–9191 with sparse neighbourhoods; the low
 // bit picks node order or a random coloring order.
 func FuzzBuildMatchesReference(f *testing.F) {
@@ -339,7 +378,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		}
 
 		ids := shuffled(func(int) bool { return r.Intn(4) != 0 })
-		check("subset", New(in, ids, in.Index()), BuildReference(in, ids))
+		check("subset", newChecked(t, in, ids, in.Index()), BuildReference(in, ids))
 
 		// The last shard plays the hierarchical scheduler's cross shard.
 		shards := 2 + int(shape>>2)%4
@@ -350,10 +389,11 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		pv := in.Index().Partition(shards, shardOf)
 		for s := 0; s < shards; s++ {
 			sids := shuffled(func(i int) bool { return shardOf[i] == s })
-			check("shard", New(in, sids, pv.View(s)), BuildReference(in, sids))
+			check("shard", newChecked(t, in, sids, pv.View(s)), BuildReference(in, sids))
 		}
 
-		// The reference sees a stripped member as requesting nothing.
+		// An external index of an instance whose members were stripped of
+		// their objects: the stripped members meet no one.
 		txns := slices.Clone(in.Txns)
 		for i := range txns {
 			if r.Intn(3) == 0 {
@@ -361,7 +401,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			}
 		}
 		stripped := tm.NewInstance(in.G, in.Metric, in.NumObjects, txns, in.Home)
-		h := New(in, ids, tm.IndexTxns(in.NumObjects, txns))
+		h := newChecked(t, stripped, ids, tm.IndexTxns(in.NumObjects, txns))
 		check("stripped", h, BuildReference(stripped, ids))
 		deg := h.Summarize().Degree
 		for i, id := range ids {
@@ -379,7 +419,7 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		none := []tm.TxnID{}
-		h := New(in, none, in.Index())
+		h := newChecked(t, in, none, in.Index())
 		s := h.Summarize()
 		if h.Len() != 0 || s.HMax != 0 || s.MaxDegree != 0 || s.Edges != 0 {
 			t.Fatalf("empty graph: Len=%d HMax=%d Δ=%d edges=%d", h.Len(), s.HMax, s.MaxDegree, s.Edges)
@@ -394,7 +434,7 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 	})
 
 	t.Run("single member", func(t *testing.T) {
-		times, _ := Color(in, []tm.TxnID{2}, in.Index())
+		times, _ := colorChecked(t, in, []tm.TxnID{2}, in.Index())
 		if len(times) != 1 || times[0] != 1 {
 			t.Fatalf("single member times = %v, want [1]", times)
 		}
@@ -418,7 +458,7 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 			{Node: 0, Objects: []tm.ObjectID{0}},
 			{Node: 1, Objects: []tm.ObjectID{0}},
 		}, []graph.NodeID{0})
-		times, s := Color(in0, nil, in0.Index())
+		times, s := colorChecked(t, in0, nil, in0.Index())
 		if s.Edges != 1 || s.HMax != 0 || s.Degree[0] != 1 {
 			t.Fatalf("weight-0 pair: edges=%d hmax=%d deg0=%d", s.Edges, s.HMax, s.Degree[0])
 		}
@@ -437,7 +477,7 @@ func TestCheckColoringEdgeCases(t *testing.T) {
 // silently producing a partial coloring.
 func TestGreedyColorPartialOrderPanics(t *testing.T) {
 	in := pathInstance()
-	h := New(in, nil, in.Index())
+	h := newChecked(t, in, nil, in.Index())
 	for name, order := range map[string][]int{
 		"short":        {0, 1},
 		"long":         {0, 1, 2, 3, 4, 0},
@@ -461,7 +501,7 @@ func TestGreedyColorPartialOrderPanics(t *testing.T) {
 // Summarize its degrees and its seen stamps.
 func TestPassAllocs(t *testing.T) {
 	for _, in := range []*tm.Instance{pathInstance(), randomSized(rand.New(rand.NewSource(3)), 200)} {
-		h := New(in, nil, in.Index())
+		h := newChecked(t, in, nil, in.Index())
 		order := h.OrderByNode()
 		if allocs := testing.AllocsPerRun(50, func() { h.Ranks(order) }); allocs != 2 {
 			t.Errorf("%d members: Ranks allocated %.1f times per call, want 2", h.Len(), allocs)

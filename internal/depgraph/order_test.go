@@ -189,7 +189,7 @@ func grid16Window() *tm.Instance {
 // the stack, so each call allocates only the order it returns.
 func TestOrdersAllocateOneSlice(t *testing.T) {
 	in := grid16Window()
-	h := New(in, nil, in.Index())
+	h := newChecked(t, in, nil, in.Index())
 	colors := h.Ranks(h.OrderByNode())
 	if allocs := testing.AllocsPerRun(100, func() { h.OrderByNode() }); allocs != 1 {
 		t.Errorf("OrderByNode allocated %.1f times per call, want 1", allocs)
@@ -205,7 +205,7 @@ var orderSink []int
 // the serving loop does once per window.
 func BenchmarkOrderByColor(b *testing.B) {
 	in := grid16Window()
-	h := New(in, nil, in.Index())
+	h := newChecked(b, in, nil, in.Index())
 	colors := h.Ranks(h.OrderByNode())
 	b.ReportAllocs()
 	b.ResetTimer()

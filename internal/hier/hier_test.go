@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtmsched/internal/core"
+	"dtmsched/internal/depgraph"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
@@ -65,6 +66,30 @@ func TestDecomposePinned(t *testing.T) {
 	}
 }
 
+// scheduleChecked runs s.Schedule after asserting that every conflict
+// graph it builds reads a source that keeps depgraph.New's contract: each
+// nonempty shard's members over that shard's view, and a nonempty cross
+// set over the cross shard's view. (A nil member list would mean every
+// transaction, and ScheduleUnchecked builds no graph for an empty one.)
+func scheduleChecked(t *testing.T, s *Scheduler, in *tm.Instance) (*core.Result, error) {
+	t.Helper()
+	tier := s.Tier
+	if tier == 0 {
+		tier = 1
+	}
+	d := Decompose(s.Topo, in, tier)
+	pv := in.Index().Partition(d.Shards+1, d.TxnShard)
+	for si, ids := range append(d.Local, d.Cross) {
+		if len(ids) == 0 {
+			continue
+		}
+		if err := depgraph.New(in, ids, pv.View(si)).CheckSource(); err != nil {
+			t.Fatalf("shard %d of %d (the last is the cross set): %v", si, d.Shards+1, err)
+		}
+	}
+	return s.Schedule(in)
+}
+
 // genInstance generates a seeded uniform workload over every node of the
 // tree — dense enough that shards, cross conflicts, and the merge phase all
 // exercise.
@@ -91,7 +116,7 @@ func TestHierFeasibleAndCrossChecked(t *testing.T) {
 		fc := topology.NewFogCloud(tc.fanout, tc.weight)
 		in := genInstance(t, fc, tc.w, tc.k, 7)
 		s := &Scheduler{Topo: fc}
-		r, err := s.Schedule(in)
+		r, err := scheduleChecked(t, s, in)
 		if err != nil {
 			t.Fatalf("%s: %v", fc.Graph().Name(), err)
 		}
@@ -132,7 +157,7 @@ func TestHierDeterministicAcrossWorkers(t *testing.T) {
 	var base *core.Result
 	for _, workers := range []int{1, 4, 8} {
 		s := &Scheduler{Topo: fc, Workers: workers}
-		r, err := s.Schedule(in)
+		r, err := scheduleChecked(t, s, in)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -159,7 +184,7 @@ func TestHierTierSweep(t *testing.T) {
 	prevCross := int64(-1)
 	for tier := 1; tier < fc.Tiers(); tier++ {
 		s := &Scheduler{Topo: fc, Tier: tier, Workers: 2}
-		r, err := s.Schedule(in)
+		r, err := scheduleChecked(t, s, in)
 		if err != nil {
 			t.Fatalf("tier %d: %v", tier, err)
 		}
@@ -192,7 +217,7 @@ func TestHierLocalOverlap(t *testing.T) {
 	})
 	in := wl.Generate(r, fc.Graph(), fc, nodes[1:], tm.PlaceAtFirstUser)
 	s := &Scheduler{Topo: fc}
-	res, err := s.Schedule(in)
+	res, err := scheduleChecked(t, s, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +260,7 @@ func TestCrossCheckRejectsTampering(t *testing.T) {
 	fc := topology.NewFogCloud([]int{4, 8}, []int64{8, 1})
 	in := genInstance(t, fc, 48, 3, 7)
 	s := &Scheduler{Topo: fc}
-	r, err := s.Schedule(in)
+	r, err := scheduleChecked(t, s, in)
 	if err != nil {
 		t.Fatal(err)
 	}

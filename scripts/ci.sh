@@ -50,14 +50,25 @@ go test ./internal/graph -run '^$' -bench 'BenchmarkDistParallel' -benchtime 1x 
 
 echo "== conflict-graph layer guards =="
 # The ranks and summary passes must each allocate only their two
-# member-sized slices, and both must match the map-based reference H; an
+# member-sized slices, and both must match the map-based reference H;
+# the member-source contract check the passes rely on must reject a
+# source that leaves a member out or lists a non-requester; an
 # instance's conflict index must cost exactly its two arrays at every
 # size and match a per-object scan; BenchmarkDepGraphBuild (1k/10k: the
 # reference, the summary pass and the ranks pass) must at least compile
 # and run (1 iteration smoke — timings are checked with -benchtime).
-go test ./internal/depgraph -run 'TestPassAllocs|TestBuildMatchesReference' -count=1
+go test ./internal/depgraph -run 'TestPassAllocs|TestBuildMatchesReference|TestCheckSourceRejects' -count=1
 go test ./internal/tm -run 'TestInstanceIndexAllocs|TestIndexTxnsMatchesReference' -count=1
 go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev/null
+
+echo "== randomized-round guards =="
+# Cluster Approach 2 and Star's randomized periods share one activation
+# round. It must emit exactly the schedules and the rounds, fallbacks,
+# picked and σ stats of the two per-scheduler copies it replaced (kept in
+# the test as the reference) on star and cluster shapes, stalling cases
+# included, and an Approach 2 schedule on star4x8 and cluster4x8 must stay
+# under a fixed malloc bound (the replaced copies made ~470 and ~400).
+go test ./internal/core -run 'TestActivationMatchesReference|TestApproach2Allocs' -count=1
 
 echo "== lower-bound oracle guards =="
 # Warm oracle lookups must stay zero-alloc (a published bound is a
@@ -226,7 +237,9 @@ go test ./internal/xrand -run '^$' -fuzz FuzzJumpSource -fuzztime 10s
 echo "== conflict-graph differential fuzz smoke =="
 # The ranks and summary passes must equal the map-of-maps reference H and
 # its greedy coloring over shuffled member subsets, over every shard of a
-# partitioned index, and over an index with members removed.
+# partitioned index, and over an external index of an instance with
+# members stripped of their objects, each source keeping the member-source
+# contract.
 go test ./internal/depgraph -run '^$' -fuzz FuzzBuildMatchesReference -fuzztime 10s
 
 echo "== serve-mode smoke =="
